@@ -37,7 +37,16 @@ from .generators import (
     state_markers_instance,
 )
 from .linear import BreakpointAnalysis, LinearOptimum, analyze, optimal_linear, state_breakpoints
-from .lp import Constraint, LinearProgram, LpInfeasible, LpOptimal, LpResult, LpUnbounded, solve_lp
+from .lp import (
+    Constraint,
+    LinearProgram,
+    LpInfeasible,
+    LpOptimal,
+    LpResult,
+    LpUnbounded,
+    SolverInvariantError,
+    solve_lp,
+)
 from .model import (
     ActionProfile,
     Contract,

@@ -11,6 +11,7 @@ Exit codes are part of the contract:
      parameter constraints)
   2  enumeration cap exceeded
   3  I/O, JSON or command-line parse error
+  4  internal error: a solver self-check failed (a bug, reported on stderr)
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CAP = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _decimal_str(value: Fraction, digits: int = 12) -> str:
@@ -174,6 +176,7 @@ def _solver_result_doc(report: solvers.SolveReport) -> dict:
         "profiles_enumerated": report.profiles_enumerated,
         "termination_sets_enumerated": report.termination_sets_enumerated,
         "infeasible_profiles": report.infeasible_profiles,
+        "programs_solved": report.programs_solved,
     }
 
 
@@ -448,6 +451,9 @@ def main(argv=None) -> int:
     except solvers.EnumerationCapExceeded as exc:
         print(f"twostage: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except solvers.SolverInvariantError as exc:
+        print(f"twostage: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InstanceFormatError, OSError) as exc:
         print(f"twostage: {exc}", file=sys.stderr)
         return EXIT_IO

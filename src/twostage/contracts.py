@@ -7,20 +7,30 @@ initial action against each alternative using the designated continuation
 values, which is valid exactly because the final rows hold everywhere.  Weak
 inequalities suffice since the agent breaks ties in the principal's favor.
 
-The optimal-contract searches enumerate profiles (and termination sets),
-solve the program for each, and keep the best profit.  Enumeration collapses
-duplicate final actions (identical cost and distribution) to their lowest
-index, which preserves both the optimum and the lexicographic tie-break.
+All three optimal-contract searches share one best-first branch and bound.
+A candidate is a termination set (always empty but for terminate-halfway
+contracts), an initial action and one final action per surviving state;
+duplicate final actions (identical cost and distribution) collapse to their
+lowest index, which preserves both the optimum and the tie-break.  Because
+transfers are non-negative, incentive compatibility leaves the agent at least
+minus the cost of the cheapest profile (``slack``, zero on validated
+instances), so a candidate's profit is at most its welfare plus ``slack``.
+Candidates are visited lazily in descending order of that bound, and the
+search stops at the first bound strictly below the best profit found.  Equal
+profits go to the candidate first in the order (termination-set size,
+termination set, initial action, finals by state), which is the one an
+exhaustive enumeration in that order keeps.  The caps count the whole
+candidate space, pruned or not.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import BestResponse, best_response
-from .lp import Constraint, LinearProgram, LpOptimal, solve_lp
+from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, solve_lp
 from .model import (
     ActionProfile,
     Contract,
@@ -29,6 +39,7 @@ from .model import (
     StandardContract,
     TerminateHalfwayContract,
     classify,
+    expected_state_reward,
 )
 from .welfare import max_welfare
 
@@ -46,9 +57,13 @@ class EnumerationCapExceeded(RuntimeError):
 class SolveReport:
     """Result of an optimal-contract search.
 
-    ``profiles_enumerated`` counts profiles after duplicate final actions are
-    collapsed; ``termination_sets_enumerated`` is zero except for the
-    terminate-halfway search.
+    ``profiles_enumerated`` is the size of the candidate space: profiles after
+    duplicate final actions are collapsed, summed over termination sets, and
+    counted whether or not the bound pruned them.
+    ``termination_sets_enumerated`` is zero except for the terminate-halfway
+    search, where it is 2**S.  ``programs_solved`` counts the minimal-payment
+    programs actually solved, and ``infeasible_profiles`` those of them that
+    were infeasible.
     """
 
     best_contract: Contract
@@ -58,6 +73,7 @@ class SolveReport:
     profiles_enumerated: int
     termination_sets_enumerated: int
     infeasible_profiles: int
+    programs_solved: int
 
 
 @dataclass(frozen=True)
@@ -151,39 +167,36 @@ def _payment_objective(instance, profile, surviving, num_vars, with_state_transf
     return objective
 
 
-def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
-    """Cheapest standard contract incentivizing the total profile, or None."""
-    surviving = range(instance.num_states)
-    n = instance.num_outcomes
+def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptimal | None:
+    """Optimal solution of the profile's minimal-payment program, or None.
+
+    Variables are the outcome transfers, followed by one transfer per state
+    when ``with_state_transfers``; the objective value is the expected
+    transfer of the profile.
+    """
+    n = instance.num_outcomes + (instance.num_states if with_state_transfers else 0)
     lp = LinearProgram(
-        _payment_objective(instance, profile, surviving, n, False),
+        _payment_objective(instance, profile, surviving, n, with_state_transfers),
         tuple(
             _final_ic_rows(instance, profile.finals, surviving, n)
-            + _initial_ic_rows(instance, profile, surviving, n, False)
+            + _initial_ic_rows(instance, profile, surviving, n, with_state_transfers)
         ),
     )
     result = solve_lp(lp)
-    if not isinstance(result, LpOptimal):
-        return None
-    return StandardContract(result.x)
+    return result if isinstance(result, LpOptimal) else None
+
+
+def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
+    """Cheapest standard contract incentivizing the total profile, or None."""
+    solution = _min_payment(instance, profile, range(instance.num_states), False)
+    return None if solution is None else StandardContract(solution.x)
 
 
 def min_payment_pay(instance: Instance, profile: ActionProfile) -> PayHalfwayContract | None:
     """Cheapest pay-halfway contract incentivizing the total profile, or None."""
-    surviving = range(instance.num_states)
-    n = instance.num_outcomes + instance.num_states
-    lp = LinearProgram(
-        _payment_objective(instance, profile, surviving, n, True),
-        tuple(
-            _final_ic_rows(instance, profile.finals, surviving, n)
-            + _initial_ic_rows(instance, profile, surviving, n, True)
-        ),
-    )
-    result = solve_lp(lp)
-    if not isinstance(result, LpOptimal):
-        return None
+    solution = _min_payment(instance, profile, range(instance.num_states), True)
     m = instance.num_outcomes
-    return PayHalfwayContract(result.x[m:], result.x[:m])
+    return None if solution is None else PayHalfwayContract(solution.x[m:], solution.x[:m])
 
 
 def min_payment_terminate(
@@ -197,21 +210,13 @@ def min_payment_terminate(
     surviving = [s for s in range(instance.num_states) if s not in terminate_set]
     if set(profile.finals) != set(surviving):
         raise ValueError("profile must cover exactly the surviving states")
-    n = instance.num_outcomes
-    lp = LinearProgram(
-        _payment_objective(instance, profile, surviving, n, False),
-        tuple(
-            _final_ic_rows(instance, profile.finals, surviving, n)
-            + _initial_ic_rows(instance, profile, surviving, n, False)
-        ),
-    )
-    result = solve_lp(lp)
-    if not isinstance(result, LpOptimal):
-        return None
-    return TerminateHalfwayContract(result.x, terminate_set)
+    solution = _min_payment(instance, profile, surviving, False)
+    return None if solution is None else TerminateHalfwayContract(solution.x, terminate_set)
 
 
-# --- enumeration --------------------------------------------------------------
+# --- search -------------------------------------------------------------------
+
+_BLOCKED = -1  # the option of terminating at a state instead of picking a final
 
 
 def _distinct_final_indices(state) -> list[int]:
@@ -224,64 +229,6 @@ def _distinct_final_indices(state) -> list[int]:
     return sorted(seen.values())
 
 
-def _profit_of(instance, profile, surviving, payment) -> Fraction:
-    init = instance.initial_actions[profile.initial]
-    reward = _ZERO
-    for s in surviving:
-        p = init.transition[s]
-        if p:
-            act = instance.states[s].final_actions[profile.finals[s]]
-            reward += p * sum(
-                (q * r for q, r in zip(act.outcome_dist, instance.rewards)), _ZERO
-            )
-    return reward - payment
-
-
-def _enumerate_profiles(instance, surviving, reps):
-    """Profiles over representative finals, lexicographic order."""
-    for i in range(instance.num_initial_actions):
-        if surviving:
-            for combo in itertools.product(*(reps[s] for s in surviving)):
-                yield ActionProfile(i, dict(zip(surviving, combo)))
-        else:
-            yield ActionProfile(i, {})
-
-
-def _search(instance, surviving, reps, solve_profile):
-    """Maximize profit over profiles; first profile wins ties (lex order)."""
-    best = None  # (profit, profile, contract)
-    enumerated = 0
-    infeasible = 0
-    for profile in _enumerate_profiles(instance, surviving, reps):
-        enumerated += 1
-        solved = solve_profile(profile)
-        if solved is None:
-            infeasible += 1
-            continue
-        contract, payment = solved
-        profit = _profit_of(instance, profile, surviving, payment)
-        if best is None or profit > best[0]:
-            best = (profit, profile, contract)
-    return best, enumerated, infeasible
-
-
-def _report(instance, best, enumerated, subsets, infeasible) -> SolveReport:
-    profit, _profile, contract = best
-    response = best_response(instance, contract)
-    assert response.principal_profit == profit, (
-        "tie-broken best response must realize the enumerated optimum"
-    )
-    return SolveReport(
-        best_contract=contract,
-        best_response=response,
-        profit=profit,
-        welfare=max_welfare(instance).max_welfare,
-        profiles_enumerated=enumerated,
-        termination_sets_enumerated=subsets,
-        infeasible_profiles=infeasible,
-    )
-
-
 def _check_profile_cap(count: int, cap: int) -> None:
     if count > cap:
         raise EnumerationCapExceeded(
@@ -289,50 +236,131 @@ def _check_profile_cap(count: int, cap: int) -> None:
         )
 
 
+def _search(instance, profiles_cap, with_state_transfers, may_block, make_contract) -> SolveReport:
+    """Best contract by best-first branch and bound (see the module docstring).
+
+    A candidate is an initial action ``i`` plus one option per state: a
+    distinct final ``j`` or, when ``may_block``, termination.  Its bound is
+    separable: ``slack - c_i + sum_s F[i,s] * (R[s,j] - c[s,j])``, a blocked
+    state adding zero.  With each state's options sorted by descending term,
+    the k-best successor rule (increment only positions at or after the last
+    one incremented) reaches every candidate exactly once and never before a
+    candidate with a larger bound, so one heap seeded with each initial
+    action's best candidate yields the space lazily in descending bound order.
+    """
+    states = instance.states
+    reps = [_distinct_final_indices(state) for state in states]
+    space = instance.num_initial_actions
+    for finals in reps:
+        space *= len(finals) + may_block
+    _check_profile_cap(space, profiles_cap)
+
+    reward = [
+        [expected_state_reward(instance, s, j) for j in range(len(state.final_actions))]
+        for s, state in enumerate(states)
+    ]
+    # Non-negative transfers leave the agent no worse off than minus the cost
+    # of the cheapest profile.  Counting negative final costs (unvalidated
+    # input only) as zero makes one value cover every set of surviving states.
+    cheapest = [min((a.cost for a in state.final_actions), default=_ZERO) for state in states]
+    slack = min(
+        (
+            act.cost + sum((p * max(c, _ZERO) for p, c in zip(act.transition, cheapest)), _ZERO)
+            for act in instance.initial_actions
+        ),
+        default=_ZERO,
+    )
+    options = []  # options[i][s]: (bound term, final or _BLOCKED), largest term first
+    for act in instance.initial_actions:
+        rows = []
+        for s, state in enumerate(states):
+            p = act.transition[s]
+            row = [(p * (reward[s][j] - state.final_actions[j].cost), j) for j in reps[s]]
+            if may_block:
+                row.append((_ZERO, _BLOCKED))
+            row.sort(key=lambda option: (-option[0], option[1]))
+            rows.append(row)
+        options.append(rows)
+
+    # Entries are (-bound, key, positions, last incremented); keys are unique
+    # and order candidates as an exhaustive enumeration visits them.
+    heap = []
+
+    def push(bound, i, positions, last):
+        picks = [options[i][s][k][1] for s, k in enumerate(positions)]
+        blocked = tuple(s for s, j in enumerate(picks) if j == _BLOCKED)
+        finals = tuple(j for j in picks if j != _BLOCKED)
+        heapq.heappush(heap, (-bound, (len(blocked), blocked, i, finals), positions, last))
+
+    for i, act in enumerate(instance.initial_actions):
+        if all(options[i]):
+            top = sum((row[0][0] for row in options[i]), _ZERO)
+            push(slack - act.cost + top, i, (0,) * len(states), 0)
+
+    best = None  # (profit, key, program solution)
+    solved = infeasible = 0
+    while heap:
+        neg_bound, key, positions, last = heapq.heappop(heap)
+        bound = -neg_bound
+        if best is not None and bound < best[0]:
+            break
+        _, blocked, i, finals = key
+        rows = options[i]
+        for s in range(last, len(rows)):
+            k = positions[s] + 1
+            if k < len(rows[s]):
+                step = rows[s][k][0] - rows[s][k - 1][0]
+                push(bound + step, i, positions[:s] + (k,) + positions[s + 1 :], s)
+        if best is not None and bound == best[0] and key > best[1]:
+            continue  # it can at best tie, and ties keep the earlier candidate
+        surviving = [s for s in range(len(states)) if s not in blocked]
+        profile = ActionProfile(i, dict(zip(surviving, finals)))
+        solution = _min_payment(instance, profile, surviving, with_state_transfers)
+        solved += 1
+        if solution is None:
+            infeasible += 1
+            continue
+        transition = instance.initial_actions[i].transition
+        profit = sum(
+            (transition[s] * reward[s][j] for s, j in zip(surviving, finals)), _ZERO
+        ) - solution.objective_value
+        if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
+            best = (profit, key, solution)
+
+    if best is None:
+        raise SolverInvariantError("no candidate profile is incentivizable")
+    profit, key, solution = best
+    contract = make_contract(solution.x, frozenset(key[1]))
+    response = best_response(instance, contract)
+    if response.principal_profit != profit:
+        raise SolverInvariantError("tie-broken best response does not realize the searched optimum")
+    return SolveReport(
+        best_contract=contract,
+        best_response=response,
+        profit=profit,
+        welfare=max_welfare(instance).max_welfare,
+        profiles_enumerated=space,
+        termination_sets_enumerated=2 ** len(states) if may_block else 0,
+        infeasible_profiles=infeasible,
+        programs_solved=solved,
+    )
+
+
 def optimal_standard(
     instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP
 ) -> SolveReport:
-    """Best standard contract via exhaustive profile enumeration."""
-    surviving = list(range(instance.num_states))
-    reps = {s: _distinct_final_indices(instance.states[s]) for s in surviving}
-    total = instance.num_initial_actions
-    for s in surviving:
-        total *= len(reps[s])
-    _check_profile_cap(total, profiles_cap)
-
-    def solve_profile(profile):
-        lp_contract = min_payment_standard(instance, profile)
-        if lp_contract is None:
-            return None
-        payment = _expected_transfer(instance, profile, surviving, lp_contract.transfers)
-        return lp_contract, payment
-
-    best, enumerated, infeasible = _search(instance, surviving, reps, solve_profile)
-    return _report(instance, best, enumerated, 0, infeasible)
+    """Best standard contract."""
+    return _search(instance, profiles_cap, False, False, lambda x, _: StandardContract(x))
 
 
 def optimal_pay(
     instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP
 ) -> SolveReport:
-    """Best pay-halfway contract via exhaustive profile enumeration."""
-    surviving = list(range(instance.num_states))
-    reps = {s: _distinct_final_indices(instance.states[s]) for s in surviving}
-    total = instance.num_initial_actions
-    for s in surviving:
-        total *= len(reps[s])
-    _check_profile_cap(total, profiles_cap)
-
-    def solve_profile(profile):
-        contract = min_payment_pay(instance, profile)
-        if contract is None:
-            return None
-        payment = _expected_transfer(
-            instance, profile, surviving, contract.transfers, contract.state_transfers
-        )
-        return contract, payment
-
-    best, enumerated, infeasible = _search(instance, surviving, reps, solve_profile)
-    return _report(instance, best, enumerated, 0, infeasible)
+    """Best pay-halfway contract."""
+    m = instance.num_outcomes
+    return _search(
+        instance, profiles_cap, True, False, lambda x, _: PayHalfwayContract(x[m:], x[:m])
+    )
 
 
 def optimal_terminate(
@@ -343,68 +371,16 @@ def optimal_terminate(
 ) -> SolveReport:
     """Best terminate-halfway contract over all termination sets and profiles.
 
-    Termination sets are visited smallest first (then lexicographically), so
-    equal-profit ties resolve to the smallest blocked set; the empty set makes
-    the result dominate the optimal standard contract by construction.
+    Equal-profit ties resolve to the smallest blocked set (then the
+    lexicographically first), so the empty set makes the result dominate the
+    optimal standard contract by construction.
     """
     num_states = instance.num_states
     if 2 ** num_states > subsets_cap:
         raise EnumerationCapExceeded(
             f"2**{num_states} termination sets exceeds the cap of {subsets_cap}"
         )
-    reps = {s: _distinct_final_indices(instance.states[s]) for s in range(num_states)}
-
-    all_states = list(range(num_states))
-    subsets = []
-    for size in range(num_states + 1):
-        subsets.extend(itertools.combinations(all_states, size))
-
-    total = 0
-    for subset in subsets:
-        count = instance.num_initial_actions
-        for s in all_states:
-            if s not in subset:
-                count *= len(reps[s])
-        total += count
-    _check_profile_cap(total, profiles_cap)
-
-    best = None
-    enumerated = 0
-    infeasible = 0
-    for subset in subsets:
-        terminate_set = frozenset(subset)
-        surviving = [s for s in all_states if s not in terminate_set]
-
-        def solve_profile(profile, terminate_set=terminate_set):
-            contract = min_payment_terminate(instance, terminate_set, profile)
-            if contract is None:
-                return None
-            payment = _expected_transfer(
-                instance, profile, sorted(profile.finals), contract.transfers
-            )
-            return contract, payment
-
-        sub_best, sub_enumerated, sub_infeasible = _search(
-            instance, surviving, reps, solve_profile
-        )
-        enumerated += sub_enumerated
-        infeasible += sub_infeasible
-        if sub_best is not None and (best is None or sub_best[0] > best[0]):
-            best = sub_best
-    return _report(instance, best, enumerated, len(subsets), infeasible)
-
-
-def _expected_transfer(instance, profile, surviving, transfers, state_transfers=None):
-    init = instance.initial_actions[profile.initial]
-    payment = _ZERO
-    for s in surviving:
-        p = init.transition[s]
-        if p:
-            act = instance.states[s].final_actions[profile.finals[s]]
-            payment += p * sum((q * t for q, t in zip(act.outcome_dist, transfers)), _ZERO)
-            if state_transfers is not None:
-                payment += p * state_transfers[s]
-    return payment
+    return _search(instance, profiles_cap, False, True, TerminateHalfwayContract)
 
 
 # --- reductions ---------------------------------------------------------------
@@ -481,5 +457,6 @@ def optimal_single_stage(ssi: SingleStageInstance) -> SingleStageSolution:
         profit = reward - payment
         if best is None or profit > best.profit:
             best = SingleStageSolution(result.x, i, payment, profit)
-    assert best is not None, "a zero-cost action is always incentivizable"
+    if best is None:
+        raise SolverInvariantError("no action is incentivizable, yet the cheapest one always is")
     return best

@@ -89,6 +89,14 @@ class LpUnbounded:
 LpResult = LpOptimal | LpInfeasible | LpUnbounded
 
 
+class SolverInvariantError(RuntimeError):
+    """A self-check of the solvers failed.
+
+    The checks raise this instead of using ``assert`` so that they still run
+    under ``python -O``.
+    """
+
+
 def _bland(tableau, rhs, basis, costs, banned, num_rows):
     """Run primal simplex steps in place until optimal or unbounded."""
     num_cols = len(costs)
@@ -202,8 +210,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         costs1 = [_scalar(0)] * num_cols
         for j in artificial:
             costs1[j] = _scalar(1)
-        status = _bland(tableau, rhs_col, basis, costs1, banned, m)
-        assert status == "optimal", "phase 1 objective is bounded below by zero"
+        if _bland(tableau, rhs_col, basis, costs1, banned, m) != "optimal":
+            raise SolverInvariantError("phase 1 came out unbounded, yet its objective is at least zero")
         phase1_value = sum((rhs_col[k] for k in range(m) if basis[k] in artificial), _scalar(0))
         if phase1_value > 0:
             return LpInfeasible()

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's backward-induction,
 decomposition and LP code paths, so agreement is a real cross-check and not
-a tautology.
+a tautology.  The one exception is ``exhaustive_optimum``: it replays the
+exhaustive search over the public per-profile programs, so it checks the
+optimizers' search and tie-break, not the programs themselves.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
 from twostage.model import (
     ActionProfile,
     Instance,
@@ -92,6 +95,41 @@ def brute_force_max_welfare(instance) -> Fraction:
             value += init.transition[s] * (expected_r - act.cost)
         if best is None or value > best:
             best = value
+    return best
+
+
+def exhaustive_optimum(instance, kind):
+    """(contract, profit) of the first best candidate in enumeration order.
+
+    Termination sets smallest first, then lexicographically (only the empty
+    set unless ``kind`` is "terminate"); then initial actions; then profiles
+    in lexicographic order over each state's distinct finals (lowest index of
+    each cost and distribution).  Strict ``>`` keeps the first of equals.
+    """
+    distinct = []
+    for state in instance.states:
+        seen = {}
+        for j, act in enumerate(state.final_actions):
+            seen.setdefault((act.cost, act.outcome_dist), j)
+        distinct.append(sorted(seen.values()))
+    states = range(instance.num_states)
+    best = None
+    for size in range(instance.num_states + 1 if kind == "terminate" else 1):
+        for blocked in itertools.combinations(states, size):
+            surviving = [s for s in states if s not in blocked]
+            for i in range(instance.num_initial_actions):
+                for combo in itertools.product(*(distinct[s] for s in surviving)):
+                    profile = ActionProfile(i, dict(zip(surviving, combo)))
+                    if kind == "standard":
+                        contract = min_payment_standard(instance, profile)
+                    elif kind == "pay":
+                        contract = min_payment_pay(instance, profile)
+                    else:
+                        contract = min_payment_terminate(instance, blocked, profile)
+                    if contract is not None:
+                        profit = profile_value(instance, contract, profile)[2]
+                        if best is None or profit > best[1]:
+                            best = (contract, profit)
     return best
 
 

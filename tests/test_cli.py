@@ -249,3 +249,53 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["rewards"] == ["0", "5"]
+
+
+
+def test_solver_results_report_programs_solved(capsys, instance_file):
+    code, out, _ = run_cli(capsys, "compare", instance_file)
+    assert code == 0
+    results = json.loads(out)["results"]
+    for kind in ("standard", "pay", "terminate"):
+        doc = results[kind]
+        assert 0 <= doc["infeasible_profiles"] <= doc["programs_solved"] <= doc["profiles_enumerated"]
+        assert doc["programs_solved"] >= 1
+
+
+def test_failed_self_check_exits_four_without_traceback(capsys, monkeypatch, instance_file):
+    import dataclasses
+
+    from twostage import contracts
+
+    real = contracts.best_response
+
+    def off_by_one(instance, contract):
+        response = real(instance, contract)
+        return dataclasses.replace(response, principal_profit=response.principal_profit + 1)
+
+    monkeypatch.setattr(contracts, "best_response", off_by_one)
+    code, out, err = run_cli(capsys, "solve", instance_file, "--contract", "standard")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("twostage: internal error:")
+    assert "Traceback" not in err
+
+
+def test_self_check_survives_optimize_flag(instance_file):
+    script = (
+        "import dataclasses, sys\n"
+        "from twostage import cli, contracts\n"
+        "real = contracts.best_response\n"
+        "def off_by_one(instance, contract):\n"
+        "    response = real(instance, contract)\n"
+        "    return dataclasses.replace(response, principal_profit=response.principal_profit + 1)\n"
+        "contracts.best_response = off_by_one\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, "solve", instance_file, "--contract", "pay"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 4
+    assert "Traceback" not in result.stderr

@@ -6,6 +6,10 @@ import pytest
 from twostage import (
     ActionProfile,
     EnumerationCapExceeded,
+    FamilyParams,
+    FinalAction,
+    InitialAction,
+    Instance,
     PayHalfwayContract,
     SingleStageAction,
     SingleStageInstance,
@@ -26,6 +30,9 @@ from twostage import (
     pay_to_standard_tree,
     random_instance,
     reduce_deterministic,
+    State,
+    generate,
+    validate,
 )
 from twostage.generators import (
     cost_ladder_instance,
@@ -33,7 +40,7 @@ from twostage.generators import (
     state_markers_instance,
 )
 
-from oracles import lattice_min_payment_standard
+from oracles import exhaustive_optimum, lattice_min_payment_standard
 
 
 # --- minimal-payment programs -------------------------------------------------
@@ -129,8 +136,10 @@ def test_optimal_standard_worked_examples(midterm, interim_review):
     report = optimal_standard(midterm)
     assert report.profit == F(91, 36)
     assert report.best_contract.transfers == (F(0), F(20, 9))
+    # the whole space counts; the bound leaves two programs to solve
     assert report.profiles_enumerated == 8
-    assert report.infeasible_profiles == 5
+    assert report.programs_solved == 2
+    assert report.infeasible_profiles == 0
     assert optimal_standard(interim_review).profit == F(6, 5)
 
 
@@ -295,6 +304,94 @@ def test_lattice_search_never_beats_the_program(midterm):
         payment = evaluate_profile(inst, contract, profile).expected_payment
         if grid is not None:
             assert grid >= payment
+
+
+# --- the pruned search against the exhaustive oracle ------------------------------
+
+
+def assert_matches_exhaustive_search(inst):
+    for kind, solver in (
+        ("standard", optimal_standard),
+        ("pay", optimal_pay),
+        ("terminate", optimal_terminate),
+    ):
+        contract, profit = exhaustive_optimum(inst, kind)
+        report = solver(inst)
+        assert report.best_contract == contract, kind
+        assert report.best_response.profile == best_response(inst, contract).profile, kind
+        assert report.profit == profit, kind
+
+
+def tie_heavy_variants(inst):
+    """Duplicated initial actions, reversed action orders, mirrored outcomes,
+    and an unreachable copy of a state with a duplicated final action."""
+    mirrored_states = tuple(
+        State(s.name, tuple(FinalAction(a.name, a.cost, a.outcome_dist[::-1]) for a in s.final_actions))
+        for s in inst.states
+    )
+    first = inst.states[0]
+    return [
+        Instance(inst.rewards, inst.initial_actions * 2, inst.states),
+        Instance(
+            inst.rewards,
+            inst.initial_actions[::-1],
+            tuple(State(s.name, s.final_actions[::-1]) for s in inst.states),
+        ),
+        Instance(inst.rewards[::-1], inst.initial_actions, mirrored_states),
+        Instance(
+            inst.rewards,
+            tuple(InitialAction(a.name, a.cost, a.transition + (F(0),)) for a in inst.initial_actions),
+            inst.states + (State("copy", first.final_actions + first.final_actions[:1]),),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("midterm", {}),
+        ("interim_review", {}),
+        ("payment_gap", {"p": F(9, 10), "q": F(1, 2), "c": F(1), "x": F(20)}),
+        ("payment_gap", {"p": F(3, 5), "q": F(1, 10), "c": F(1), "x": F(4)}),
+        ("cost_ladder", {"n1": 2, "n2": 2}),
+        ("state_markers", {"s": 2, "n2": 2}),
+        ("random_tree", {"seed": 3}),
+        ("random_stochastic", {"seed": 3}),
+        ("random_deterministic", {"seed": 3}),
+        ("random_general", {"seed": 3}),
+    ],
+)
+def test_search_matches_exhaustive_oracle_on_families(family, params):
+    inst = generate(FamilyParams(family, params))
+    for variant in [inst, *tie_heavy_variants(inst)]:
+        assert_matches_exhaustive_search(variant)
+
+
+@pytest.mark.parametrize(
+    "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
+)
+def test_search_matches_exhaustive_oracle_on_random_instances(kind):
+    for seed in range(25):
+        inst = random_instance(kind, seed=seed)
+        assert_matches_exhaustive_search(inst)
+        if seed % 5 == 0:
+            for variant in tie_heavy_variants(inst):
+                assert_matches_exhaustive_search(variant)
+
+
+def test_search_bound_holds_without_free_actions(midterm):
+    # Unvalidated input where every action costs something: the agent's
+    # fallback costs more than zero, and the bound must allow for it.
+    costly = Instance(
+        midterm.rewards,
+        tuple(InitialAction(a.name, a.cost + 1, a.transition) for a in midterm.initial_actions),
+        tuple(
+            State(s.name, tuple(FinalAction(a.name, a.cost + F(1, 2), a.outcome_dist) for a in s.final_actions))
+            for s in midterm.states
+        ),
+    )
+    assert not validate(costly).ok
+    assert_matches_exhaustive_search(costly)
 
 
 # --- reductions -----------------------------------------------------------------
