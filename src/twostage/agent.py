@@ -92,6 +92,16 @@ def _contract_pieces(
     return transfers, state_transfers, terminated
 
 
+def _expected_transfer_and_reward(act, transfers, rewards) -> tuple[Fraction, Fraction]:
+    """Expected outcome transfer and expected reward of one final action."""
+    transfer = reward = _ZERO
+    for q, t, r in zip(act.outcome_dist, transfers, rewards):
+        if q:
+            transfer += q * t
+            reward += q * r
+    return transfer, reward
+
+
 def best_response(instance: Instance, contract: Contract) -> BestResponse:
     """Agent-optimal profile under the contract, ties favoring the principal.
 
@@ -109,52 +119,35 @@ def best_response(instance: Instance, contract: Contract) -> BestResponse:
     finals: dict[int, int] = {}
     state_utility = [_ZERO] * num_states
     state_profit = [_ZERO] * num_states  # principal's conditional profit at s
+    state_payment = [_ZERO] * num_states  # expected transfer of the chosen final at s
     for s, state in enumerate(instance.states):
         if s in terminated:
             continue
         best = None
         for j, act in enumerate(state.final_actions):
-            utility = sum(
-                (p * t for p, t in zip(act.outcome_dist, transfers)), _ZERO
-            ) - act.cost
-            profit = sum(
-                (p * (r - t) for p, r, t in zip(act.outcome_dist, instance.rewards, transfers)),
-                _ZERO,
-            )
-            if best is None or (utility, profit) > best:
-                best = (utility, profit)
+            transfer, reward = _expected_transfer_and_reward(act, transfers, instance.rewards)
+            candidate = (transfer - act.cost, reward - transfer)
+            if best is None or candidate > best:
+                best = candidate
                 finals[s] = j
-        state_utility[s] = best[0]
-        state_profit[s] = best[1]
+                state_payment[s] = transfer
+        state_utility[s], state_profit[s] = best
 
+    # A terminated state has zero utility, profit, payment and state transfer.
     best_i = None
     for i, act in enumerate(instance.initial_actions):
         utility = -act.cost
         profit = _ZERO
-        for s in range(num_states):
-            if s in terminated:
-                continue
-            p = act.transition[s]
+        for p, u, v, st in zip(act.transition, state_utility, state_profit, state_transfers):
             if p:
-                utility += p * (state_utility[s] + state_transfers[s])
-                profit += p * (state_profit[s] - state_transfers[s])
+                utility += p * (u + st)
+                profit += p * (v - st)
         if best_i is None or (utility, profit) > (best_i[1], best_i[2]):
             best_i = (i, utility, profit)
 
     chosen, agent_utility, principal_profit = best_i
-    payment = _ZERO
-    init = instance.initial_actions[chosen]
-    for s in range(num_states):
-        if s in terminated:
-            continue
-        p = init.transition[s]
-        if p:
-            act = instance.states[s].final_actions[finals[s]]
-            expected_transfer = sum(
-                (q * t for q, t in zip(act.outcome_dist, transfers)), _ZERO
-            )
-            payment += p * (expected_transfer + state_transfers[s])
-
+    transition = instance.initial_actions[chosen].transition
+    payment = sum((p * (t + st) for p, t, st in zip(transition, state_payment, state_transfers)), _ZERO)
     return BestResponse(
         profile=ActionProfile(chosen, finals),
         agent_utility=agent_utility,
@@ -181,20 +174,17 @@ def evaluate_profile(
         raise ValueError(f"profile is missing finals for states {sorted(surviving - assigned)}")
 
     init = instance.initial_actions[profile.initial]
-    utility = -init.cost
-    payment = _ZERO
-    reward = _ZERO
+    payment = reward = _ZERO
+    cost = init.cost
     for s in sorted(surviving):
         p = init.transition[s]
-        if not p:
-            continue
-        act = instance.states[s].final_actions[profile.finals[s]]
-        expected_transfer = sum((q * t for q, t in zip(act.outcome_dist, transfers)), _ZERO)
-        expected_reward = sum((q * r for q, r in zip(act.outcome_dist, instance.rewards)), _ZERO)
-        utility += p * (expected_transfer + state_transfers[s] - act.cost)
-        payment += p * (expected_transfer + state_transfers[s])
-        reward += p * expected_reward
-    return ProfileEvaluation(utility, payment, reward - payment)
+        if p:
+            act = instance.states[s].final_actions[profile.finals[s]]
+            transfer, expected_reward = _expected_transfer_and_reward(act, transfers, instance.rewards)
+            payment += p * (transfer + state_transfers[s])
+            reward += p * expected_reward
+            cost += p * act.cost
+    return ProfileEvaluation(payment - cost, payment, reward - payment)
 
 
 def _cdf_thresholds(probabilities) -> list[int]:

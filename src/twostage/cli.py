@@ -17,6 +17,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -391,6 +392,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twostage", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -102,87 +102,47 @@ class SingleStageSolution:
 # --- minimal-payment programs -------------------------------------------------
 
 
-def _final_ic_rows(instance, finals, surviving, num_vars):
-    """Incentive rows keeping finals[s] optimal at each surviving state."""
-    rows = []
-    for s in surviving:
-        state = instance.states[s]
-        designated = state.final_actions[finals[s]]
-        for j, other in enumerate(state.final_actions):
-            if j == finals[s]:
-                continue
-            coeffs = [_ZERO] * num_vars
-            for m in range(instance.num_outcomes):
-                coeffs[m] = designated.outcome_dist[m] - other.outcome_dist[m]
-            rows.append(Constraint(coeffs, ">=", designated.cost - other.cost))
-    return rows
-
-
-def _designated_value_coeffs(instance, finals, surviving, weights):
-    """Coefficients of sum_s weights[s] * (transfer value of finals[s]) over t."""
-    coeffs = [_ZERO] * instance.num_outcomes
-    constant = _ZERO
-    for s in surviving:
-        w = weights[s]
-        if not w:
-            continue
-        act = instance.states[s].final_actions[finals[s]]
-        for m, p in enumerate(act.outcome_dist):
-            coeffs[m] += w * p
-        constant += w * act.cost
-    return coeffs, constant
-
-
-def _initial_ic_rows(instance, profile, surviving, num_vars, with_state_transfers):
-    """Rows comparing the designated initial action against each alternative."""
-    m = instance.num_outcomes
-    rows = []
-    designated = instance.initial_actions[profile.initial]
-    for i, other in enumerate(instance.initial_actions):
-        if i == profile.initial:
-            continue
-        weights = {
-            s: designated.transition[s] - other.transition[s] for s in surviving
-        }
-        t_coeffs, cost_term = _designated_value_coeffs(
-            instance, profile.finals, surviving, weights
-        )
-        coeffs = list(t_coeffs) + [_ZERO] * (num_vars - m)
-        if with_state_transfers:
-            for s in surviving:
-                coeffs[m + s] = weights[s]
-        rhs = designated.cost - other.cost + cost_term
-        rows.append(Constraint(coeffs, ">=", rhs))
-    return rows
-
-
-def _payment_objective(instance, profile, surviving, num_vars, with_state_transfers):
-    m = instance.num_outcomes
-    weights = {s: instance.initial_actions[profile.initial].transition[s] for s in surviving}
-    t_coeffs, _ = _designated_value_coeffs(instance, profile.finals, surviving, weights)
-    objective = list(t_coeffs) + [_ZERO] * (num_vars - m)
-    if with_state_transfers:
-        for s in surviving:
-            objective[m + s] = weights[s]
-    return objective
-
-
 def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptimal | None:
     """Optimal solution of the profile's minimal-payment program, or None.
 
     Variables are the outcome transfers, followed by one transfer per state
-    when ``with_state_transfers``; the objective value is the expected
+    when ``with_state_transfers``.  The rows are the final-stage incentive
+    rows by surviving state, then alternative final; then the initial-stage
+    rows by alternative initial action.  The objective value is the expected
     transfer of the profile.
     """
-    n = instance.num_outcomes + (instance.num_states if with_state_transfers else 0)
-    lp = LinearProgram(
-        _payment_objective(instance, profile, surviving, n, with_state_transfers),
-        tuple(
-            _final_ic_rows(instance, profile.finals, surviving, n)
-            + _initial_ic_rows(instance, profile, surviving, n, with_state_transfers)
-        ),
-    )
-    result = solve_lp(lp)
+    m = instance.num_outcomes
+    n = m + (instance.num_states if with_state_transfers else 0)
+    designated = [(s, instance.states[s].final_actions[profile.finals[s]]) for s in surviving]
+
+    def value(weights):
+        """Coefficients of sum_s w_s * (expected transfer of the designated
+        final at s, plus the state transfer), and sum_s w_s * its cost."""
+        coeffs = [_ZERO] * n
+        cost = _ZERO
+        for s, act in designated:
+            w = weights[s]
+            if w:
+                for k, p in enumerate(act.outcome_dist):
+                    coeffs[k] += w * p
+                if with_state_transfers:
+                    coeffs[m + s] = w
+                cost += w * act.cost
+        return coeffs, cost
+
+    rows = []
+    for s, act in designated:
+        for j, other in enumerate(instance.states[s].final_actions):
+            if j != profile.finals[s]:
+                coeffs = [p - q for p, q in zip(act.outcome_dist, other.outcome_dist)]
+                rows.append(Constraint(coeffs + [_ZERO] * (n - m), ">=", act.cost - other.cost))
+    chosen = instance.initial_actions[profile.initial]
+    for k, other in enumerate(instance.initial_actions):
+        if k != profile.initial:
+            coeffs, cost = value([p - q for p, q in zip(chosen.transition, other.transition)])
+            rows.append(Constraint(coeffs, ">=", chosen.cost - other.cost + cost))
+    objective, _ = value(chosen.transition)
+    result = solve_lp(LinearProgram(objective, tuple(rows)))
     return result if isinstance(result, LpOptimal) else None
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .lp import SolverInvariantError
 from .model import (
     FinalAction,
     InitialAction,
@@ -50,7 +51,8 @@ class FamilyParams:
 
 def _checked(instance: Instance) -> Instance:
     report = validate(instance)
-    assert report.ok, f"generator produced an invalid instance: {report.violations}"
+    if not report.ok:
+        raise SolverInvariantError(f"generator produced an invalid instance: {report.violations}")
     return instance
 
 

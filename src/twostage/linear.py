@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import best_response
+from .lp import SolverInvariantError
 from .model import ActionProfile, Instance, LinearContract, expected_state_reward
+from .welfare import profile_cost, profile_reward
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -140,36 +142,30 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
         for left, right, key in segs:
             if left <= alpha <= right:
                 return key
-        raise AssertionError("alpha outside [0, 1]")
+        raise SolverInvariantError(f"no final-action segment of a state contains alpha {alpha}")
 
     boundaries = [_ZERO, *sorted(final_knees), _ONE]
     segments: list[Segment] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         mid = (lo + hi) / 2
         finals = {s: final_choice(state_envelopes[s], mid) for s in range(num_states)}
-        lines = []
-        for i, act in enumerate(instance.initial_actions):
-            slope = _ZERO
-            cost = act.cost
-            for s in range(num_states):
-                p = act.transition[s]
-                if p:
-                    slope += p * expected_state_reward(instance, s, finals[s])
-                    cost += p * instance.states[s].final_actions[finals[s]].cost
-            lines.append((slope, -cost, i))
+        profiles = [ActionProfile(i, finals) for i in range(instance.num_initial_actions)]
+        lines = [
+            (profile_reward(instance, profile), -profile_cost(instance, profile), profile.initial)
+            for profile in profiles
+        ]
         _, initial_segs = _upper_envelope(lines, lo, hi)
         for seg_lo, seg_hi, i in initial_segs:
-            slope, neg_cost, _ = lines[i]
-            segments.append(
-                Segment(seg_lo, seg_hi, ActionProfile(i, finals), slope, -neg_cost)
-            )
+            reward, neg_cost, _ = lines[i]
+            segments.append(Segment(seg_lo, seg_hi, profiles[i], reward, -neg_cost))
 
     breakpoints = tuple(
         Breakpoint(right.alpha_low, left.profile, right.profile)
         for left, right in zip(segments, segments[1:])
     )
     bound = num_states * instance.num_initial_actions * instance.max_final_actions
-    assert len(breakpoints) <= bound, "breakpoint count exceeds S*N1*N2"
+    if len(breakpoints) > bound:
+        raise SolverInvariantError(f"{len(breakpoints)} breakpoints exceed S*N1*N2 = {bound}")
 
     candidates = sorted({_ZERO, _ONE, *(bp.alpha for bp in breakpoints)})
     best: LinearOptimum | None = None

@@ -136,10 +136,6 @@ class ActionProfile:
     def __post_init__(self):
         object.__setattr__(self, "finals", dict(self.finals))
 
-    def sort_key(self) -> tuple:
-        """Lexicographic key: initial index, then finals by state index."""
-        return (self.initial, tuple(sorted(self.finals.items())))
-
 
 # --- contracts ---------------------------------------------------------------
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's backward-induction,
 decomposition and LP code paths, so agreement is a real cross-check and not
 a tautology.  The one exception is ``exhaustive_optimum``: it replays the
 exhaustive search over the public per-profile programs, so it checks the
-optimizers' search and tie-break, not the programs themselves.
+optimizers' search and tie-break, not the programs themselves.  The programs
+are checked against ``lattice_min_payment_standard`` and against
+``incentive_program`` solved by ``scipy_lp_min``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
+from twostage.lp import Constraint, LinearProgram
 from twostage.model import (
     ActionProfile,
     Instance,
@@ -183,6 +186,50 @@ def lattice_min_payment_standard(instance, profile, step: Fraction, bound: Fract
         if best is None or payment < best:
             best = payment
     return best
+
+
+def incentive_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
+    """A profile's minimal-payment program, written from the incentive definitions.
+
+    Variables are the outcome transfers, then one transfer per state when
+    ``with_state_transfers``.  Every utility is an affine function of them,
+    kept as (coefficients, constant).  At each surviving state the designated
+    final must be worth at least every final there, and the designated
+    profile at least every initial action followed by the designated finals.
+    The objective is the expected transfer, which is the profile's utility
+    without its costs.
+    """
+    m = instance.num_outcomes
+    n = m + (instance.num_states if with_state_transfers else 0)
+
+    def final_utility(s, act):
+        coeffs = list(act.outcome_dist) + [ZERO] * (n - m)
+        if with_state_transfers:
+            coeffs[m + s] = Fraction(1)
+        return coeffs, -act.cost
+
+    def profile_utility(i):
+        init = instance.initial_actions[i]
+        coeffs, constant = [ZERO] * n, -init.cost
+        for s in surviving:
+            act = instance.states[s].final_actions[profile.finals[s]]
+            u_coeffs, u_constant = final_utility(s, act)
+            coeffs = [c + init.transition[s] * u for c, u in zip(coeffs, u_coeffs)]
+            constant += init.transition[s] * u_constant
+        return coeffs, constant
+
+    def at_least(better, worse):
+        coeffs = [b - w for b, w in zip(better[0], worse[0])]
+        return Constraint(coeffs, ">=", worse[1] - better[1])
+
+    rows = []
+    for s in surviving:
+        state = instance.states[s]
+        designated = final_utility(s, state.final_actions[profile.finals[s]])
+        rows += [at_least(designated, final_utility(s, other)) for other in state.final_actions]
+    own = profile_utility(profile.initial)
+    rows += [at_least(own, profile_utility(i)) for i in range(instance.num_initial_actions)]
+    return LinearProgram(own[0], tuple(rows))
 
 
 def scipy_lp_min(lp):

@@ -299,3 +299,83 @@ def test_self_check_survives_optimize_flag(instance_file):
     )
     assert result.returncode == 4
     assert "Traceback" not in result.stderr
+
+
+def test_parser_is_reused_across_calls(capsys, instance_file):
+    code, first, _ = run_cli(capsys, "welfare", instance_file)
+    assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["welfare", instance_file, "--no-such-flag"])
+    assert err.value.code == 3
+    capsys.readouterr()
+    code, again, _ = run_cli(capsys, "welfare", instance_file)
+    assert (code, again) == (0, first)
+
+
+# Each entry forces one self-check to fail: the command line that reaches it,
+# the module attribute to replace, the replacement (a Python expression that
+# sees the module's names, ``real``, the attribute's value, and
+# ``dataclasses``), and a phrase of the check's error message.
+FORCED_FAILURES = {
+    "generated instance is valid": (
+        ["generate", "--family", "midterm"],
+        "twostage.generators", "validate",
+        "lambda instance: dataclasses.replace(real(instance), violations=('forced',))",
+        "generator produced an invalid instance",
+    ),
+    "state envelopes cover [0, 1]": (
+        ["breakpoints", "{instance}"],
+        "twostage.linear", "_upper_envelope",
+        "lambda lines, lo=_ZERO, hi=_ONE: ([], [])",
+        "no final-action segment",
+    ),
+    "breakpoints are at most S*N1*N2": (
+        ["breakpoints", "{instance}"],
+        "twostage.linear", "_upper_envelope",
+        "lambda lines, lo=_ZERO, hi=_ONE: ([], [(lo + (hi - lo) * k / 64, lo + (hi - lo) * (k + 1) / 64,"
+        " lines[0][2]) for k in range(64)])",
+        "breakpoints exceed",
+    ),
+}
+
+
+def replacement_source(module_name, attribute, expression):
+    """Source that binds ``module`` and ``replacement`` for one forced failure."""
+    return (
+        "import dataclasses, importlib\n"
+        f"module = importlib.import_module({module_name!r})\n"
+        f"names = {{**vars(module), 'real': module.{attribute}, 'dataclasses': dataclasses}}\n"
+        f"replacement = eval({expression!r}, names)\n"
+    )
+
+
+@pytest.mark.parametrize("check", sorted(FORCED_FAILURES))
+def test_forced_self_check_failure_exits_four(capsys, monkeypatch, instance_file, check):
+    argv, module_name, attribute, expression, message = FORCED_FAILURES[check]
+    bound = {}
+    exec(replacement_source(module_name, attribute, expression), bound)
+    monkeypatch.setattr(bound["module"], attribute, bound["replacement"])
+    code, out, err = run_cli(capsys, *(a.format(instance=instance_file) for a in argv))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("twostage: internal error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", sorted(FORCED_FAILURES))
+def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file, check):
+    argv, module_name, attribute, expression, message = FORCED_FAILURES[check]
+    script = (
+        replacement_source(module_name, attribute, expression)
+        + f"setattr(module, {attribute!r}, replacement)\n"
+        + "import sys\nfrom twostage import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, *(a.format(instance=instance_file) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("twostage: internal error:") and message in result.stderr
+    assert "Traceback" not in result.stderr

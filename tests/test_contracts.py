@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -40,7 +42,13 @@ from twostage.generators import (
     state_markers_instance,
 )
 
-from oracles import exhaustive_optimum, lattice_min_payment_standard
+from oracles import (
+    exhaustive_optimum,
+    incentive_program,
+    iter_profiles,
+    lattice_min_payment_standard,
+    scipy_lp_min,
+)
 
 
 # --- minimal-payment programs -------------------------------------------------
@@ -304,6 +312,43 @@ def test_lattice_search_never_beats_the_program(midterm):
         payment = evaluate_profile(inst, contract, profile).expected_payment
         if grid is not None:
             assert grid >= payment
+
+
+@pytest.mark.parametrize("kind", ["pay", "terminate"])
+def test_halfway_programs_match_an_independent_float_solve(kind):
+    # Every profile of every blocked set (only the empty one for pay-halfway)
+    # on small random instances of all four classes: the exact program is
+    # infeasible exactly when the float program is, and otherwise it costs
+    # the same and the contract makes the profile a best response.
+    with_state_transfers = kind == "pay"
+    checked = feasible = 0
+    for process_class in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        for seed in range(6):
+            inst = random_instance(process_class, seed=seed)
+            states = range(inst.num_states)
+            sizes = range(1) if with_state_transfers else range(inst.num_states + 1)
+            for blocked in (b for size in sizes for b in itertools.combinations(states, size)):
+                surviving = [s for s in states if s not in blocked]
+                for profile in iter_profiles(inst, surviving):
+                    if with_state_transfers:
+                        contract = min_payment_pay(inst, profile)
+                    else:
+                        contract = min_payment_terminate(inst, blocked, profile)
+                    reference = scipy_lp_min(
+                        incentive_program(inst, profile, surviving, with_state_transfers)
+                    )
+                    checked += 1
+                    if contract is None:
+                        assert reference.status == 2, (process_class, seed, blocked, profile)
+                        continue
+                    assert reference.status == 0, (process_class, seed, blocked, profile)
+                    feasible += 1
+                    ev = evaluate_profile(inst, contract, profile)
+                    assert math.isclose(
+                        float(ev.expected_payment), reference.fun, rel_tol=1e-9, abs_tol=1e-9
+                    ), (process_class, seed, blocked, profile)
+                    assert ev.agent_utility == best_response(inst, contract).agent_utility
+    assert 0 < feasible < checked
 
 
 # --- the pruned search against the exhaustive oracle ------------------------------
