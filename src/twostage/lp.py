@@ -7,25 +7,45 @@ reproducible: the instances this package cares about contain coefficients
 like lambda**k that destroy floating-point conditioning.
 
 Equality rows are handled as a <= / >= pair; phase 1 uses artificial
-variables for feasibility.  The tableau runs on gmpy2.mpq when available
-(exact, several times faster) and falls back to fractions.Fraction.
+variables for feasibility.  Rows with a negative right-hand side are negated
+first.
+
+The tableau holds integers over one common denominator ``D``, the
+determinant of the current basis.  Each row (coefficients and right-hand
+side) is multiplied by the least common multiple of its denominators, and
+the objective likewise.  The slack and artificial columns start as the
+identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every other
+row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where ``f`` is
+the row's entry in the pivot column and ``b`` the pivot row's entry; the
+division is exact.  Then ``D = p``.  The reduced costs are one more row of
+the tableau, priced once per phase and updated by the same rule.
+
+Positive row scales leave the structural columns of the basis-inverse
+tableau unchanged and multiply each slack, surplus and artificial variable
+by a positive factor; phase 1 weights each artificial by the reciprocal of
+its row's scale to match.  So every reduced cost keeps its sign, every ratio
+test its minimum and every tie-break its order, and Bland's rule takes
+exactly the pivots of the unscaled rational tableau: the same basis, ``x``
+and duals.  The integers are gmpy2.mpz when available and Python ints
+otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
 
 try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
-    from gmpy2 import mpq as _scalar
+    from gmpy2 import mpz as _scalar
 except ImportError:  # pragma: no cover
-    _scalar = Fraction
+    _scalar = int
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "=="
 _RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL}
 
 
 @dataclass(frozen=True)
@@ -97,57 +117,81 @@ class SolverInvariantError(RuntimeError):
     """
 
 
-def _bland(tableau, rhs, basis, costs, banned, num_rows):
-    """Run primal simplex steps in place until optimal or unbounded."""
-    num_cols = len(costs)
-    while True:
-        # y[k] = cost of the basic variable of row k; reduced costs from scratch.
-        entering = -1
-        for j in range(num_cols):
-            if j in banned or j in basis:
-                continue
-            r = costs[j]
-            for k in range(num_rows):
-                ck = costs[basis[k]]
-                if ck:
-                    r -= ck * tableau[k][j]
-            if r < 0:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
+def _pivot(tableau, basis, row, col, denom):
+    """Bareiss pivot on ``tableau[row][col]`` in place; return the new ``D``.
 
-        leaving = -1
-        best_ratio = None
-        for k in range(num_rows):
-            a = tableau[k][entering]
-            if a > 0:
-                ratio = rhs[k] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[k] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = k
-        if leaving < 0:
-            return "unbounded"
-
-        _pivot(tableau, rhs, basis, leaving, entering, num_rows)
-
-
-def _pivot(tableau, rhs, basis, row, col, num_rows):
-    piv = tableau[row][col]
-    inv = 1 / piv
-    tableau[row] = [v * inv for v in tableau[row]]
-    rhs[row] *= inv
+    Every row, the reduced-cost row included, carries its right-hand side as
+    the last entry.  The new ``D`` is the pivot entry; when that is negative
+    (only when driving artificials out), the whole tableau is negated so that
+    ``D`` stays positive.
+    """
     prow = tableau[row]
-    for k in range(num_rows):
+    p = prow[col]
+    for k, trow in enumerate(tableau):
         if k == row:
             continue
-        f = tableau[k][col]
+        f = trow[col]
         if f:
-            tableau[k] = [a - f * b for a, b in zip(tableau[k], prow)]
-            rhs[k] -= f * rhs[row]
+            tableau[k] = [(a * p - f * b) // denom for a, b in zip(trow, prow)]
+        elif p != denom:
+            tableau[k] = [a * p // denom for a in trow]
     basis[row] = col
+    if p < 0:
+        for k, trow in enumerate(tableau):
+            tableau[k] = [-a for a in trow]
+        p = -p
+    return p
+
+
+def _bland(tableau, basis, num_priced, denom):
+    """Run Bland's rule in place until optimal or unbounded.
+
+    Columns from ``num_priced`` on may not enter.  Returns the status and the
+    new ``D``.
+    """
+    while True:
+        # Basic columns have reduced cost exactly 0, so they never enter.
+        costs = tableau[-1]
+        for entering in range(num_priced):
+            if costs[entering] < 0:
+                break
+        else:
+            return "optimal", denom
+
+        leaving = -1
+        for k, b in enumerate(basis):
+            trow = tableau[k]
+            a = trow[entering]
+            if a > 0:
+                r = trow[-1]
+                if leaving < 0:
+                    leaving, best_r, best_a = k, r, a
+                    continue
+                # r / a against best_r / best_a; both denominators are positive.
+                lhs = r * best_a
+                rhs = best_r * a
+                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
+                    leaving, best_r, best_a = k, r, a
+        if leaving < 0:
+            return "unbounded", denom
+
+        denom = _pivot(tableau, basis, leaving, entering, denom)
+
+
+def _price(tableau, basis, costs, denom):
+    """Set the last tableau row to ``D`` times the reduced costs of ``costs``."""
+    priced = [denom * c for c in costs] + [0]
+    for k, b in enumerate(basis):
+        cb = costs[b]
+        if cb:
+            priced = [r - cb * t for r, t in zip(priced, tableau[k])]
+    tableau[-1] = priced
+
+
+def _scaled(values):
+    """The values times the positive LCM of their denominators, and that LCM."""
+    scale = lcm(*(v.denominator for v in values))
+    return [_scalar(v.numerator * (scale // v.denominator)) for v in values], scale
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -158,98 +202,86 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     n = lp.num_variables
     zero = Fraction(0)
 
-    # Expand equalities, normalize right-hand sides to be non-negative.
-    rows: list[tuple[list[Fraction], str, Fraction, int]] = []  # coeffs, rel, rhs, origin
+    # Expand equalities into a <= / >= pair, scale each constraint to
+    # integers, and negate rows with a negative right-hand side.
+    rows = []  # (integer coefficients then rhs, relation, origin, scale times sign)
     for idx, c in enumerate(lp.constraints):
-        if c.relation == EQUAL:
-            rows.append((list(c.coeffs), LESS_EQUAL, c.rhs, idx))
-            rows.append((list(c.coeffs), GREATER_EQUAL, c.rhs, idx))
-        else:
-            rows.append((list(c.coeffs), c.relation, c.rhs, idx))
-
-    flips: list[Fraction] = []
-    for k, (coeffs, rel, rhs, origin) in enumerate(rows):
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rel = GREATER_EQUAL if rel == LESS_EQUAL else LESS_EQUAL
-            rows[k] = (coeffs, rel, -rhs, origin)
-            flips.append(Fraction(-1))
-        else:
-            flips.append(Fraction(1))
+        values, scale = _scaled((*c.coeffs, c.rhs))
+        for rel in (LESS_EQUAL, GREATER_EQUAL) if c.relation == EQUAL else (c.relation,):
+            if c.rhs < 0:
+                rows.append(([-v for v in values], _FLIPPED[rel], idx, -scale))
+            else:
+                rows.append((values, rel, idx, scale))
 
     m = len(rows)
-    num_aux = m
-    art_cols = [k for k, row in enumerate(rows) if row[1] == GREATER_EQUAL]
-    num_cols = n + num_aux + len(art_cols)
+    num_cols = n + m + sum(row[1] == GREATER_EQUAL for row in rows)
+    zeros = [_scalar(0)] * (num_cols - n)
 
+    # One row per constraint: coefficients, then slack or surplus, then
+    # artificials, then the right-hand side.  The initial basis is the slack
+    # or artificial of each row, the identity, so D = 1.
     tableau = []
-    rhs_col = []
-    basis = [0] * m
-    init_col = [0] * m  # column that starts as the identity column of each row
-    art_of_row = {}
-    next_art = n + num_aux
-    for k, (coeffs, rel, rhs, _origin) in enumerate(rows):
-        trow = [_scalar(v) for v in coeffs] + [_scalar(0)] * (num_cols - n)
+    basis = []
+    art_scales = {}  # artificial column -> its row's scale
+    for k, (values, rel, _origin, signed_scale) in enumerate(rows):
+        trow = values[:-1] + zeros + values[-1:]
         if rel == LESS_EQUAL:
             trow[n + k] = _scalar(1)  # slack
-            basis[k] = n + k
+            basis.append(n + k)
         else:
             trow[n + k] = _scalar(-1)  # surplus
-            trow[next_art] = _scalar(1)
-            basis[k] = next_art
-            art_of_row[k] = next_art
-            next_art += 1
-        init_col[k] = basis[k]
+            art = n + m + len(art_scales)
+            trow[art] = _scalar(1)
+            basis.append(art)
+            art_scales[art] = abs(signed_scale)
         tableau.append(trow)
-        rhs_col.append(_scalar(rhs))
+    init_col = list(basis)
+    tableau.append(None)  # the reduced-cost row, set by _price
+    denom = _scalar(1)
 
-    artificial = set(range(n + num_aux, num_cols))
-    banned: set[int] = set()
-
-    if artificial:
+    if art_scales:
+        # Weight each artificial by 1 / (its row's scale), times their LCM.
+        common = lcm(*art_scales.values())
         costs1 = [_scalar(0)] * num_cols
-        for j in artificial:
-            costs1[j] = _scalar(1)
-        if _bland(tableau, rhs_col, basis, costs1, banned, m) != "optimal":
+        for j, scale in art_scales.items():
+            costs1[j] = _scalar(common // scale)
+        _price(tableau, basis, costs1, denom)
+        status, denom = _bland(tableau, basis, num_cols, denom)
+        if status != "optimal":
             raise SolverInvariantError("phase 1 came out unbounded, yet its objective is at least zero")
-        phase1_value = sum((rhs_col[k] for k in range(m) if basis[k] in artificial), _scalar(0))
-        if phase1_value > 0:
+        first_art = n + m
+        if any(tableau[k][-1] > 0 for k, b in enumerate(basis) if b >= first_art):
             return LpInfeasible()
         # Drive degenerate artificials out of the basis where possible.
+        basic = set(basis)
         for k in range(m):
-            if basis[k] in artificial:
-                for j in range(n + num_aux):
-                    if j not in basis and tableau[k][j] != 0:
-                        _pivot(tableau, rhs_col, basis, k, j, m)
+            if basis[k] >= first_art:
+                trow = tableau[k]
+                for j in range(first_art):
+                    if j not in basic and trow[j] != 0:
+                        basic.discard(basis[k])
+                        basic.add(j)
+                        denom = _pivot(tableau, basis, k, j, denom)
                         break
-        banned = artificial
 
-    costs2 = [_scalar(0)] * num_cols
-    for j in range(n):
-        costs2[j] = _scalar(lp.objective[j])
-    status = _bland(tableau, rhs_col, basis, costs2, banned, m)
+    objective, obj_scale = _scaled(lp.objective)
+    _price(tableau, basis, objective + zeros, denom)
+    status, denom = _bland(tableau, basis, n + m, denom)
     if status == "unbounded":
         return LpUnbounded()
 
-    def to_fraction(v) -> Fraction:
-        return Fraction(int(v.numerator), int(v.denominator))
-
     x = [zero] * n
-    for k in range(m):
-        if basis[k] < n:
-            x[basis[k]] = to_fraction(rhs_col[k])
+    for k, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(int(tableau[k][-1]), int(denom))
     value = sum((cj * xj for cj, xj in zip(lp.objective, x)), zero)
 
-    # Duals: the initial identity column of row i reads off column i of the
-    # basis inverse, so y_i = sum_k cost(basic_k) * tableau[k][init_col[i]].
+    # Row k's slack or artificial started as the identity column e_k and costs
+    # nothing in phase 2, so its reduced cost is minus the scaled dual of row k.
+    # Undo the row scale, the sign flip and the objective scale.
+    reduced = tableau[-1]
+    dual_denom = int(denom * obj_scale)
     dual = [zero] * len(lp.constraints)
-    for i in range(m):
-        col = init_col[i]
-        y = _scalar(0)
-        for k in range(m):
-            ck = costs2[basis[k]]
-            if ck:
-                y += ck * tableau[k][col]
-        dual[rows[i][3]] += flips[i] * to_fraction(y)
-
+    for k, (_values, _rel, origin, signed_scale) in enumerate(rows):
+        dual[origin] += Fraction(int(-reduced[init_col[k]] * signed_scale), dual_denom)
     return LpOptimal(tuple(x), value, tuple(dual))

@@ -14,6 +14,7 @@ violations as data instead of refusing to construct.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -25,14 +26,58 @@ class InstanceFormatError(ValueError):
     """An instance or contract document could not be parsed."""
 
 
+_SHOWN_CHARS = 100
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, cut to a bounded prefix plus the length for long input."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:_SHOWN_CHARS]}... ({size} characters)"
+
+
+# CPython releases before 3.10.7 have no digit limit; use its later default.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+
+def _oversize(text: str) -> str | None:
+    """Why a decimal literal is too large to parse, or None if it is not.
+
+    Its digits plus the magnitude of its exponent may not exceed the limit.
+    A malformed exponent is left for ``Fraction`` to report.
+    """
+    limit = _max_str_digits()
+    if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
+        return None
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(ch.isdigit() for ch in mantissa)
+    if exponent:
+        try:
+            size += abs(int(exponent))
+        except ValueError:
+            return None
+    if size <= limit:
+        return None
+    return (
+        f"{_shown(text)} has {size} digits counting its exponent,"
+        f" over the limit of {limit} (sys.get_int_max_str_digits())"
+    )
+
+
 def parse_rational(value: object) -> Fraction:
-    """Parse ``"0.9"``, ``"9/10"``, ``"5"`` or an int into an exact Fraction.
+    """Parse ``"0.9"``, ``"9/10"``, ``"5"``, ``"2.5e3"`` or an int into an exact Fraction.
 
     Floats are rejected: a JSON ``0.9`` is a binary approximation, not the
     rational 9/10, and silent conversion would corrupt exact regressions.
+    A string whose digits plus the magnitude of its exponent exceed
+    ``sys.get_int_max_str_digits()`` is rejected too, the limit Python
+    already puts on a plain digit string: ``"1e1000000"`` would otherwise
+    become a 3.3-million-bit integer.
     """
     if isinstance(value, bool):
-        raise InstanceFormatError(f"not a rational number: {value!r}")
+        raise InstanceFormatError(f"not a rational number: {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -40,11 +85,14 @@ def parse_rational(value: object) -> Fraction:
             f"floating-point literal {value!r} is not exact; write it as a string"
         )
     if isinstance(value, str):
+        reason = _oversize(value)
+        if reason is not None:
+            raise InstanceFormatError(f"number too large: {reason}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"not a rational number: {value!r}") from exc
-    raise InstanceFormatError(f"not a rational number: {value!r}")
+            raise InstanceFormatError(f"not a rational number: {_shown(value)}") from exc
+    raise InstanceFormatError(f"not a rational number: {_shown(value)}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -6,7 +6,9 @@ a tautology.  The one exception is ``exhaustive_optimum``: it replays the
 exhaustive search over the public per-profile programs, so it checks the
 optimizers' search and tie-break, not the programs themselves.  The programs
 are checked against ``lattice_min_payment_standard`` and against
-``incentive_program`` solved by ``scipy_lp_min``.
+``incentive_program`` solved by ``scipy_lp_min``.  ``fraction_simplex`` is
+the former ``Fraction``-tableau simplex, the reference for the integer
+simplex in ``twostage.lp``: both take the same Bland pivots.
 """
 
 from __future__ import annotations
@@ -15,7 +17,18 @@ import itertools
 from fractions import Fraction
 
 from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
-from twostage.lp import Constraint, LinearProgram
+from twostage.lp import (
+    EQUAL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
+    Constraint,
+    LinearProgram,
+    LpInfeasible,
+    LpOptimal,
+    LpResult,
+    LpUnbounded,
+    SolverInvariantError,
+)
 from twostage.model import (
     ActionProfile,
     Instance,
@@ -258,3 +271,163 @@ def scipy_lp_min(lp):
         method="highs",
     )
     return result
+
+
+def _fraction_bland(tableau, rhs, basis, costs, banned, num_rows):
+    """Run primal simplex steps in place until optimal or unbounded."""
+    num_cols = len(costs)
+    while True:
+        # y[k] = cost of the basic variable of row k; reduced costs from scratch.
+        entering = -1
+        for j in range(num_cols):
+            if j in banned or j in basis:
+                continue
+            r = costs[j]
+            for k in range(num_rows):
+                ck = costs[basis[k]]
+                if ck:
+                    r -= ck * tableau[k][j]
+            if r < 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+
+        leaving = -1
+        best_ratio = None
+        for k in range(num_rows):
+            a = tableau[k][entering]
+            if a > 0:
+                ratio = rhs[k] / a
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[k] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = k
+        if leaving < 0:
+            return "unbounded"
+
+        _fraction_pivot(tableau, rhs, basis, leaving, entering, num_rows)
+
+
+def _fraction_pivot(tableau, rhs, basis, row, col, num_rows):
+    piv = tableau[row][col]
+    inv = 1 / piv
+    tableau[row] = [v * inv for v in tableau[row]]
+    rhs[row] *= inv
+    prow = tableau[row]
+    for k in range(num_rows):
+        if k == row:
+            continue
+        f = tableau[k][col]
+        if f:
+            tableau[k] = [a - f * b for a, b in zip(tableau[k], prow)]
+            rhs[k] -= f * rhs[row]
+    basis[row] = col
+
+
+def fraction_simplex(lp: LinearProgram) -> LpResult:
+    """Reference two-phase Bland simplex on a Fraction tableau.
+
+    This is the package's former ``solve_lp``, kept unchanged so that the
+    integer simplex in ``twostage.lp`` can be checked for equal results:
+    the same status, ``x``, objective value and duals.
+    """
+    n = lp.num_variables
+    zero = Fraction(0)
+
+    # Expand equalities, normalize right-hand sides to be non-negative.
+    rows: list[tuple[list[Fraction], str, Fraction, int]] = []  # coeffs, rel, rhs, origin
+    for idx, c in enumerate(lp.constraints):
+        if c.relation == EQUAL:
+            rows.append((list(c.coeffs), LESS_EQUAL, c.rhs, idx))
+            rows.append((list(c.coeffs), GREATER_EQUAL, c.rhs, idx))
+        else:
+            rows.append((list(c.coeffs), c.relation, c.rhs, idx))
+
+    flips: list[Fraction] = []
+    for k, (coeffs, rel, rhs, origin) in enumerate(rows):
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rel = GREATER_EQUAL if rel == LESS_EQUAL else LESS_EQUAL
+            rows[k] = (coeffs, rel, -rhs, origin)
+            flips.append(Fraction(-1))
+        else:
+            flips.append(Fraction(1))
+
+    m = len(rows)
+    num_aux = m
+    art_cols = [k for k, row in enumerate(rows) if row[1] == GREATER_EQUAL]
+    num_cols = n + num_aux + len(art_cols)
+
+    tableau = []
+    rhs_col = []
+    basis = [0] * m
+    init_col = [0] * m  # column that starts as the identity column of each row
+    art_of_row = {}
+    next_art = n + num_aux
+    for k, (coeffs, rel, rhs, _origin) in enumerate(rows):
+        trow = [Fraction(v) for v in coeffs] + [Fraction(0)] * (num_cols - n)
+        if rel == LESS_EQUAL:
+            trow[n + k] = Fraction(1)  # slack
+            basis[k] = n + k
+        else:
+            trow[n + k] = Fraction(-1)  # surplus
+            trow[next_art] = Fraction(1)
+            basis[k] = next_art
+            art_of_row[k] = next_art
+            next_art += 1
+        init_col[k] = basis[k]
+        tableau.append(trow)
+        rhs_col.append(Fraction(rhs))
+
+    artificial = set(range(n + num_aux, num_cols))
+    banned: set[int] = set()
+
+    if artificial:
+        costs1 = [Fraction(0)] * num_cols
+        for j in artificial:
+            costs1[j] = Fraction(1)
+        if _fraction_bland(tableau, rhs_col, basis, costs1, banned, m) != "optimal":
+            raise SolverInvariantError("phase 1 came out unbounded, yet its objective is at least zero")
+        phase1_value = sum((rhs_col[k] for k in range(m) if basis[k] in artificial), Fraction(0))
+        if phase1_value > 0:
+            return LpInfeasible()
+        # Drive degenerate artificials out of the basis where possible.
+        for k in range(m):
+            if basis[k] in artificial:
+                for j in range(n + num_aux):
+                    if j not in basis and tableau[k][j] != 0:
+                        _fraction_pivot(tableau, rhs_col, basis, k, j, m)
+                        break
+        banned = artificial
+
+    costs2 = [Fraction(0)] * num_cols
+    for j in range(n):
+        costs2[j] = Fraction(lp.objective[j])
+    status = _fraction_bland(tableau, rhs_col, basis, costs2, banned, m)
+    if status == "unbounded":
+        return LpUnbounded()
+
+    def to_fraction(v) -> Fraction:
+        return Fraction(int(v.numerator), int(v.denominator))
+
+    x = [zero] * n
+    for k in range(m):
+        if basis[k] < n:
+            x[basis[k]] = to_fraction(rhs_col[k])
+    value = sum((cj * xj for cj, xj in zip(lp.objective, x)), zero)
+
+    # Duals: the initial identity column of row i reads off column i of the
+    # basis inverse, so y_i = sum_k cost(basic_k) * tableau[k][init_col[i]].
+    dual = [zero] * len(lp.constraints)
+    for i in range(m):
+        col = init_col[i]
+        y = Fraction(0)
+        for k in range(m):
+            ck = costs2[basis[k]]
+            if ck:
+                y += ck * tableau[k][col]
+        dual[rows[i][3]] += flips[i] * to_fraction(y)
+
+    return LpOptimal(tuple(x), value, tuple(dual))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,19 @@ def test_parse_error_exits_three(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+def test_huge_exponent_exits_three_quickly(tmp_path, capsys, instance_file):
+    with open(instance_file) as handle:
+        doc = json.load(handle)
+    doc["rewards"][1] = "1e1000000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert f"limit of {sys.get_int_max_str_digits()}" in err
 
 
 def test_solve_standard_and_terminate(capsys, instance_file):

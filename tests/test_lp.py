@@ -1,11 +1,28 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from twostage import Constraint, LinearProgram, LpInfeasible, LpOptimal, LpUnbounded, solve_lp
+from twostage import (
+    Constraint,
+    FamilyParams,
+    LinearProgram,
+    LpInfeasible,
+    LpOptimal,
+    LpUnbounded,
+    contracts,
+    generate,
+    lp as lp_module,
+    optimal_pay,
+    optimal_standard,
+    optimal_terminate,
+    random_instance,
+    solve_lp,
+)
 
-from oracles import scipy_lp_min
+from oracles import fraction_simplex, scipy_lp_min
 
 
 def test_single_lower_bound():
@@ -188,3 +205,104 @@ def test_determinism():
     first = solve_lp(lp)
     second = solve_lp(lp)
     assert first == second
+
+
+# --- the integer simplex against the Fraction reference ------------------------
+
+
+def test_random_programs_match_the_fraction_simplex():
+    # Same status, x, objective value and duals: the integer tableau must take
+    # exactly the pivots of the Fraction tableau.
+    rng = random.Random(4)
+    statuses = set()
+    equalities = negative_rhs = 0
+    for _ in range(2000):
+        lp = _random_lp(rng)
+        result = solve_lp(lp)
+        assert result == fraction_simplex(lp), lp
+        statuses.add(type(result))
+        equalities += any(row.relation == "==" for row in lp.constraints)
+        negative_rhs += any(row.rhs < 0 for row in lp.constraints)
+    assert statuses == {LpOptimal, LpInfeasible}  # the objectives are non-negative
+    assert equalities > 500 and negative_rhs > 500
+
+
+SEARCHED_FAMILIES = [
+    ("midterm", {}),
+    ("interim_review", {}),
+    ("payment_gap", {"p": F(9, 10), "q": F(1, 2), "c": F(1), "x": F(20)}),
+    ("cost_ladder", {"n1": 3, "n2": 3}),
+    ("state_markers", {"s": 3, "n2": 2}),
+    ("random_tree", {"seed": 3}),
+    ("random_stochastic", {"seed": 3}),
+    ("random_deterministic", {"seed": 3}),
+    ("random_general", {"seed": 3}),
+]
+
+
+def _assert_optimizer_programs_match(monkeypatch, instances):
+    programs = []
+
+    def recording_solve_lp(lp):
+        result = solve_lp(lp)
+        programs.append((lp, result))
+        return result
+
+    monkeypatch.setattr(contracts, "solve_lp", recording_solve_lp)
+    for inst in instances:
+        for solver in (optimal_standard, optimal_pay, optimal_terminate):
+            solver(inst)
+    assert programs
+    for lp, result in programs:
+        assert result == fraction_simplex(lp), lp
+
+
+@pytest.mark.parametrize("family,params", SEARCHED_FAMILIES)
+def test_optimizer_programs_on_families_match_the_fraction_simplex(monkeypatch, family, params):
+    _assert_optimizer_programs_match(monkeypatch, [generate(FamilyParams(family, params))])
+
+
+@pytest.mark.parametrize(
+    "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
+)
+def test_optimizer_programs_on_random_instances_match_the_fraction_simplex(monkeypatch, kind):
+    instances = [random_instance(kind, seed=seed) for seed in range(10)]
+    _assert_optimizer_programs_match(monkeypatch, instances)
+
+
+def test_negative_drive_out_pivot_keeps_the_denominator_positive(monkeypatch):
+    # x0 == x1 leaves its artificial basic at zero after phase 1; the first
+    # column that can replace it holds -1 there, so the tableau is negated.
+    pivots = []
+    pivot = lp_module._pivot
+
+    def recording_pivot(tableau, basis, row, col, denom):
+        pivots.append(tableau[row][col])
+        return pivot(tableau, basis, row, col, denom)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
+    lp = LinearProgram((F(1), F(1)), (Constraint((F(-1), F(1)), "==", F(0)),))
+    result = solve_lp(lp)
+    assert any(p < 0 for p in pivots)
+    assert result == LpOptimal((F(0), F(0)), F(0), (F(1),))
+    assert result == fraction_simplex(lp)
+
+
+def test_phase_one_self_check_raises_under_optimize_flag():
+    # Phase 1 minimizes a non-negative sum, so "unbounded" there is a solver
+    # fault; the check must raise even when asserts are stripped.
+    script = (
+        "from fractions import Fraction as F\n"
+        "from twostage import lp\n"
+        "lp._bland = lambda tableau, basis, num_priced, denom: ('unbounded', denom)\n"
+        "program = lp.LinearProgram((F(1),), (lp.Constraint((F(1),), '>=', F(1)),))\n"
+        "try:\n"
+        "    lp.solve_lp(program)\n"
+        "except lp.SolverInvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "phase 1 came out unbounded" in result.stdout

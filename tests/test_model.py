@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -33,12 +34,36 @@ def test_parse_rational_decimal_and_ratio():
     assert parse_rational("5") == F(5)
     assert parse_rational(7) == F(7)
     assert parse_rational("-1.25") == F(-5, 4)
+    assert parse_rational("2.5e3") == F(2500)
+    assert parse_rational("1e-5") == F(1, 100000)
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == F(10) ** (limit - 1)
 
 
 @pytest.mark.parametrize("bad", [0.9, True, "abc", "1/0", None, [1]])
 def test_parse_rational_rejects_inexact_and_garbage(bad):
     with pytest.raises(InstanceFormatError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e1000000", "1e-1000000", "2.5e{limit}", "1" * 5000],
+    ids=["exponent", "negative-exponent", "digits-and-exponent", "digits"],
+)
+def test_parse_rational_bounds_digits_plus_exponent(text):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InstanceFormatError, match=f"limit of {limit}"):
+        parse_rational(text.format(limit=limit))
+
+
+@pytest.mark.parametrize("text", ["9" * 100_000 + "x", "x" * 100_001], ids=["digits", "letters"])
+def test_rejected_literal_is_echoed_as_a_bounded_prefix(text):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_rational(text)
+    message = str(err.value)
+    assert len(message) < 300
+    assert "(100001 characters)" in message
 
 
 def test_validate_accepts_worked_example(midterm):
