@@ -11,15 +11,11 @@ from .contracts import (
     DEFAULT_PROFILES_CAP,
     DEFAULT_SUBSETS_CAP,
     EnumerationCapExceeded,
-    SingleStageAction,
-    SingleStageInstance,
-    SingleStageSolution,
     SolveReport,
     min_payment_pay,
     min_payment_standard,
     min_payment_terminate,
     optimal_pay,
-    optimal_single_stage,
     optimal_standard,
     optimal_terminate,
     pay_to_standard_tree,

@@ -21,6 +21,11 @@ profits go to the candidate first in the order (termination-set size,
 termination set, initial action, finals by state), which is the one an
 exhaustive enumeration in that order keeps.  The caps count the whole
 candidate space, pruned or not.
+
+A one-shot contracting problem is the instance with one free initial action
+leading to one state whose finals are the one-shot actions;
+``reduce_deterministic`` builds it from a deterministic first stage, and
+``optimal_standard`` solves it with the same program and tie rule as any other.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, solv
 from .model import (
     ActionProfile,
     Contract,
+    FinalAction,
+    InitialAction,
     Instance,
     PayHalfwayContract,
     StandardContract,
+    State,
     TerminateHalfwayContract,
     classify,
     expected_state_reward,
@@ -74,29 +82,6 @@ class SolveReport:
     termination_sets_enumerated: int
     infeasible_profiles: int
     programs_solved: int
-
-
-@dataclass(frozen=True)
-class SingleStageAction:
-    name: str
-    cost: Fraction
-    outcome_dist: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class SingleStageInstance:
-    """Classic one-shot contracting problem: actions map directly to outcomes."""
-
-    rewards: tuple[Fraction, ...]
-    actions: tuple[SingleStageAction, ...]
-
-
-@dataclass(frozen=True)
-class SingleStageSolution:
-    transfers: tuple[Fraction, ...]
-    incentivized_action: int
-    payment: Fraction
-    profit: Fraction
 
 
 # --- minimal-payment programs -------------------------------------------------
@@ -373,50 +358,23 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     return StandardContract(merged)
 
 
-def reduce_deterministic(instance: Instance) -> SingleStageInstance:
-    """Collapse a deterministic first stage into one-shot composite actions.
+def reduce_deterministic(instance: Instance) -> Instance:
+    """Collapse a deterministic first stage into a one-shot, one-state instance.
 
-    Each (initial action, final action at its destination state) pair becomes
-    a single action with summed cost and the final action's distribution.
-    The optimal standard contract of the reduction earns exactly the optimal
-    standard profit of the original process.
+    The result has one free initial action, ``start``, leading to one state,
+    ``composite``, whose finals are the (initial action, final action at its
+    destination) pairs in order, named ``"init/final"``, with the summed cost
+    and the final action's distribution.  Under a standard contract each
+    composite gives both parties what its pair gives them in the original, so
+    ``optimal_standard`` of the reduction earns the original's optimal
+    standard profit.
     """
     if not classify(instance).is_deterministic_first_stage:
         raise ValueError("instance is not a deterministic first-stage process")
-    actions = []
-    for init in instance.initial_actions:
-        dest = next(s for s, p in enumerate(init.transition) if p == 1)
-        for final in instance.states[dest].final_actions:
-            actions.append(
-                SingleStageAction(
-                    name=f"{init.name}/{final.name}",
-                    cost=init.cost + final.cost,
-                    outcome_dist=final.outcome_dist,
-                )
-            )
-    return SingleStageInstance(instance.rewards, tuple(actions))
-
-
-def optimal_single_stage(ssi: SingleStageInstance) -> SingleStageSolution:
-    """Best standard contract of a one-shot instance via per-action programs."""
-    m = len(ssi.rewards)
-    best = None
-    for i, action in enumerate(ssi.actions):
-        rows = []
-        for k, other in enumerate(ssi.actions):
-            if k == i:
-                continue
-            coeffs = [p - q for p, q in zip(action.outcome_dist, other.outcome_dist)]
-            rows.append(Constraint(coeffs, ">=", action.cost - other.cost))
-        lp = LinearProgram(tuple(action.outcome_dist), tuple(rows))
-        result = solve_lp(lp)
-        if not isinstance(result, LpOptimal):
-            continue
-        payment = result.objective_value
-        reward = sum((p * r for p, r in zip(action.outcome_dist, ssi.rewards)), _ZERO)
-        profit = reward - payment
-        if best is None or profit > best.profit:
-            best = SingleStageSolution(result.x, i, payment, profit)
-    if best is None:
-        raise SolverInvariantError("no action is incentivizable, yet the cheapest one always is")
-    return best
+    composites = tuple(
+        FinalAction(f"{init.name}/{final.name}", init.cost + final.cost, final.outcome_dist)
+        for init in instance.initial_actions
+        for final in instance.states[init.transition.index(1)].final_actions
+    )
+    start = InitialAction("start", _ZERO, (Fraction(1),))
+    return Instance(instance.rewards, (start,), (State("composite", composites),))

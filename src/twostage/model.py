@@ -199,8 +199,6 @@ class StandardContract:
         if any(t < 0 for t in self.transfers):
             raise ValueError("transfers must be non-negative")
 
-    kind = "standard"
-
 
 @dataclass(frozen=True)
 class LinearContract:
@@ -217,8 +215,6 @@ class LinearContract:
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
-    kind = "linear"
-
 
 @dataclass(frozen=True)
 class PayHalfwayContract:
@@ -232,8 +228,6 @@ class PayHalfwayContract:
         object.__setattr__(self, "transfers", _rational_tuple(self.transfers))
         if any(t < 0 for t in self.state_transfers) or any(t < 0 for t in self.transfers):
             raise ValueError("transfers must be non-negative")
-
-    kind = "pay_halfway"
 
 
 @dataclass(frozen=True)
@@ -251,8 +245,6 @@ class TerminateHalfwayContract:
         object.__setattr__(self, "terminate_set", frozenset(int(s) for s in self.terminate_set))
         if any(t < 0 for t in self.transfers):
             raise ValueError("transfers must be non-negative")
-
-    kind = "terminate_halfway"
 
 
 Contract = Union[StandardContract, LinearContract, PayHalfwayContract, TerminateHalfwayContract]
@@ -415,18 +407,30 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _array(doc: dict, key: str, where: str = "") -> list:
+    """``doc[key]``, which the format requires to be a JSON array."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where}{key} must be a JSON array, not {_shown(value)}")
+    return value
+
+
+def _rationals(doc: dict, key: str, where: str = "") -> list[Fraction]:
+    return [parse_rational(v) for v in _array(doc, key, where)]
+
+
 def instance_from_dict(doc: object) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
-        rewards = [parse_rational(r) for r in doc["rewards"]]
+        rewards = _rationals(doc, "rewards")
         initials = [
             InitialAction(
                 name=str(a.get("name", f"i{idx}")),
                 cost=parse_rational(a["cost"]),
-                transition=[parse_rational(p) for p in a["transition"]],
+                transition=_rationals(a, "transition", f"initial_actions[{idx}]."),
             )
-            for idx, a in enumerate(doc["initial_actions"])
+            for idx, a in enumerate(_array(doc, "initial_actions"))
         ]
         states = [
             State(
@@ -435,12 +439,14 @@ def instance_from_dict(doc: object) -> Instance:
                     FinalAction(
                         name=str(a.get("name", f"j{jdx}")),
                         cost=parse_rational(a["cost"]),
-                        outcome_dist=[parse_rational(p) for p in a["outcome_dist"]],
+                        outcome_dist=_rationals(
+                            a, "outcome_dist", f"states[{idx}].final_actions[{jdx}]."
+                        ),
                     )
-                    for jdx, a in enumerate(s["final_actions"])
+                    for jdx, a in enumerate(_array(s, "final_actions", f"states[{idx}]."))
                 ),
             )
-            for idx, s in enumerate(doc["states"])
+            for idx, s in enumerate(_array(doc, "states"))
         ]
     except (KeyError, TypeError, AttributeError) as exc:
         raise InstanceFormatError(f"malformed instance document: {exc!r}") from exc
@@ -454,7 +460,7 @@ def instance_to_json(instance: Instance, *, indent: int | None = 2) -> str:
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(doc)
 
@@ -485,21 +491,16 @@ def contract_from_dict(doc: object) -> Contract:
     kind = doc["kind"]
     try:
         if kind == "standard":
-            return StandardContract(tuple(parse_rational(t) for t in doc["t"]))
+            return StandardContract(_rationals(doc, "t"))
         if kind == "linear":
             return LinearContract(parse_rational(doc["alpha"]))
         if kind == "pay_halfway":
-            return PayHalfwayContract(
-                tuple(parse_rational(t) for t in doc["s"]),
-                tuple(parse_rational(t) for t in doc["t"]),
-            )
+            return PayHalfwayContract(_rationals(doc, "s"), _rationals(doc, "t"))
         if kind == "terminate_halfway":
-            terminate = doc["terminate_set"]
+            terminate = _array(doc, "terminate_set")
             if not all(isinstance(s, int) and not isinstance(s, bool) for s in terminate):
                 raise InstanceFormatError("terminate_set must contain state indices")
-            return TerminateHalfwayContract(
-                tuple(parse_rational(t) for t in doc["t"]), frozenset(terminate)
-            )
+            return TerminateHalfwayContract(_rationals(doc, "t"), frozenset(terminate))
     except (KeyError, TypeError, AttributeError) as exc:
         raise InstanceFormatError(f"malformed contract document: {exc!r}") from exc
     except ValueError as exc:
@@ -514,6 +515,6 @@ def contract_to_json(contract: Contract, *, indent: int | None = 2) -> str:
 def contract_from_json(text: str) -> Contract:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return contract_from_dict(doc)

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from twostage import instance_to_json, optimal_standard, reduce_deterministic
 from twostage.cli import main
+from twostage.generators import cost_ladder_instance
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +118,65 @@ def test_huge_exponent_exits_three_quickly(tmp_path, capsys, instance_file):
     assert time.perf_counter() - started < 1.0
     assert code == 3 and out == ""
     assert f"limit of {sys.get_int_max_str_digits()}" in err
+
+
+@pytest.mark.parametrize("document", ["instance", "contract"])
+def test_oversized_json_integer_exits_three(tmp_path, capsys, instance_file, document):
+    # json.loads itself refuses an integer literal over Python's digit limit
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text('{"kind": "standard", "t": ["0", "1"]}')
+    if document == "instance":
+        with open(instance_file) as handle:
+            doc = json.load(handle)
+        doc["rewards"][1] = "HUGE"
+        instance_file = tmp_path / "huge.json"
+        instance_file.write_text(json.dumps(doc).replace('"HUGE"', digits))
+    else:
+        contract_path.write_text('{"kind": "standard", "t": [0, %s]}' % digits)
+    code, out, err = run_cli(
+        capsys, "best-response", str(instance_file), "--contract-file", str(contract_path)
+    )
+    assert code == 3 and out == ""
+    assert "invalid JSON" in err and "digits" in err
+
+
+def test_non_array_fields_exit_three(tmp_path, capsys, instance_file):
+    with open(instance_file) as handle:
+        original = handle.read()
+    path = tmp_path / "bad.json"
+
+    doc = json.loads(original)
+    doc["rewards"] = "05"  # once read as the rewards (0, 5)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert code == 3 and out == ""
+    assert "rewards must be a JSON array" in err
+
+    doc = json.loads(original)
+    doc["states"][0]["final_actions"][1]["outcome_dist"] = {"0.2": 1, "0.8": 2}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3 and out == ""
+    assert "states[0].final_actions[1].outcome_dist must be a JSON array" in err
+
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text('{"kind": "standard", "t": "05"}')
+    code, out, err = run_cli(
+        capsys, "best-response", instance_file, "--contract-file", str(contract_path)
+    )
+    assert code == 3 and out == ""
+    assert "t must be a JSON array" in err
+
+
+def test_compare_solves_a_reduced_one_state_instance(tmp_path, capsys):
+    inst = cost_ladder_instance(2, 2)
+    path = tmp_path / "reduced.json"
+    path.write_text(instance_to_json(reduce_deterministic(inst)))
+    code, out, _ = run_cli(capsys, "compare", str(path))
+    assert code == 0
+    standard = json.loads(out)["results"]["standard"]
+    assert F(standard["profit"]["exact"]) == optimal_standard(inst).profit
 
 
 def test_solve_standard_and_terminate(capsys, instance_file):

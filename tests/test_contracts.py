@@ -13,8 +13,6 @@ from twostage import (
     InitialAction,
     Instance,
     PayHalfwayContract,
-    SingleStageAction,
-    SingleStageInstance,
     StandardContract,
     TerminateHalfwayContract,
     best_response,
@@ -26,7 +24,6 @@ from twostage import (
     min_payment_terminate,
     optimal_linear,
     optimal_pay,
-    optimal_single_stage,
     optimal_standard,
     optimal_terminate,
     pay_to_standard_tree,
@@ -488,8 +485,11 @@ def test_pay_to_standard_requires_tree(midterm):
 
 def test_reduce_deterministic_counts_composites():
     reduced = reduce_deterministic(cost_ladder_instance(2, 2, F(10)))
-    assert len(reduced.actions) == 9  # 3 initial actions x 3 finals at their states
-    assert any(a.cost == 0 for a in reduced.actions)
+    assert reduced.initial_actions == (InitialAction("start", F(0), (F(1),)),)
+    assert [state.name for state in reduced.states] == ["composite"]
+    composites = reduced.states[0].final_actions
+    assert len(composites) == 9  # 3 initial actions x 3 finals at their states
+    assert any(a.cost == 0 for a in composites)
 
 
 def test_reduce_deterministic_requires_deterministic(midterm):
@@ -501,40 +501,46 @@ def test_reduction_preserves_optimal_standard_profit():
     targets = [cost_ladder_instance(2, 2, F(10)), cost_ladder_instance(1, 2, F(10))]
     targets += [random_instance("deterministic_first_stage", seed=s) for s in range(20)]
     for inst in targets:
-        direct = optimal_standard(inst).profit
-        via_reduction = optimal_single_stage(reduce_deterministic(inst)).profit
-        assert direct == via_reduction
+        reduced = reduce_deterministic(inst)
+        assert validate(reduced).ok
+        report = optimal_standard(reduced)
+        assert report.profit == optimal_standard(inst).profit
+        contract, profit = exhaustive_optimum(reduced, "standard")
+        assert report.best_contract == contract
+        assert report.best_response.profile == best_response(reduced, contract).profile
+        assert report.profit == profit
 
 
 def test_single_initial_deterministic_reduction_is_that_state():
     inst = random_instance("deterministic_first_stage", seed=2, max_initial_actions=1)
-    reduced = reduce_deterministic(inst)
+    composites = reduce_deterministic(inst).states[0].final_actions
     init = inst.initial_actions[0]
     dest = init.transition.index(F(1))
     finals = inst.states[dest].final_actions
-    assert [a.cost for a in reduced.actions] == [init.cost + a.cost for a in finals]
-    assert [a.outcome_dist for a in reduced.actions] == [a.outcome_dist for a in finals]
+    assert [a.name for a in composites] == [f"{init.name}/{a.name}" for a in finals]
+    assert [a.cost for a in composites] == [init.cost + a.cost for a in finals]
+    assert [a.outcome_dist for a in composites] == [a.outcome_dist for a in finals]
 
 
-def test_optimal_single_stage_closed_form():
-    ssi = SingleStageInstance(
-        rewards=(F(0), F(5)),
-        actions=(
-            SingleStageAction("null", F(0), (F(9, 10), F(1, 10))),
-            SingleStageAction("work", F(1), (F(1, 5), F(4, 5))),
-        ),
+def one_state_instance(rewards, *finals):
+    """A one-shot problem: one free initial action leading to one state."""
+    return Instance(rewards, (InitialAction("start", F(0), (F(1),)),), (State("only", finals),))
+
+
+def test_one_state_instance_closed_form():
+    inst = one_state_instance(
+        (F(0), F(5)),
+        FinalAction("null", F(0), (F(9, 10), F(1, 10))),
+        FinalAction("work", F(1), (F(1, 5), F(4, 5))),
     )
-    solution = optimal_single_stage(ssi)
-    assert solution.incentivized_action == 1
-    assert solution.transfers == (F(0), F(10, 7))
-    assert solution.profit == F(20, 7)
+    report = optimal_standard(inst)
+    assert report.best_response.profile.finals[0] == 1
+    assert report.best_contract.transfers == (F(0), F(10, 7))
+    assert report.best_response.expected_payment == F(8, 7)
+    assert report.profit == F(20, 7)
 
 
-def test_optimal_single_stage_null_only():
-    ssi = SingleStageInstance(
-        rewards=(F(3),),
-        actions=(SingleStageAction("null", F(0), (F(1),)),),
-    )
-    solution = optimal_single_stage(ssi)
-    assert solution.transfers == (F(0),)
-    assert solution.profit == F(3)
+def test_one_state_instance_null_only():
+    report = optimal_standard(one_state_instance((F(3),), FinalAction("null", F(0), (F(1),))))
+    assert report.best_contract.transfers == (F(0),)
+    assert report.profit == F(3)

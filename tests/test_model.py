@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction as F
 
@@ -206,6 +207,42 @@ def test_instance_parsing_rejects_floats_and_shapes():
         instance_from_json('[1, 2]')
     with pytest.raises(InstanceFormatError):
         instance_from_json('{"rewards": ["1"], "initial_actions": [5], "states": []}')
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("rewards",), "05"),
+        (("initial_actions",), {"effort": 1}),
+        (("initial_actions", 0, "transition"), "01"),
+        (("states",), "s"),
+        (("states", 1, "final_actions"), {}),
+        (("states", 0, "final_actions", 1, "outcome_dist"), {"0.2": 1, "0.8": 2}),
+    ],
+)
+def test_instance_parsing_requires_arrays(midterm, path, value):
+    doc = json.loads(instance_to_json(midterm))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InstanceFormatError, match=f"{path[-1]} must be a JSON array"):
+        instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"kind": "standard", "t": "05"}, "t"),
+        ({"kind": "pay_halfway", "s": "02", "t": ["0", "1"]}, "s"),
+        ({"kind": "pay_halfway", "s": ["0", "2"], "t": {"0": 1, "1": 2}}, "t"),
+        ({"kind": "terminate_halfway", "t": "05", "terminate_set": [0]}, "t"),
+        ({"kind": "terminate_halfway", "t": ["0", "5"], "terminate_set": {}}, "terminate_set"),
+    ],
+)
+def test_contract_parsing_requires_arrays(doc, field):
+    with pytest.raises(InstanceFormatError, match=f"^{field} must be a JSON array"):
+        contract_from_json(json.dumps(doc))
 
 
 def test_contract_invariants():
