@@ -183,11 +183,12 @@ def _solver_result_doc(report: solvers.SolveReport) -> dict:
 
 def _linear_result_doc(instance: Instance) -> dict:
     analysis = analyze(instance)
-    response = best_response(instance, LinearContract(analysis.optimal.alpha))
+    alpha = analysis.optimal.alpha
+    segment = next(seg for seg in analysis.segments if seg.alpha_low == alpha)
     return {
-        "contract": {"kind": "linear", "alpha": _rat(analysis.optimal.alpha)},
-        "profile": _profile_doc(response.profile),
-        "payment": _rat(response.expected_payment),
+        "contract": {"kind": "linear", "alpha": _rat(alpha)},
+        "profile": _profile_doc(segment.profile),
+        "payment": _rat(alpha * segment.reward),
         "profit": _rat(analysis.optimal.profit),
         "breakpoints": len(analysis.breakpoints),
     }
@@ -283,18 +284,22 @@ def _cmd_breakpoints(args) -> int:
         }
     )
     if args.csv:
-        candidates = sorted({Fraction(0), Fraction(1), *(bp.alpha for bp in analysis.breakpoints)})
+        # A segment's left end is scored by its own profile (see ``analyze``).
+        # At alpha = 1 every profile earns 0 and ties go to the lowest index,
+        # which only the best response knows.
+        at_one = best_response(instance, LinearContract(Fraction(1)))
+        rows = [(seg.alpha_low, seg.profit_at_low, seg.profile) for seg in analysis.segments]
+        rows.append((Fraction(1), at_one.principal_profit, at_one.profile))
         lines = ["alpha_exact,alpha_decimal,profit_exact,profit_decimal,profile"]
-        for alpha in candidates:
-            response = best_response(instance, LinearContract(alpha))
+        for alpha, profit, profile in rows:
             lines.append(
                 ",".join(
                     [
                         format_rational(alpha),
                         _decimal_str(alpha),
-                        format_rational(response.principal_profit),
-                        _decimal_str(response.principal_profit),
-                        profile_str(response.profile),
+                        format_rational(profit),
+                        _decimal_str(profit),
+                        profile_str(profile),
                     ]
                 )
             )

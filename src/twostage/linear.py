@@ -5,8 +5,10 @@ alpha * R - c in the fraction alpha, so her behavior on [0, 1] is piecewise
 constant: per-state envelopes give the final-action switch points, and within
 each final-fixed interval an envelope over initial actions gives the rest.
 Principal profit (1 - alpha) * R_a is decreasing on each piece, so the
-optimum sits at a breakpoint (or at alpha = 0), where the principal-favoring
-tie-break applies.
+optimum sits at the left end of a segment.  There the principal-favoring
+tie-break hands the principal that segment's profile, whose line has the
+largest slope (reward) of those tied, so each segment scores itself; one
+best response at the winning alpha checks that.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 from .agent import best_response
 from .lp import SolverInvariantError
 from .model import ActionProfile, Instance, LinearContract, expected_state_reward
-from .welfare import profile_cost, profile_reward
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,6 +33,11 @@ class Segment:
     profile: ActionProfile
     reward: Fraction
     cost: Fraction
+
+    @property
+    def profit_at_low(self) -> Fraction:
+        """Principal profit at alpha_low, where the agent takes this profile."""
+        return (1 - self.alpha_low) * self.reward
 
 
 @dataclass(frozen=True)
@@ -123,18 +129,22 @@ def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
 def analyze(instance: Instance) -> BreakpointAnalysis:
     """Full piecewise structure of the agent's response to linear contracts.
 
-    Requires all rewards non-negative.  Candidate alphas are every breakpoint
-    plus 0 and 1; each is scored with the backward-induction best response so
-    breakpoint ties resolve exactly as the agent would.
+    Requires all rewards non-negative.  Candidate alphas are each segment's
+    left end plus 1.  At a left end the agent, ties favoring the principal,
+    takes that segment's profile, so its profit is ``profit_at_low``; at
+    alpha = 1 it is 0, which never beats alpha = 0.  The smallest alpha
+    wins ties.  The winner is then checked against one backward-induction
+    best response; a mismatch raises ``SolverInvariantError``.
     """
     if any(r < 0 for r in instance.rewards):
         raise ValueError("linear contracts require all rewards to be non-negative")
 
     num_states = instance.num_states
+    state_lines = [_state_lines(instance, s) for s in range(num_states)]
     state_envelopes = []
     final_knees: set[Fraction] = set()
-    for s in range(num_states):
-        knees, segs = _upper_envelope(_state_lines(instance, s))
+    for lines in state_lines:
+        knees, segs = _upper_envelope(lines)
         state_envelopes.append(segs)
         final_knees.update(knees)
 
@@ -149,15 +159,19 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
     for lo, hi in zip(boundaries, boundaries[1:]):
         mid = (lo + hi) / 2
         finals = {s: final_choice(state_envelopes[s], mid) for s in range(num_states)}
-        profiles = [ActionProfile(i, finals) for i in range(instance.num_initial_actions)]
-        lines = [
-            (profile_reward(instance, profile), -profile_cost(instance, profile), profile.initial)
-            for profile in profiles
-        ]
+        chosen = [state_lines[s][j] for s, j in finals.items()]
+        lines = []
+        for i, act in enumerate(instance.initial_actions):
+            reward, neg_cost = _ZERO, -act.cost
+            for p, (state_reward, state_neg_cost, _) in zip(act.transition, chosen):
+                if p:
+                    reward += p * state_reward
+                    neg_cost += p * state_neg_cost
+            lines.append((reward, neg_cost, i))
         _, initial_segs = _upper_envelope(lines, lo, hi)
         for seg_lo, seg_hi, i in initial_segs:
             reward, neg_cost, _ = lines[i]
-            segments.append(Segment(seg_lo, seg_hi, profiles[i], reward, -neg_cost))
+            segments.append(Segment(seg_lo, seg_hi, ActionProfile(i, finals), reward, -neg_cost))
 
     breakpoints = tuple(
         Breakpoint(right.alpha_low, left.profile, right.profile)
@@ -167,12 +181,14 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
     if len(breakpoints) > bound:
         raise SolverInvariantError(f"{len(breakpoints)} breakpoints exceed S*N1*N2 = {bound}")
 
-    candidates = sorted({_ZERO, _ONE, *(bp.alpha for bp in breakpoints)})
-    best: LinearOptimum | None = None
-    for alpha in candidates:
-        profit = best_response(instance, LinearContract(alpha)).principal_profit
-        if best is None or profit > best.profit:
-            best = LinearOptimum(alpha, profit)
+    winner = max(segments, key=lambda seg: seg.profit_at_low)  # the first on ties
+    best = LinearOptimum(winner.alpha_low, winner.profit_at_low)
+    response = best_response(instance, LinearContract(best.alpha))
+    if response.principal_profit != best.profit or response.profile != winner.profile:
+        raise SolverInvariantError(
+            f"best response at the optimal alpha {best.alpha} does not realize its segment:"
+            f" profit {response.principal_profit} for {best.profit}"
+        )
     return BreakpointAnalysis(breakpoints, tuple(segments), best)
 
 

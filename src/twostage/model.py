@@ -460,7 +460,7 @@ def instance_to_json(instance: Instance, *, indent: int | None = 2) -> str:
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(doc)
 
@@ -515,6 +515,6 @@ def contract_to_json(contract: Contract, *, indent: int | None = 2) -> str:
 def contract_from_json(text: str) -> Contract:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return contract_from_dict(doc)

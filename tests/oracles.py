@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from fractions import Fraction as F
 
 from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
 from twostage.lp import (
@@ -31,10 +32,13 @@ from twostage.lp import (
 )
 from twostage.model import (
     ActionProfile,
+    FinalAction,
+    InitialAction,
     Instance,
     LinearContract,
     PayHalfwayContract,
     StandardContract,
+    State,
     TerminateHalfwayContract,
 )
 
@@ -431,3 +435,27 @@ def fraction_simplex(lp: LinearProgram) -> LpResult:
         dual[rows[i][3]] += flips[i] * to_fraction(y)
 
     return LpOptimal(tuple(x), value, tuple(dual))
+
+
+def tie_heavy_variants(inst):
+    """Duplicated initial actions, reversed action orders, mirrored outcomes,
+    and an unreachable copy of a state with a duplicated final action."""
+    mirrored_states = tuple(
+        State(s.name, tuple(FinalAction(a.name, a.cost, a.outcome_dist[::-1]) for a in s.final_actions))
+        for s in inst.states
+    )
+    first = inst.states[0]
+    return [
+        Instance(inst.rewards, inst.initial_actions * 2, inst.states),
+        Instance(
+            inst.rewards,
+            inst.initial_actions[::-1],
+            tuple(State(s.name, s.final_actions[::-1]) for s in inst.states),
+        ),
+        Instance(inst.rewards[::-1], inst.initial_actions, mirrored_states),
+        Instance(
+            inst.rewards,
+            tuple(InitialAction(a.name, a.cost, a.transition + (F(0),)) for a in inst.initial_actions),
+            inst.states + (State("copy", first.final_actions + first.final_actions[:1]),),
+        ),
+    ]

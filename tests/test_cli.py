@@ -6,9 +6,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from twostage import instance_to_json, optimal_standard, reduce_deterministic
-from twostage.cli import main
+from twostage import (
+    FinalAction,
+    InitialAction,
+    Instance,
+    LinearContract,
+    State,
+    analyze,
+    best_response,
+    instance_to_json,
+    midterm_instance,
+    optimal_standard,
+    random_instance,
+    reduce_deterministic,
+)
+from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
+
+from oracles import tie_heavy_variants
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +154,21 @@ def test_oversized_json_integer_exits_three(tmp_path, capsys, instance_file, doc
     )
     assert code == 3 and out == ""
     assert "invalid JSON" in err and "digits" in err
+
+
+@pytest.mark.parametrize("document", ["instance", "contract"])
+def test_deeply_nested_json_exits_three(tmp_path, capsys, instance_file, document):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    if document == "instance":
+        argv = ["validate", str(nested)]
+    else:
+        argv = ["best-response", instance_file, "--contract-file", str(nested)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "invalid JSON" in err and "recursion" in err
+    assert "Traceback" not in err
 
 
 def test_non_array_fields_exit_three(tmp_path, capsys, instance_file):
@@ -284,6 +314,39 @@ def test_breakpoints_command_with_csv(tmp_path, capsys):
     assert by_alpha["4/9"][4] == "0|1;1"
 
 
+def csv_by_best_response(instance):
+    """The ``breakpoints --csv`` text with a best response at every candidate alpha."""
+    analysis = analyze(instance)
+    lines = ["alpha_exact,alpha_decimal,profit_exact,profit_decimal,profile"]
+    for alpha in sorted({F(0), F(1), *(bp.alpha for bp in analysis.breakpoints)}):
+        response = best_response(instance, LinearContract(alpha))
+        profit = response.principal_profit
+        finals = ";".join(str(j) for _, j in sorted(response.profile.finals.items()))
+        profile = f"{response.profile.initial}|{finals}"
+        lines.append(",".join([str(alpha), _decimal_str(alpha), str(profit), _decimal_str(profit), profile]))
+    return "\n".join(lines) + "\n"
+
+
+def test_breakpoints_csv_matches_best_response_at_every_candidate(tmp_path, capsys):
+    # At alpha = 1 the work line (3a - 2) meets the null line (a), and the
+    # lowest index breaks that tie, not the segment left of 1 (null).
+    tied_at_one = Instance(
+        (F(1), F(3)),
+        (InitialAction("null", F(0), (F(1),)),),
+        (State("s", (FinalAction("work", F(2), (F(0), F(1))), FinalAction("null", F(0), (F(1), F(0))))),),
+    )
+    instances = [midterm_instance(), cost_ladder_instance(2, 2), tied_at_one]
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        instances += [random_instance(kind, seed=seed, max_states=4, max_final_actions=4) for seed in range(10)]
+    instances += [variant for inst in instances[:5] for variant in tie_heavy_variants(inst)]
+    instance_path, csv_path = tmp_path / "instance.json", tmp_path / "plot.csv"
+    for instance in instances:
+        instance_path.write_text(instance_to_json(instance))
+        code, _, _ = run_cli(capsys, "breakpoints", str(instance_path), "--csv", str(csv_path))
+        assert code == 0
+        assert csv_path.read_text() == csv_by_best_response(instance)
+
+
 def test_simulate_command(tmp_path, capsys, instance_file):
     contract_path = tmp_path / "terminate.json"
     contract_path.write_text(
@@ -403,6 +466,18 @@ FORCED_FAILURES = {
         "twostage.linear", "_upper_envelope",
         "lambda lines, lo=_ZERO, hi=_ONE: ([], [])",
         "no final-action segment",
+    ),
+    "best response realizes the linear optimum (breakpoints)": (
+        ["breakpoints", "{instance}"],
+        "twostage.linear", "best_response",
+        "lambda instance, contract: dataclasses.replace(real(instance, contract), profile=ActionProfile(0, {}))",
+        "does not realize its segment",
+    ),
+    "best response realizes the linear optimum (solve)": (
+        ["solve", "{instance}", "--contract", "linear"],
+        "twostage.linear", "best_response",
+        "lambda instance, contract: dataclasses.replace(real(instance, contract), profile=ActionProfile(0, {}))",
+        "does not realize its segment",
     ),
     "breakpoints are at most S*N1*N2": (
         ["breakpoints", "{instance}"],

@@ -45,6 +45,7 @@ from oracles import (
     iter_profiles,
     lattice_min_payment_standard,
     scipy_lp_min,
+    tie_heavy_variants,
 )
 
 
@@ -362,30 +363,6 @@ def assert_matches_exhaustive_search(inst):
         assert report.best_contract == contract, kind
         assert report.best_response.profile == best_response(inst, contract).profile, kind
         assert report.profit == profit, kind
-
-
-def tie_heavy_variants(inst):
-    """Duplicated initial actions, reversed action orders, mirrored outcomes,
-    and an unreachable copy of a state with a duplicated final action."""
-    mirrored_states = tuple(
-        State(s.name, tuple(FinalAction(a.name, a.cost, a.outcome_dist[::-1]) for a in s.final_actions))
-        for s in inst.states
-    )
-    first = inst.states[0]
-    return [
-        Instance(inst.rewards, inst.initial_actions * 2, inst.states),
-        Instance(
-            inst.rewards,
-            inst.initial_actions[::-1],
-            tuple(State(s.name, s.final_actions[::-1]) for s in inst.states),
-        ),
-        Instance(inst.rewards[::-1], inst.initial_actions, mirrored_states),
-        Instance(
-            inst.rewards,
-            tuple(InitialAction(a.name, a.cost, a.transition + (F(0),)) for a in inst.initial_actions),
-            inst.states + (State("copy", first.final_actions + first.final_actions[:1]),),
-        ),
-    ]
 
 
 @pytest.mark.parametrize(

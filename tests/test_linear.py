@@ -4,6 +4,7 @@ import pytest
 
 from twostage import (
     ActionProfile,
+    FamilyParams,
     FinalAction,
     InitialAction,
     Instance,
@@ -11,12 +12,15 @@ from twostage import (
     State,
     analyze,
     best_response,
+    generate,
     optimal_linear,
     optimal_standard,
     random_instance,
     state_breakpoints,
 )
 from twostage.generators import cost_ladder_instance, interim_review_instance
+
+from oracles import tie_heavy_variants
 
 
 def _single_state(reward, actions):
@@ -145,3 +149,61 @@ def test_telescoping_welfare_bound():
             total += (1 - alpha) * reward
             prev_reward, prev_cost = reward, cost
         assert max_welfare(inst).max_welfare <= total
+
+
+def assert_segments_predict_best_response(inst):
+    """Each candidate alpha scores as the segments say, and so does the optimum.
+
+    At a segment's left end the agent takes that segment's profile; at
+    alpha = 1 the principal earns 0 and the agent the last segment's value.
+    The optimum is the first candidate with the largest best-response profit.
+    """
+    analysis = analyze(inst)
+    scored = []
+    for seg in analysis.segments:
+        response = best_response(inst, LinearContract(seg.alpha_low))
+        assert response.profile == seg.profile, seg.alpha_low
+        assert response.principal_profit == (1 - seg.alpha_low) * seg.reward, seg.alpha_low
+        scored.append((seg.alpha_low, response.principal_profit))
+    last = analysis.segments[-1]
+    at_one = best_response(inst, LinearContract(1))
+    assert at_one.principal_profit == 0
+    assert at_one.agent_utility == last.reward - last.cost
+    scored.append((F(1), at_one.principal_profit))
+    alpha, profit = max(scored, key=lambda candidate: candidate[1])
+    assert (analysis.optimal.alpha, analysis.optimal.profit) == (alpha, profit)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("midterm", {}),
+        ("interim_review", {}),
+        ("payment_gap", {"p": F(9, 10), "q": F(1, 2), "c": F(1), "x": F(20)}),
+        ("payment_gap", {"p": F(3, 5), "q": F(1, 10), "c": F(1), "x": F(4)}),
+        ("cost_ladder", {"n1": 2, "n2": 2}),
+        ("cost_ladder", {"n1": 3, "n2": 3}),
+        ("state_markers", {"s": 2, "n2": 2}),
+        ("state_markers", {"s": 3, "n2": 2}),
+        ("random_tree", {"seed": 3}),
+        ("random_stochastic", {"seed": 3}),
+        ("random_deterministic", {"seed": 3}),
+        ("random_general", {"seed": 3, "s": 4, "n1": 4, "n2": 4}),
+    ],
+)
+def test_segments_predict_best_response_on_families(family, params):
+    inst = generate(FamilyParams(family, params))
+    for variant in [inst, *tie_heavy_variants(inst)]:
+        assert_segments_predict_best_response(variant)
+
+
+@pytest.mark.parametrize(
+    "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
+)
+def test_segments_predict_best_response_on_random_instances(kind):
+    for seed in range(60):
+        inst = random_instance(kind, seed=seed, max_states=4, max_final_actions=4)
+        assert_segments_predict_best_response(inst)
+        if seed % 5 == 0:
+            for variant in tie_heavy_variants(inst):
+                assert_segments_predict_best_response(variant)
