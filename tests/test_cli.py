@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from twostage import (
     analyze,
     best_response,
     instance_to_json,
+    interim_review_instance,
     midterm_instance,
     optimal_standard,
     random_instance,
@@ -529,3 +535,56 @@ def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file,
     assert result.stdout == ""
     assert result.stderr.startswith("twostage: internal error:") and message in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Whole stdout of every command on interim_review, pinned byte for byte apart
+# from the wall-clock ``duration_seconds`` line.  After an intended output
+# change, rewrite the files with
+#   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "validate": ["validate", "{instance}"],
+    "classify": ["classify", "{instance}"],
+    "welfare": ["welfare", "{instance}"],
+    "solve_standard": ["solve", "{instance}", "--contract", "standard"],
+    "solve_linear": ["solve", "{instance}", "--contract", "linear"],
+    "solve_pay": ["solve", "{instance}", "--contract", "pay"],
+    "solve_terminate": ["solve", "{instance}", "--contract", "terminate"],
+    "compare": ["compare", "{instance}"],
+    "breakpoints": ["breakpoints", "{instance}", "--csv", "{csv}"],
+    "best_response": ["best-response", "{instance}", "--contract-file", "{contract}"],
+    "simulate": ["simulate", "{instance}", "--contract-file", "{contract}", "--episodes", "500", "--seed", "7"],
+    "generate": ["generate", "--family", "interim_review"],
+}
+
+
+def golden_outputs() -> dict:
+    """File name -> text for every golden command (and the breakpoints CSV)."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {
+            "instance": Path(scratch) / "instance.json",
+            "contract": GOLDEN / "contract.json",
+            "csv": Path(scratch) / "plot.csv",
+        }
+        paths["instance"].write_text(instance_to_json(interim_review_instance()))
+        for name, argv in GOLDEN_COMMANDS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.format(**paths) for arg in argv])
+            assert (code, err.getvalue()) == (0, ""), name
+            outputs[f"{name}.out"] = re.sub(r'^  "duration_seconds": .*\n', "", out.getvalue(), flags=re.M)
+        outputs["breakpoints.csv"] = paths["csv"].read_text()
+    return outputs
+
+
+def write_golden() -> None:
+    for name, text in golden_outputs().items():
+        (GOLDEN / name).write_text(text)
+
+
+def test_every_command_matches_its_golden_output():
+    outputs = golden_outputs()
+    assert "duration_seconds" not in outputs["compare.out"] + outputs["solve_standard.out"]
+    for name, text in outputs.items():
+        assert text == (GOLDEN / name).read_text(), name
