@@ -8,10 +8,14 @@ is the wall-clock ``duration_seconds`` field).  Exact rationals appear as
 Exit codes are part of the contract:
   0  success
   1  validation failure (instance invariants, contract dimensions, family
-     parameter constraints)
+     parameter constraints, and negative rewards for ``compare``,
+     ``solve --contract linear`` and ``breakpoints``, since linear contracts
+     need non-negative rewards)
   2  enumeration cap exceeded
   3  I/O, JSON or command-line parse error
   4  internal error: a solver self-check failed (a bug, reported on stderr)
+A failing command prints nothing on stdout, only its message on stderr;
+``validate`` still prints its report when it exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from . import contracts as solvers
 from .agent import best_response, simulate
 from .generators import FAMILIES, FamilyParams, generate
-from .linear import analyze
+from .linear import LinearOptimum, analyze
 from .model import (
     ActionProfile,
     Instance,
@@ -89,87 +93,39 @@ def instance_digest(instance: Instance) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-def _load_instance(path: str) -> Instance:
-    return instance_from_json(_read(path))
-
-
-def _require_valid(instance: Instance) -> None:
-    report = validate(instance)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"invalid instance: {violation}", file=sys.stderr)
-        raise _CommandFailed(EXIT_VALIDATION)
-
-
-class _CommandFailed(Exception):
-    def __init__(self, code: int):
-        self.code = code
-
-
 # --- commands -----------------------------------------------------------------
+# A command that takes an instance receives it already validated and returns
+# its document; ``main`` adds ``command`` and ``instance_digest`` and prints it.
 
 
-def _cmd_validate(args) -> int:
-    instance = _load_instance(args.instance)
-    report = validate(instance)
-    _emit(
-        {
-            "command": "validate",
-            "ok": report.ok,
-            "violations": [
-                {"location": v.location, "rule": v.rule} for v in report.violations
-            ],
-        }
-    )
-    return EXIT_OK if report.ok else EXIT_VALIDATION
-
-
-def _cmd_classify(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
+def _cmd_classify(args, instance: Instance) -> dict:
     process_class = classify(instance)
-    _emit(
-        {
-            "command": "classify",
-            "instance_digest": instance_digest(instance),
-            "is_tree": process_class.is_tree,
-            "is_stochastic_first_stage": process_class.is_stochastic_first_stage,
-            "is_deterministic_first_stage": process_class.is_deterministic_first_stage,
-            "label": process_class.label,
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_welfare(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
-    report = max_welfare(instance)
-    _emit(
-        {
-            "command": "welfare",
-            "instance_digest": instance_digest(instance),
-            "max_welfare": _rat(report.max_welfare),
-            "argmax_profile": _profile_doc(report.argmax_profile),
-            "per_state_best": [
-                {"final": sb.final, "value": _rat(sb.value)} for sb in report.per_state_best
-            ],
-        }
-    )
-    return EXIT_OK
-
-
-def _solver_result_doc(report: solvers.SolveReport) -> dict:
     return {
+        "is_tree": process_class.is_tree,
+        "is_stochastic_first_stage": process_class.is_stochastic_first_stage,
+        "is_deterministic_first_stage": process_class.is_deterministic_first_stage,
+        "label": process_class.label,
+    }
+
+
+def _cmd_welfare(args, instance: Instance) -> dict:
+    report = max_welfare(instance)
+    return {
+        "max_welfare": _rat(report.max_welfare),
+        "argmax_profile": _profile_doc(report.argmax_profile),
+        "per_state_best": [
+            {"final": sb.final, "value": _rat(sb.value)} for sb in report.per_state_best
+        ],
+    }
+
+
+def _solver_result(report: solvers.SolveReport) -> tuple[solvers.SolveReport, dict]:
+    return report, {
         "contract": _contract_doc(report.best_contract),
         "profile": _profile_doc(report.best_response.profile),
         "payment": _rat(report.best_response.expected_payment),
@@ -181,11 +137,11 @@ def _solver_result_doc(report: solvers.SolveReport) -> dict:
     }
 
 
-def _linear_result_doc(instance: Instance) -> dict:
+def _linear_result(instance: Instance) -> tuple[LinearOptimum, dict]:
     analysis = analyze(instance)
     alpha = analysis.optimal.alpha
     segment = next(seg for seg in analysis.segments if seg.alpha_low == alpha)
-    return {
+    return analysis.optimal, {
         "contract": {"kind": "linear", "alpha": _rat(alpha)},
         "profile": _profile_doc(segment.profile),
         "payment": _rat(alpha * segment.reward),
@@ -194,95 +150,72 @@ def _linear_result_doc(instance: Instance) -> dict:
     }
 
 
-def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
-    started = time.perf_counter()
-    if args.contract == "standard":
-        result = _solver_result_doc(solvers.optimal_standard(instance, profiles_cap=args.profiles_cap))
-    elif args.contract == "pay":
-        result = _solver_result_doc(solvers.optimal_pay(instance, profiles_cap=args.profiles_cap))
-    elif args.contract == "terminate":
-        result = _solver_result_doc(
-            solvers.optimal_terminate(
-                instance, profiles_cap=args.profiles_cap, subsets_cap=args.subsets_cap
-            )
+# Contract kind -> (optimum, result document), in the order ``compare`` runs
+# them.  The optimum carries the exact ``profit``; the standard one also
+# carries the ``welfare`` that ``compare`` reports.  The optimizers are looked
+# up on the module at call time, so that wrappers installed there see every call.
+_KINDS = {
+    "standard": lambda instance, args: _solver_result(
+        solvers.optimal_standard(instance, profiles_cap=args.profiles_cap)
+    ),
+    "pay": lambda instance, args: _solver_result(
+        solvers.optimal_pay(instance, profiles_cap=args.profiles_cap)
+    ),
+    "terminate": lambda instance, args: _solver_result(
+        solvers.optimal_terminate(
+            instance, profiles_cap=args.profiles_cap, subsets_cap=args.subsets_cap
         )
-    else:
-        result = _linear_result_doc(instance)
+    ),
+    "linear": lambda instance, args: _linear_result(instance),
+}
+
+
+def _cmd_solve(args, instance: Instance) -> dict:
+    started = time.perf_counter()
+    optimum, result = _KINDS[args.contract](instance, args)
     welfare = max_welfare(instance).max_welfare
-    profit = Fraction(result["profit"]["exact"])
-    _emit(
-        {
-            "command": "solve",
-            "contract_kind": args.contract,
-            "instance_digest": instance_digest(instance),
-            "result": result,
-            "welfare": _rat(welfare),
-            "profit_over_welfare": _ratio(profit, welfare),
-            "duration_seconds": time.perf_counter() - started,
-        }
-    )
-    return EXIT_OK
+    return {
+        "contract_kind": args.contract,
+        "result": result,
+        "welfare": _rat(welfare),
+        "profit_over_welfare": _ratio(optimum.profit, welfare),
+        "duration_seconds": time.perf_counter() - started,
+    }
 
 
-def _cmd_best_response(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
+def _cmd_compare(args, instance: Instance) -> dict:
+    started = time.perf_counter()
+    solved = {kind: solve(instance, args) for kind, solve in _KINDS.items()}
+    profit = {kind: optimum.profit for kind, (optimum, _) in solved.items()}
+    welfare = solved["standard"][0].welfare
+    return {
+        "process_class": classify(instance).label,
+        "welfare": _rat(welfare),
+        "results": {kind: result for kind, (_, result) in solved.items()},
+        "ratios": {
+            "profit_over_welfare": _ratio(max(profit.values()), welfare),
+            "pay_over_standard": _ratio(profit["pay"], profit["standard"]),
+            "terminate_over_standard": _ratio(profit["terminate"], profit["standard"]),
+        },
+        "duration_seconds": time.perf_counter() - started,
+    }
+
+
+def _cmd_best_response(args, instance: Instance) -> dict:
     contract = contract_from_json(_read(args.contract_file))
     response = best_response(instance, contract)
-    _emit(
-        {
-            "command": "best-response",
-            "instance_digest": instance_digest(instance),
-            "contract": _contract_doc(contract),
-            "profile": _profile_doc(response.profile),
-            "agent_utility": _rat(response.agent_utility),
-            "expected_payment": _rat(response.expected_payment),
-            "principal_profit": _rat(response.principal_profit),
-            "per_state_utility": [_rat(u) for u in response.per_state_utility],
-        }
-    )
-    return EXIT_OK
+    return {
+        "contract": _contract_doc(contract),
+        "profile": _profile_doc(response.profile),
+        "agent_utility": _rat(response.agent_utility),
+        "expected_payment": _rat(response.expected_payment),
+        "principal_profit": _rat(response.principal_profit),
+        "per_state_utility": [_rat(u) for u in response.per_state_utility],
+    }
 
 
-def _cmd_breakpoints(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
+def _cmd_breakpoints(args, instance: Instance) -> dict:
     analysis = analyze(instance)
-
-    def profile_str(profile: ActionProfile) -> str:
-        finals = ";".join(str(j) for _, j in sorted(profile.finals.items()))
-        return f"{profile.initial}|{finals}"
-
-    _emit(
-        {
-            "command": "breakpoints",
-            "instance_digest": instance_digest(instance),
-            "breakpoints": [
-                {
-                    "alpha": _rat(bp.alpha),
-                    "profile_left": _profile_doc(bp.profile_left),
-                    "profile_right": _profile_doc(bp.profile_right),
-                }
-                for bp in analysis.breakpoints
-            ],
-            "segments": [
-                {
-                    "alpha_low": _rat(seg.alpha_low),
-                    "alpha_high": _rat(seg.alpha_high),
-                    "profile": _profile_doc(seg.profile),
-                    "reward": _rat(seg.reward),
-                    "cost": _rat(seg.cost),
-                }
-                for seg in analysis.segments
-            ],
-            "optimal": {
-                "alpha": _rat(analysis.optimal.alpha),
-                "profit": _rat(analysis.optimal.profit),
-            },
-        }
-    )
     if args.csv:
         # A segment's left end is scored by its own profile (see ``analyze``).
         # At alpha = 1 every profile earns 0 and ties go to the lowest index,
@@ -292,6 +225,7 @@ def _cmd_breakpoints(args) -> int:
         rows.append((Fraction(1), at_one.principal_profit, at_one.profile))
         lines = ["alpha_exact,alpha_decimal,profit_exact,profit_decimal,profile"]
         for alpha, profit, profile in rows:
+            finals = ";".join(str(j) for _, j in sorted(profile.finals.items()))
             lines.append(
                 ",".join(
                     [
@@ -299,13 +233,49 @@ def _cmd_breakpoints(args) -> int:
                         _decimal_str(alpha),
                         format_rational(profit),
                         _decimal_str(profit),
-                        profile_str(profile),
+                        f"{profile.initial}|{finals}",
                     ]
                 )
             )
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return {
+        "breakpoints": [
+            {
+                "alpha": _rat(bp.alpha),
+                "profile_left": _profile_doc(bp.profile_left),
+                "profile_right": _profile_doc(bp.profile_right),
+            }
+            for bp in analysis.breakpoints
+        ],
+        "segments": [
+            {
+                "alpha_low": _rat(seg.alpha_low),
+                "alpha_high": _rat(seg.alpha_high),
+                "profile": _profile_doc(seg.profile),
+                "reward": _rat(seg.reward),
+                "cost": _rat(seg.cost),
+            }
+            for seg in analysis.segments
+        ],
+        "optimal": {
+            "alpha": _rat(analysis.optimal.alpha),
+            "profit": _rat(analysis.optimal.profit),
+        },
+    }
+
+
+def _cmd_simulate(args, instance: Instance) -> dict:
+    contract = contract_from_json(_read(args.contract_file))
+    result = simulate(instance, contract, args.episodes, args.seed)
+    return {
+        "contract": _contract_doc(contract),
+        "episodes": args.episodes,
+        "seed": args.seed,
+        "empirical_profit": result.empirical_profit,
+        "empirical_payment": result.empirical_payment,
+        "std_error": result.std_error,
+    }
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -330,64 +300,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
-    started = time.perf_counter()
-    standard = solvers.optimal_standard(instance, profiles_cap=args.profiles_cap)
-    pay = solvers.optimal_pay(instance, profiles_cap=args.profiles_cap)
-    terminate = solvers.optimal_terminate(
-        instance, profiles_cap=args.profiles_cap, subsets_cap=args.subsets_cap
-    )
-    linear = _linear_result_doc(instance)
-    welfare = standard.welfare
-    best_profit = max(
-        standard.profit, pay.profit, terminate.profit, Fraction(linear["profit"]["exact"])
-    )
-    process_class = classify(instance)
-    _emit(
-        {
-            "command": "compare",
-            "instance_digest": instance_digest(instance),
-            "process_class": process_class.label,
-            "welfare": _rat(welfare),
-            "results": {
-                "standard": _solver_result_doc(standard),
-                "linear": linear,
-                "pay": _solver_result_doc(pay),
-                "terminate": _solver_result_doc(terminate),
-            },
-            "ratios": {
-                "profit_over_welfare": _ratio(best_profit, welfare),
-                "pay_over_standard": _ratio(pay.profit, standard.profit),
-                "terminate_over_standard": _ratio(terminate.profit, standard.profit),
-            },
-            "duration_seconds": time.perf_counter() - started,
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_simulate(args) -> int:
-    instance = _load_instance(args.instance)
-    _require_valid(instance)
-    contract = contract_from_json(_read(args.contract_file))
-    result = simulate(instance, contract, args.episodes, args.seed)
-    _emit(
-        {
-            "command": "simulate",
-            "instance_digest": instance_digest(instance),
-            "contract": _contract_doc(contract),
-            "episodes": args.episodes,
-            "seed": args.seed,
-            "empirical_profit": result.empirical_profit,
-            "empirical_payment": result.empirical_payment,
-            "std_error": result.std_error,
-        }
-    )
-    return EXIT_OK
-
-
 # --- parser -------------------------------------------------------------------
 
 
@@ -402,46 +314,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twostage", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        p.add_argument("instance")
         return p
 
-    p = add("validate", _cmd_validate, help="check instance invariants")
-    p.add_argument("instance")
+    add("validate", None, help="check instance invariants")
+    add("classify", _cmd_classify, help="report the process class flags")
+    add("welfare", _cmd_welfare, help="maximal welfare and its profile")
 
-    p = add("classify", _cmd_classify, help="report the process class flags")
-    p.add_argument("instance")
-
-    p = add("welfare", _cmd_welfare, help="maximal welfare and its profile")
-    p.add_argument("instance")
-
-    p = add("solve", _cmd_solve, help="optimal contract of one kind")
-    p.add_argument("instance")
-    p.add_argument("--contract", required=True, choices=("standard", "linear", "pay", "terminate"))
-    p.add_argument("--profiles-cap", type=int, default=solvers.DEFAULT_PROFILES_CAP)
-    p.add_argument("--subsets-cap", type=int, default=solvers.DEFAULT_SUBSETS_CAP)
+    solve = add("solve", _cmd_solve, help="optimal contract of one kind")
+    solve.add_argument("--contract", required=True, choices=("standard", "linear", "pay", "terminate"))
 
     p = add("best-response", _cmd_best_response, help="agent behavior under a contract file")
-    p.add_argument("instance")
     p.add_argument("--contract-file", required=True)
 
     p = add("breakpoints", _cmd_breakpoints, help="linear-contract breakpoint analysis")
-    p.add_argument("instance")
     p.add_argument("--csv", help="also write per-candidate plot data to this path")
 
-    p = add("generate", _cmd_generate, help="emit an instance from a named family")
+    p = sub.add_parser("generate", help="emit an instance from a named family")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", help="write to this path instead of stdout")
 
-    p = add("compare", _cmd_compare, help="all four optima side by side")
-    p.add_argument("instance")
-    p.add_argument("--profiles-cap", type=int, default=solvers.DEFAULT_PROFILES_CAP)
-    p.add_argument("--subsets-cap", type=int, default=solvers.DEFAULT_SUBSETS_CAP)
+    compare = add("compare", _cmd_compare, help="all four optima side by side")
+    for p in (solve, compare):
+        p.add_argument("--profiles-cap", type=int, default=solvers.DEFAULT_PROFILES_CAP)
+        p.add_argument("--subsets-cap", type=int, default=solvers.DEFAULT_SUBSETS_CAP)
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo cross-check of a contract file")
-    p.add_argument("instance")
     p.add_argument("--contract-file", required=True)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -452,9 +354,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _CommandFailed as exc:
-        return exc.code
+        if args.command == "generate":
+            return _cmd_generate(args)
+        instance = instance_from_json(_read(args.instance))
+        report = validate(instance)
+        if args.command == "validate":  # the report is the output, valid or not
+            doc = {
+                "ok": report.ok,
+                "violations": [{"location": v.location, "rule": v.rule} for v in report.violations],
+            }
+        elif not report.ok:
+            for violation in report.violations:
+                print(f"invalid instance: {violation}", file=sys.stderr)
+            return EXIT_VALIDATION
+        else:
+            doc = args.func(args, instance)
+            doc["instance_digest"] = instance_digest(instance)
+        doc["command"] = args.command
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return EXIT_OK if report.ok else EXIT_VALIDATION
     except solvers.EnumerationCapExceeded as exc:
         print(f"twostage: {exc}", file=sys.stderr)
         return EXIT_CAP

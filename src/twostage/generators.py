@@ -402,7 +402,11 @@ def _rational_param(params: dict, name: str, default=None) -> Fraction:
 
 def _int_param(params: dict, name: str, default=None) -> int:
     if name in params:
-        return int(params.pop(name))
+        value = params.pop(name)
+        exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
+        if exact.denominator != 1:
+            raise ValueError(f"parameter {name!r} must be an integer, got {value}")
+        return int(exact)
     if default is None:
         raise ValueError(f"missing required parameter {name!r}")
     return default

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -26,6 +27,7 @@ from twostage import (
     random_instance,
     reduce_deterministic,
 )
+from twostage import cli
 from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
 
@@ -94,6 +96,22 @@ def test_generate_bad_params_exit_one(capsys):
     )
     assert code == 1
     assert "0 < q < p < 1" in err
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("cost_ladder", ["n1=2.5", "n2=2"]),
+        ("state_markers", ["s=1.9", "n2=2"]),
+        ("random_tree", ["seed=7/2"]),
+    ],
+)
+def test_generate_non_integer_integer_parameter_exits_one(capsys, family, params):
+    argv = ["generate", "--family", family, *(arg for p in params for arg in ("--param", p))]
+    code, out, err = run_cli(capsys, *argv)
+    name, value = params[0].split("=")
+    assert code == 1 and out == ""
+    assert f"parameter {name!r} must be an integer, got {F(value)}" in err
 
 
 def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
@@ -318,6 +336,14 @@ def test_breakpoints_command_with_csv(tmp_path, capsys):
     by_alpha = {r[0]: r for r in rows}
     assert by_alpha["4/9"][2] == "91/36"
     assert by_alpha["4/9"][4] == "0|1;1"
+
+
+def test_breakpoints_csv_write_failure_prints_nothing(tmp_path, capsys, instance_file):
+    code, out, err = run_cli(
+        capsys, "breakpoints", instance_file, "--csv", str(tmp_path / "missing" / "plot.csv")
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("twostage: [Errno 2] No such file or directory") and err.count("\n") == 1
 
 
 def csv_by_best_response(instance):
@@ -588,3 +614,31 @@ def test_every_command_matches_its_golden_output():
     assert "duration_seconds" not in outputs["compare.out"] + outputs["solve_standard.out"]
     for name, text in outputs.items():
         assert text == (GOLDEN / name).read_text(), name
+
+
+def test_benchmark_trace_hooks_see_every_required_layer(tmp_path):
+    # bench/run.py --trace 1 wraps names looked up on twostage modules at call
+    # time; a refactor that moves one lookup leaves its layer without spans.
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    instance = tmp_path / "midterm.json"
+    instance.write_text(instance_to_json(midterm_instance()))
+    contract = str(GOLDEN / "contract.json")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["compare", str(instance)],
+            ["best-response", str(instance), "--contract-file", contract],
+            ["welfare", str(instance)],
+            ["breakpoints", str(instance)],
+            ["simulate", str(instance), "--contract-file", contract, "--episodes", "50", "--seed", "1"],
+        ):
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for span in tracer.spans}
+    for workload, layers in spans.REQUIRED.items():
+        assert set(layers) <= recorded, (workload, set(layers) - recorded)

@@ -44,6 +44,27 @@ def test_unknown_family_and_extra_params_rejected():
         generate(FamilyParams("cost_ladder", {"n1": 2}))  # n2 missing
 
 
+@pytest.mark.parametrize(
+    "family, params, bad",
+    [
+        ("cost_ladder", {"n1": F(5, 2), "n2": 2}, "'n1'"),
+        ("state_markers", {"s": "1.9", "n2": 2}, "'s'"),
+        ("random_tree", {"seed": "7/2"}, "'seed'"),
+        ("random_general", {"seed": 1, "m": 2.5}, "'m'"),
+    ],
+)
+def test_non_integer_integer_parameters_are_rejected(family, params, bad):
+    with pytest.raises(ValueError, match=f"parameter {bad} must be an integer, got "):
+        generate(FamilyParams(family, params))
+
+
+def test_integral_values_of_integer_parameters_are_accepted():
+    expected = generate(FamilyParams("cost_ladder", {"n1": 2, "n2": 10}))
+    for n1, n2 in ((F(2), 1e1), ("2.0", "1e1"), ("4/2", 10)):
+        assert generate(FamilyParams("cost_ladder", {"n1": n1, "n2": n2})) == expected
+    assert generate(FamilyParams("random_tree", {"seed": "3.0"})) == generate(FamilyParams("random_tree", {"seed": 3}))
+
+
 def test_midterm_matches_its_story(midterm):
     assert midterm == midterm_instance()
     assert midterm.rewards == (F(0), F(5))
