@@ -5,7 +5,9 @@ action per intermediate state first, then the initial action given the state
 values, any state transfers, and the risk of termination.  Ties are broken in
 the principal's favor (the principal can steer an indifferent agent via
 recommendations), and remaining ties go to the lowest action index so results
-are deterministic.
+are deterministic.  ``backward_induction`` is that induction once, over
+what each action pays the agent; ``best_response`` feeds it a contract, and
+``welfare.max_welfare`` feeds it full-reward transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
 sample statistics over exactly-sampled episodes.
@@ -27,6 +29,7 @@ from .model import (
     PayHalfwayContract,
     StandardContract,
     TerminateHalfwayContract,
+    expectation,
 )
 
 _ZERO = Fraction(0)
@@ -92,40 +95,39 @@ def _contract_pieces(
     return transfers, state_transfers, terminated
 
 
-def _expected_transfer_and_reward(act, transfers, rewards) -> tuple[Fraction, Fraction]:
-    """Expected outcome transfer and expected reward of one final action."""
-    transfer = reward = _ZERO
-    for q, t, r in zip(act.outcome_dist, transfers, rewards):
-        if q:
-            transfer += q * t
-            reward += q * r
-    return transfer, reward
-
-
 def best_response(instance: Instance, contract: Contract) -> BestResponse:
-    """Agent-optimal profile under the contract, ties favoring the principal.
-
-    Per state the agent maximizes expected transfer minus cost; within that
-    argmax the principal's conditional profit decides, then the lowest index.
-    The initial action maximizes expected continuation value (including state
-    transfers, excluding terminated states) minus its cost, with the same
-    two-level tie-breaking.  Greedy per-state selection is globally correct
-    because tying final actions have equal utility by definition, so the
-    initial argmax set does not depend on which tying final is picked.
-    """
+    """Agent-optimal profile under the contract, ties favoring the principal."""
     transfers, state_transfers, terminated = _contract_pieces(instance, contract)
-    num_states = instance.num_states
+    final_transfers = [
+        None if s in terminated else [expectation(act.outcome_dist, transfers) for act in state.final_actions]
+        for s, state in enumerate(instance.states)
+    ]
+    return backward_induction(instance, final_transfers, state_transfers)
 
+
+def backward_induction(instance: Instance, final_transfers, state_transfers) -> BestResponse:
+    """Agent-optimal profile given each final's expected transfer and the state transfers.
+
+    ``final_transfers[s]`` is None at a terminated state, which is worth zero
+    to both parties and so must have a zero state transfer.  Per state the
+    agent maximizes expected transfer minus cost; within that argmax the
+    principal's conditional profit decides, then the lowest index.  The
+    initial action maximizes expected continuation value (plus state
+    transfers) minus its cost, with the same two-level tie-breaking.  Greedy
+    per-state selection is globally correct because tying final actions have
+    equal utility by definition, so the initial argmax set does not depend on
+    which tying final is picked.
+    """
+    num_states = instance.num_states
     finals: dict[int, int] = {}
     state_utility = [_ZERO] * num_states
     state_profit = [_ZERO] * num_states  # principal's conditional profit at s
     state_payment = [_ZERO] * num_states  # expected transfer of the chosen final at s
-    for s, state in enumerate(instance.states):
-        if s in terminated:
+    for s, (state, row, rewards) in enumerate(zip(instance.states, final_transfers, instance.final_rewards)):
+        if row is None:
             continue
         best = None
-        for j, act in enumerate(state.final_actions):
-            transfer, reward = _expected_transfer_and_reward(act, transfers, instance.rewards)
+        for j, (act, transfer, reward) in enumerate(zip(state.final_actions, row, rewards)):
             candidate = (transfer - act.cost, reward - transfer)
             if best is None or candidate > best:
                 best = candidate
@@ -133,7 +135,6 @@ def best_response(instance: Instance, contract: Contract) -> BestResponse:
                 state_payment[s] = transfer
         state_utility[s], state_profit[s] = best
 
-    # A terminated state has zero utility, profit, payment and state transfer.
     best_i = None
     for i, act in enumerate(instance.initial_actions):
         utility = -act.cost
@@ -172,6 +173,11 @@ def evaluate_profile(
         raise ValueError(f"profile assigns finals to terminated states {sorted(assigned - surviving)}")
     if surviving - assigned:
         raise ValueError(f"profile is missing finals for states {sorted(surviving - assigned)}")
+    if not 0 <= profile.initial < instance.num_initial_actions:
+        raise ValueError(f"initial action index {profile.initial} is out of range")
+    for s, j in profile.finals.items():
+        if not 0 <= j < len(instance.states[s].final_actions):
+            raise ValueError(f"final action index {j} at state {s} is out of range")
 
     init = instance.initial_actions[profile.initial]
     payment = reward = _ZERO
@@ -179,10 +185,10 @@ def evaluate_profile(
     for s in sorted(surviving):
         p = init.transition[s]
         if p:
-            act = instance.states[s].final_actions[profile.finals[s]]
-            transfer, expected_reward = _expected_transfer_and_reward(act, transfers, instance.rewards)
-            payment += p * (transfer + state_transfers[s])
-            reward += p * expected_reward
+            j = profile.finals[s]
+            act = instance.states[s].final_actions[j]
+            payment += p * (expectation(act.outcome_dist, transfers) + state_transfers[s])
+            reward += p * instance.final_rewards[s][j]
             cost += p * act.cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
 

@@ -154,7 +154,9 @@ def _linear_result(instance: Instance) -> tuple[LinearOptimum, dict]:
 # them.  The optimum carries the exact ``profit``; the standard one also
 # carries the ``welfare`` that ``compare`` reports.  The optimizers are looked
 # up on the module at call time, so that wrappers installed there see every call.
+# Linear goes first: it rejects a negative reward before any search runs.
 _KINDS = {
+    "linear": lambda instance, args: _linear_result(instance),
     "standard": lambda instance, args: _solver_result(
         solvers.optimal_standard(instance, profiles_cap=args.profiles_cap)
     ),
@@ -166,7 +168,6 @@ _KINDS = {
             instance, profiles_cap=args.profiles_cap, subsets_cap=args.subsets_cap
         )
     ),
-    "linear": lambda instance, args: _linear_result(instance),
 }
 
 

@@ -47,7 +47,6 @@ from .model import (
     State,
     TerminateHalfwayContract,
     classify,
-    expected_state_reward,
 )
 from .welfare import max_welfare
 
@@ -200,10 +199,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         space *= len(finals) + may_block
     _check_profile_cap(space, profiles_cap)
 
-    reward = [
-        [expected_state_reward(instance, s, j) for j in range(len(state.final_actions))]
-        for s, state in enumerate(states)
-    ]
+    reward = instance.final_rewards
     # Non-negative transfers leave the agent no worse off than minus the cost
     # of the cheapest profile.  Counting negative final costs (unvalidated
     # input only) as zero makes one value cover every set of surviving states.

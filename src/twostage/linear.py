@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .agent import best_response
 from .lp import SolverInvariantError
-from .model import ActionProfile, Instance, LinearContract, expected_state_reward
+from .model import ActionProfile, Instance, LinearContract
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,11 +109,8 @@ def _upper_envelope(lines, lo=_ZERO, hi=_ONE):
 
 
 def _state_lines(instance: Instance, s: int):
-    state = instance.states[s]
-    return [
-        (expected_state_reward(instance, s, j), -state.final_actions[j].cost, j)
-        for j in range(len(state.final_actions))
-    ]
+    actions = instance.states[s].final_actions
+    return [(reward, -act.cost, j) for j, (reward, act) in enumerate(zip(instance.final_rewards[s], actions))]
 
 
 def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:

@@ -8,14 +8,16 @@ are exact rationals; nothing in this package ever rounds.
 
 Everything here is immutable after construction and safe to share across
 threads.  Instances are plain containers: ``validate`` reports invariant
-violations as data instead of refusing to construct.
+violations as data instead of refusing to construct.  An instance caches one
+derived table, ``final_rewards``, outside equality, hashing, repr and JSON.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -167,6 +169,14 @@ class Instance:
     @property
     def max_final_actions(self) -> int:
         return max((len(s.final_actions) for s in self.states), default=0)
+
+    @functools.cached_property
+    def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``final_rewards[s][j]``: expected reward of final j at state s, built on first use."""
+        return tuple(
+            tuple(expectation(act.outcome_dist, self.rewards) for act in state.final_actions)
+            for state in self.states
+        )
 
 
 @dataclass(frozen=True)
@@ -368,12 +378,18 @@ def classify(instance: Instance) -> ProcessClass:
     return ProcessClass(is_tree, is_stochastic, is_deterministic)
 
 
+def expectation(probabilities: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
+    """Sum of p * v over the entries; zero probabilities are skipped, not multiplied."""
+    total = Fraction(0)
+    for p, v in zip(probabilities, values):
+        if p:
+            total += p * v
+    return total
+
+
 def expected_state_reward(instance: Instance, state: int, final: int) -> Fraction:
     """Expected reward of taking the given final action at the given state."""
-    act = instance.states[state].final_actions[final]
-    return sum(
-        (p * r for p, r in zip(act.outcome_dist, instance.rewards)), Fraction(0)
-    )
+    return instance.final_rewards[state][final]
 
 
 # --- serialization ------------------------------------------------------------

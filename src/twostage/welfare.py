@@ -1,11 +1,17 @@
-"""Expected reward, expected cost and maximal welfare of action profiles."""
+"""Expected reward, expected cost and maximal welfare of action profiles.
+
+Maximal welfare needs no search of its own: it is the agent's backward
+induction (``agent.backward_induction``) when every final action pays the
+agent its own expected reward and nothing is paid on reaching a state.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ActionProfile, Instance, expected_state_reward
+from .agent import backward_induction
+from .model import ActionProfile, Instance
 
 
 @dataclass(frozen=True)
@@ -27,10 +33,10 @@ def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
     initial = instance.initial_actions[profile.initial]
     total = Fraction(0)
-    for s in range(instance.num_states):
+    for s, rewards in enumerate(instance.final_rewards):
         p = initial.transition[s]
         if p:
-            total += p * expected_state_reward(instance, s, profile.finals[s])
+            total += p * rewards[profile.finals[s]]
     return total
 
 
@@ -46,32 +52,15 @@ def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
 
 
 def max_welfare(instance: Instance) -> WelfareReport:
-    """Maximal welfare over all total profiles, by per-state decomposition.
+    """Maximal welfare over all total profiles, by backward induction.
 
-    For each state take the final action with the best surplus, then pick the
-    initial action maximizing expected surplus minus its own cost.  Ties break
-    to the lowest action index, so the argmax profile is deterministic.  The
-    value equals the exhaustive maximum over all profiles (checked against a
-    brute-force oracle in the test suite).
+    Paid its own expected reward, the agent's utility from any profile is its
+    welfare and the principal's profit is zero, so the induction's tie rule
+    leaves ties to the lowest action index and the argmax profile is
+    deterministic.  The value equals the exhaustive maximum over all
+    profiles (checked against a brute-force oracle in the test suite).
     """
-    per_state: list[StateBest] = []
-    for s, state in enumerate(instance.states):
-        best_j = 0
-        best_value = None
-        for j in range(len(state.final_actions)):
-            value = expected_state_reward(instance, s, j) - state.final_actions[j].cost
-            if best_value is None or value > best_value:
-                best_j, best_value = j, value
-        per_state.append(StateBest(best_j, best_value))
-
-    best_i = 0
-    best_welfare = None
-    for i, act in enumerate(instance.initial_actions):
-        welfare = sum(
-            (p * sb.value for p, sb in zip(act.transition, per_state)), Fraction(0)
-        ) - act.cost
-        if best_welfare is None or welfare > best_welfare:
-            best_i, best_welfare = i, welfare
-
-    profile = ActionProfile(best_i, {s: sb.final for s, sb in enumerate(per_state)})
-    return WelfareReport(best_welfare, profile, tuple(per_state))
+    response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
+    finals = response.profile.finals
+    per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
+    return WelfareReport(response.agent_utility, response.profile, per_state)

@@ -9,6 +9,9 @@ are checked against ``lattice_min_payment_standard`` and against
 ``incentive_program`` solved by ``scipy_lp_min``.  ``fraction_simplex`` is
 the former ``Fraction``-tableau simplex, the reference for the integer
 simplex in ``twostage.lp``: both take the same Bland pivots.
+``reference_max_welfare`` is the former per-state decomposition of
+``max_welfare``, the reference for its argmax and tie-break now that it runs
+the agent's backward induction.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from twostage.model import (
     State,
     TerminateHalfwayContract,
 )
+from twostage.welfare import StateBest, WelfareReport
 
 ZERO = Fraction(0)
 
@@ -116,6 +120,34 @@ def brute_force_max_welfare(instance) -> Fraction:
         if best is None or value > best:
             best = value
     return best
+
+
+def reference_max_welfare(instance) -> WelfareReport:
+    """Maximal welfare by per-state decomposition, ties to the lowest index.
+
+    Each state takes the final with the best expected reward minus cost, then
+    the initial action maximizing expected state value minus its own cost.
+    Expected rewards are summed over outcomes here, not read from
+    ``Instance.final_rewards``.
+    """
+    per_state = []
+    for state in instance.states:
+        best_j, best_value = 0, None
+        for j, act in enumerate(state.final_actions):
+            expected_r = sum((q * r for q, r in zip(act.outcome_dist, instance.rewards)), ZERO)
+            value = expected_r - act.cost
+            if best_value is None or value > best_value:
+                best_j, best_value = j, value
+        per_state.append(StateBest(best_j, best_value))
+
+    best_i, best_welfare = 0, None
+    for i, act in enumerate(instance.initial_actions):
+        welfare = sum((p * sb.value for p, sb in zip(act.transition, per_state)), ZERO) - act.cost
+        if best_welfare is None or welfare > best_welfare:
+            best_i, best_welfare = i, welfare
+
+    profile = ActionProfile(best_i, {s: sb.final for s, sb in enumerate(per_state)})
+    return WelfareReport(best_welfare, profile, tuple(per_state))
 
 
 def exhaustive_optimum(instance, kind):

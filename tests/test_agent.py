@@ -75,6 +75,21 @@ def test_evaluate_profile_validates_state_coverage(interim_review):
         evaluate_profile(interim_review, terminate, ActionProfile(0, {}))
 
 
+@pytest.mark.parametrize(
+    "profile, named",
+    [
+        (ActionProfile(-1, {0: -1, 1: 0}), "initial action index -1"),
+        (ActionProfile(2, {0: 0, 1: 0}), "initial action index 2"),
+        (ActionProfile(0, {0: -1, 1: 0}), "final action index -1 at state 0"),
+        (ActionProfile(1, {0: 0, 1: 2}), "final action index 2 at state 1"),
+    ],
+)
+def test_evaluate_profile_rejects_out_of_range_indices(midterm, profile, named):
+    for contract in (StandardContract((F(0), F(1))), LinearContract(F(1, 2))):
+        with pytest.raises(ValueError, match=named):
+            evaluate_profile(midterm, contract, profile)
+
+
 def test_dimension_mismatch_raises(midterm):
     with pytest.raises(ValueError):
         best_response(midterm, StandardContract((F(0), F(1), F(2))))

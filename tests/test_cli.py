@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -420,6 +421,25 @@ def test_module_entry_point():
     assert result.returncode == 0
     assert json.loads(result.stdout)["rewards"] == ["0", "5"]
 
+
+
+def test_compare_rejects_a_negative_reward_before_any_search(tmp_path, capsys, monkeypatch):
+    from twostage import contracts
+
+    called = []
+    for name in ("optimal_standard", "optimal_pay", "optimal_terminate"):
+        real = getattr(contracts, name)
+        monkeypatch.setattr(
+            contracts, name, lambda *args, _name=name, _real=real, **kw: called.append(_name) or _real(*args, **kw)
+        )
+    path = tmp_path / "negative.json"
+    path.write_text(instance_to_json(dataclasses.replace(midterm_instance(), rewards=(F(-1), F(5)))))
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert (code, out, called) == (1, "", [])
+    assert "non-negative" in err
+    # Exceeding a cap as well no longer gets to exit 2: the reward check comes first.
+    code, out, _ = run_cli(capsys, "compare", str(path), "--profiles-cap", "1")
+    assert (code, out, called) == (1, "", [])
 
 
 def test_solver_results_report_programs_solved(capsys, instance_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from fractions import Fraction as F
@@ -164,6 +165,38 @@ def test_expected_state_reward_zero_reward_mass():
         states=(State("s", (FinalAction("null", F(0), (F(1), F(0))),)),),
     )
     assert expected_state_reward(inst, 0, 0) == 0
+
+
+def test_final_rewards_match_outcome_sums():
+    kinds = ("general", "tree", "deterministic_first_stage", "stochastic_first_stage")
+    for seed in range(40):
+        inst = random_instance(kinds[seed % 4], seed=seed, max_states=4, max_final_actions=4)
+        assert len(inst.final_rewards) == inst.num_states
+        for s, state in enumerate(inst.states):
+            assert len(inst.final_rewards[s]) == len(state.final_actions)
+            for j, act in enumerate(state.final_actions):
+                total = F(0)
+                for m in range(inst.num_outcomes):
+                    total += act.outcome_dist[m] * inst.rewards[m]
+                assert inst.final_rewards[s][j] == total
+
+
+def test_final_rewards_leave_equality_hash_repr_and_json_alone():
+    for seed in range(8):
+        inst = random_instance("general", seed=seed)
+        twin = instance_from_json(instance_to_json(inst))
+        before = (hash(inst), repr(inst), instance_to_json(inst))
+        assert inst.final_rewards is inst.final_rewards  # built once
+        assert (hash(inst), repr(inst), instance_to_json(inst)) == before
+        assert inst == twin and twin == inst and hash(twin) == hash(inst)
+        assert "final_rewards" not in repr(inst)
+
+
+def test_replaced_instance_builds_its_own_final_rewards(midterm):
+    assert midterm.final_rewards == ((F(4), F(1, 2)), (F(5), F(5)))
+    doubled = dataclasses.replace(midterm, rewards=(F(0), F(10)))
+    assert doubled.final_rewards == ((F(8), F(1)), (F(10), F(10)))
+    assert midterm.final_rewards == ((F(4), F(1, 2)), (F(5), F(5)))
 
 
 def test_instance_round_trip_examples(midterm, interim_review):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from twostage import (
 )
 from twostage.generators import cost_ladder_instance
 
-from oracles import brute_force_max_welfare
+from oracles import brute_force_max_welfare, reference_max_welfare, tie_heavy_variants
 
 
 def test_profile_reward_worked_example(midterm):
@@ -101,3 +102,20 @@ def test_profile_reward_index_errors(midterm):
         profile_reward(midterm, ActionProfile(5, {0: 0, 1: 0}))
     with pytest.raises(KeyError):
         profile_reward(midterm, ActionProfile(0, {0: 0}))  # missing a state
+
+
+def test_max_welfare_matches_the_reference_report_ties_included():
+    # The whole report is compared: value, argmax profile, and each state's
+    # best final and value, so a changed tie-break fails here.  Odd-indexed
+    # outcomes lose 7 in the negative-reward copies.
+    kinds = ("general", "tree", "deterministic_first_stage", "stochastic_first_stage")
+    checked = 0
+    for kind in kinds:
+        for seed in range(60):
+            inst = random_instance(kind, seed=seed, max_states=4, max_final_actions=4)
+            for variant in [inst, *tie_heavy_variants(inst)]:
+                negative = tuple(r - 7 * (m % 2) for m, r in enumerate(variant.rewards))
+                for case in (variant, dataclasses.replace(variant, rewards=negative)):
+                    assert max_welfare(case) == reference_max_welfare(case), (kind, seed, case)
+                    checked += 1
+    assert checked == 4 * 60 * 5 * 2
