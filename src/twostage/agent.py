@@ -20,6 +20,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .model import (
     ActionProfile,
@@ -30,6 +31,7 @@ from .model import (
     StandardContract,
     TerminateHalfwayContract,
     expectation,
+    scale,
 )
 
 _ZERO = Fraction(0)
@@ -95,11 +97,25 @@ def _contract_pieces(
     return transfers, state_transfers, terminated
 
 
+def _transfer_of(instance: Instance, contract: Contract, transfers: tuple[Fraction, ...]):
+    """``(s, j) ->`` the expected outcome transfer of final j at state s.
+
+    A linear contract pays alpha times the final's expected reward, read from
+    the instance's table; any other contract's transfers are scaled once.
+    """
+    if isinstance(contract, LinearContract):
+        alpha, rewards = contract.alpha, instance.final_rewards
+        return lambda s, j: alpha * rewards[s][j]
+    scaled, states = scale(transfers), instance.states
+    return lambda s, j: expectation(states[s].final_actions[j].outcome_dist, scaled)
+
+
 def best_response(instance: Instance, contract: Contract) -> BestResponse:
     """Agent-optimal profile under the contract, ties favoring the principal."""
     transfers, state_transfers, terminated = _contract_pieces(instance, contract)
+    transfer = _transfer_of(instance, contract, transfers)
     final_transfers = [
-        None if s in terminated else [expectation(act.outcome_dist, transfers) for act in state.final_actions]
+        None if s in terminated else [transfer(s, j) for j in range(len(state.final_actions))]
         for s, state in enumerate(instance.states)
     ]
     return backward_induction(instance, final_transfers, state_transfers)
@@ -179,6 +195,7 @@ def evaluate_profile(
         if not 0 <= j < len(instance.states[s].final_actions):
             raise ValueError(f"final action index {j} at state {s} is out of range")
 
+    transfer = _transfer_of(instance, contract, transfers)
     init = instance.initial_actions[profile.initial]
     payment = reward = _ZERO
     cost = init.cost
@@ -187,7 +204,7 @@ def evaluate_profile(
         if p:
             j = profile.finals[s]
             act = instance.states[s].final_actions[j]
-            payment += p * (expectation(act.outcome_dist, transfers) + state_transfers[s])
+            payment += p * (transfer(s, j) + state_transfers[s])
             reward += p * instance.final_rewards[s][j]
             cost += p * act.cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
@@ -224,35 +241,34 @@ def simulate(
     init = instance.initial_actions[response.profile.initial]
 
     state_thresholds = _cdf_thresholds(init.transition)
-    outcome_thresholds: list[list[int] | None] = []
-    profit_of: list[list[float] | None] = []
-    payment_of: list[list[float] | None] = []
-    for s in range(instance.num_states):
+    # Per state, None if terminated: the outcome thresholds of the chosen final
+    # and each outcome's (profit, profit squared, payment).
+    tables: list[tuple[list[int], list[tuple[float, float, float]]] | None] = []
+    for s, state_transfer in enumerate(state_transfers):
         if s in terminated:
-            outcome_thresholds.append(None)
-            profit_of.append(None)
-            payment_of.append(None)
+            tables.append(None)
             continue
         act = instance.states[s].final_actions[response.profile.finals[s]]
-        outcome_thresholds.append(_cdf_thresholds(act.outcome_dist))
-        profit_of.append(
-            [float(r - t - state_transfers[s]) for r, t in zip(instance.rewards, transfers)]
-        )
-        payment_of.append([float(t + state_transfers[s]) for t in transfers])
+        outcomes = []
+        for r, t in zip(instance.rewards, transfers):
+            profit = float(r - t - state_transfer)
+            outcomes.append((profit, profit * profit, float(t + state_transfer)))
+        tables.append((_cdf_thresholds(act.outcome_dist), outcomes))
 
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
+    bisect = bisect_right
     profit_sum = 0.0
     profit_sumsq = 0.0
     payment_sum = 0.0
-    for _ in range(episodes):
-        state = bisect_right(state_thresholds, rng.getrandbits(64))
-        if state in terminated:
-            continue  # zero profit, zero payment
-        outcome = bisect_right(outcome_thresholds[state], rng.getrandbits(64))
-        profit = profit_of[state][outcome]
+    for _ in repeat(None, episodes):
+        table = tables[bisect(state_thresholds, draw(64))]
+        if table is None:
+            continue  # a terminated state: zero profit, zero payment
+        thresholds, outcomes = table
+        profit, square, payment = outcomes[bisect(thresholds, draw(64))]
         profit_sum += profit
-        profit_sumsq += profit * profit
-        payment_sum += payment_of[state][outcome]
+        profit_sumsq += square
+        payment_sum += payment
 
     n = episodes
     mean = profit_sum / n

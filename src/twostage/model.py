@@ -10,6 +10,14 @@ Everything here is immutable after construction and safe to share across
 threads.  Instances are plain containers: ``validate`` reports invariant
 violations as data instead of refusing to construct.  An instance caches one
 derived table, ``final_rewards``, outside equality, hashing, repr and JSON.
+
+The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
+``parse_rational`` reads a plain ``[-]digits[/digits]`` string with ``int``
+and accepts or rejects every other spelling exactly as ``Fraction`` does.
+``validate`` and ``classify`` test numerators and denominators, and a row
+sums to 1 when its numerators, brought to the row's least common
+denominator, sum to that denominator.  An expected value is one integer dot
+product over common denominators, reduced to a ``Fraction`` once at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -78,6 +87,22 @@ def parse_rational(value: object) -> Fraction:
     already puts on a plain digit string: ``"1e1000000"`` would otherwise
     become a 3.3-million-bit integer.
     """
+    if isinstance(value, str):
+        reason = _oversize(value)
+        if reason is not None:
+            raise InstanceFormatError(f"number too large: {reason}")
+        if value.isascii():  # ASCII [-]digits[/digits] with a non-zero denominator
+            numerator, slash, denominator = value.partition("/")
+            digits = numerator[1:] if numerator[:1] == "-" else numerator
+            if digits.isdigit():
+                if not slash:
+                    return Fraction(int(numerator))
+                if denominator.isdigit() and denominator.strip("0"):
+                    return Fraction(int(numerator), int(denominator))
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceFormatError(f"not a rational number: {_shown(value)}") from exc
     if isinstance(value, bool):
         raise InstanceFormatError(f"not a rational number: {_shown(value)}")
     if isinstance(value, int):
@@ -86,20 +111,17 @@ def parse_rational(value: object) -> Fraction:
         raise InstanceFormatError(
             f"floating-point literal {value!r} is not exact; write it as a string"
         )
-    if isinstance(value, str):
-        reason = _oversize(value)
-        if reason is not None:
-            raise InstanceFormatError(f"number too large: {reason}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"not a rational number: {_shown(value)}") from exc
     raise InstanceFormatError(f"not a rational number: {_shown(value)}")
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form, ``"p/q"`` or ``"p"``; round-trips exactly."""
     return str(value)
+
+
+def _rational(value: object) -> Fraction:
+    """``value`` itself if its type is ``Fraction``, else ``Fraction(value)``."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _rational_tuple(values: Iterable[object]) -> tuple[Fraction, ...]:
@@ -113,7 +135,7 @@ class InitialAction:
     transition: tuple[Fraction, ...]  # probability of each state, length S
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", _rational(self.cost))
         object.__setattr__(self, "transition", _rational_tuple(self.transition))
 
 
@@ -124,7 +146,7 @@ class FinalAction:
     outcome_dist: tuple[Fraction, ...]  # probability of each outcome, length M
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", _rational(self.cost))
         object.__setattr__(self, "outcome_dist", _rational_tuple(self.outcome_dist))
 
 
@@ -173,8 +195,9 @@ class Instance:
     @functools.cached_property
     def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
         """``final_rewards[s][j]``: expected reward of final j at state s, built on first use."""
+        rewards = scale(self.rewards)
         return tuple(
-            tuple(expectation(act.outcome_dist, self.rewards) for act in state.final_actions)
+            tuple(expectation(act.outcome_dist, rewards) for act in state.final_actions)
             for state in self.states
         )
 
@@ -221,7 +244,7 @@ class LinearContract:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _rational(self.alpha))
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -282,9 +305,11 @@ class ValidationReport:
 
 
 def _check_distribution(row: Sequence[Fraction], location: str, out: list[Violation]) -> None:
-    if any(p < 0 or p > 1 for p in row):
+    pairs = [p.as_integer_ratio() for p in row]
+    if any(n < 0 or n > d for n, d in pairs):
         out.append(Violation(location, "distribution entries must lie in [0, 1]"))
-    if sum(row, Fraction(0)) != 1:
+    common = lcm(*[d for _, d in pairs])
+    if sum([n * (common // d) for n, d in pairs]) != common:
         out.append(Violation(location, "distribution does not sum to 1"))
 
 
@@ -303,13 +328,13 @@ def validate(instance: Instance) -> ValidationReport:
 
     for i, act in enumerate(instance.initial_actions):
         loc = f"initial_actions[{i}]"
-        if act.cost < 0:
+        if act.cost.numerator < 0:
             v.append(Violation(loc + ".cost", "cost must be non-negative"))
         if len(act.transition) != s:
             v.append(Violation(loc + ".transition", f"expected {s} entries, got {len(act.transition)}"))
         else:
             _check_distribution(act.transition, loc + ".transition", v)
-    if instance.initial_actions and not any(a.cost == 0 for a in instance.initial_actions):
+    if instance.initial_actions and all(a.cost.numerator for a in instance.initial_actions):
         v.append(Violation("initial_actions", "missing null initial action (zero cost)"))
 
     for si, state in enumerate(instance.states):
@@ -319,13 +344,13 @@ def validate(instance: Instance) -> ValidationReport:
             continue
         for j, act in enumerate(state.final_actions):
             aloc = f"{loc}.final_actions[{j}]"
-            if act.cost < 0:
+            if act.cost.numerator < 0:
                 v.append(Violation(aloc + ".cost", "cost must be non-negative"))
             if len(act.outcome_dist) != m:
                 v.append(Violation(aloc + ".outcome_dist", f"expected {m} entries, got {len(act.outcome_dist)}"))
             else:
                 _check_distribution(act.outcome_dist, aloc + ".outcome_dist", v)
-        if not any(a.cost == 0 for a in state.final_actions):
+        if all(a.cost.numerator for a in state.final_actions):
             v.append(Violation(loc, "missing null final action (zero cost)"))
 
     return ValidationReport(tuple(v))
@@ -365,26 +390,43 @@ def classify(instance: Instance) -> ProcessClass:
     for si, state in enumerate(instance.states):
         for act in state.final_actions:
             for mi, p in enumerate(act.outcome_dist):
-                if p > 0:
+                if p.numerator > 0:
                     reachable_from[mi].add(si)
     is_tree = all(len(src) <= 1 for src in reachable_from)
 
     is_stochastic = instance.num_initial_actions == 1
 
     def unit_row(row: tuple[Fraction, ...]) -> bool:
-        return sum(1 for p in row if p == 1) == 1 and all(p in (0, 1) for p in row)
+        pairs = [p.as_integer_ratio() for p in row]
+        return pairs.count((1, 1)) == 1 and pairs.count((0, 1)) == len(pairs) - 1
 
     is_deterministic = all(unit_row(a.transition) for a in instance.initial_actions)
     return ProcessClass(is_tree, is_stochastic, is_deterministic)
 
 
-def expectation(probabilities: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
-    """Sum of p * v over the entries; zero probabilities are skipped, not multiplied."""
-    total = Fraction(0)
-    for p, v in zip(probabilities, values):
-        if p:
-            total += p * v
-    return total
+def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(numerators, denominator)`` with ``values[k] == numerators[k] / denominator``.
+
+    The denominator is the least common one.  ``expectation`` takes its
+    values in this form, so a caller that takes many expectations of one
+    value vector scales it once.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    denominator = lcm(*[d for _, d in pairs])
+    return [n * (denominator // d) for n, d in pairs], denominator
+
+
+def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]) -> Fraction:
+    """Sum of p * v, the values given by ``scale``: one integer dot product, reduced once."""
+    values, denominator = scaled
+    pairs = [p.as_integer_ratio() for p in probabilities]
+    common = lcm(*[d for _, d in pairs])
+    total = 0
+    for (n, d), v in zip(pairs, values):
+        if n:
+            total += n * (common // d) * v
+    return Fraction(total, common * denominator)
+
 
 
 def expected_state_reward(instance: Instance, state: int, final: int) -> Fraction:

@@ -51,6 +51,13 @@ def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     return total
 
 
+# The instance attribute that holds its report: the per-object slot in which
+# ``functools.cached_property`` keeps ``final_rewards``, so the report stays
+# out of equality, hashing, repr and JSON, and ``dataclasses.replace`` starts
+# without one.
+_REPORT = "_max_welfare"
+
+
 def max_welfare(instance: Instance) -> WelfareReport:
     """Maximal welfare over all total profiles, by backward induction.
 
@@ -59,8 +66,12 @@ def max_welfare(instance: Instance) -> WelfareReport:
     leaves ties to the lowest action index and the argmax profile is
     deterministic.  The value equals the exhaustive maximum over all
     profiles (checked against a brute-force oracle in the test suite).
+    The report is built on the first call for an instance and kept on it.
     """
-    response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
-    finals = response.profile.finals
-    per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
-    return WelfareReport(response.agent_utility, response.profile, per_state)
+    report = vars(instance).get(_REPORT)
+    if report is None:
+        response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
+        finals = response.profile.finals
+        per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
+        report = vars(instance)[_REPORT] = WelfareReport(response.agent_utility, response.profile, per_state)
+    return report

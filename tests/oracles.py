@@ -11,14 +11,25 @@ the former ``Fraction``-tableau simplex, the reference for the integer
 simplex in ``twostage.lp``: both take the same Bland pivots.
 ``reference_max_welfare`` is the former per-state decomposition of
 ``max_welfare``, the reference for its argmax and tie-break now that it runs
-the agent's backward induction.
+the agent's backward induction.  ``reference_expectation``,
+``reference_validate`` and ``reference_classify`` are the former
+``Fraction`` forms of those functions, the references for the integer
+kernels in ``twostage.model``.
+``reference_simulate`` is the former sampling loop of ``simulate``: the
+faster loop must draw the same numbers and add the same floats in the same
+order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 from fractions import Fraction as F
+
+from twostage.agent import SimulationResult, _cdf_thresholds, best_response
 
 from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
 from twostage.lp import (
@@ -42,7 +53,10 @@ from twostage.model import (
     PayHalfwayContract,
     StandardContract,
     State,
+    ProcessClass,
     TerminateHalfwayContract,
+    ValidationReport,
+    Violation,
 )
 from twostage.welfare import StateBest, WelfareReport
 
@@ -491,3 +505,116 @@ def tie_heavy_variants(inst):
             inst.states + (State("copy", first.final_actions + first.final_actions[:1]),),
         ),
     ]
+
+
+def reference_expectation(probabilities, values) -> Fraction:
+    """Sum of p * v over the entries, one ``Fraction`` addition at a time."""
+    total = Fraction(0)
+    for p, v in zip(probabilities, values):
+        if p:
+            total += p * v
+    return total
+
+
+def _reference_distribution(row, location, out) -> None:
+    if any(p < 0 or p > 1 for p in row):
+        out.append(Violation(location, "distribution entries must lie in [0, 1]"))
+    if sum(row, Fraction(0)) != 1:
+        out.append(Violation(location, "distribution does not sum to 1"))
+
+
+def reference_validate(instance: Instance) -> ValidationReport:
+    """Every model invariant, checked with ``Fraction`` comparisons and sums."""
+    v = []
+    m = instance.num_outcomes
+    s = instance.num_states
+    if m < 1:
+        v.append(Violation("rewards", "at least one outcome is required"))
+    if s < 1:
+        v.append(Violation("states", "at least one intermediate state is required"))
+    if instance.num_initial_actions < 1:
+        v.append(Violation("initial_actions", "at least one initial action is required"))
+    for i, act in enumerate(instance.initial_actions):
+        loc = f"initial_actions[{i}]"
+        if act.cost < 0:
+            v.append(Violation(loc + ".cost", "cost must be non-negative"))
+        if len(act.transition) != s:
+            v.append(Violation(loc + ".transition", f"expected {s} entries, got {len(act.transition)}"))
+        else:
+            _reference_distribution(act.transition, loc + ".transition", v)
+    if instance.initial_actions and not any(a.cost == 0 for a in instance.initial_actions):
+        v.append(Violation("initial_actions", "missing null initial action (zero cost)"))
+    for si, state in enumerate(instance.states):
+        loc = f"states[{si}]"
+        if not state.final_actions:
+            v.append(Violation(loc, "state has no final actions"))
+            continue
+        for j, act in enumerate(state.final_actions):
+            aloc = f"{loc}.final_actions[{j}]"
+            if act.cost < 0:
+                v.append(Violation(aloc + ".cost", "cost must be non-negative"))
+            if len(act.outcome_dist) != m:
+                v.append(Violation(aloc + ".outcome_dist", f"expected {m} entries, got {len(act.outcome_dist)}"))
+            else:
+                _reference_distribution(act.outcome_dist, aloc + ".outcome_dist", v)
+        if not any(a.cost == 0 for a in state.final_actions):
+            v.append(Violation(loc, "missing null final action (zero cost)"))
+    return ValidationReport(tuple(v))
+
+
+def reference_classify(instance: Instance) -> ProcessClass:
+    """The process class flags, from ``Fraction`` comparisons."""
+    reachable_from = [set() for _ in range(instance.num_outcomes)]
+    for si, state in enumerate(instance.states):
+        for act in state.final_actions:
+            for mi, p in enumerate(act.outcome_dist):
+                if p > 0:
+                    reachable_from[mi].add(si)
+    is_tree = all(len(src) <= 1 for src in reachable_from)
+
+    def unit_row(row):
+        return sum(1 for p in row if p == 1) == 1 and all(p in (0, 1) for p in row)
+
+    is_deterministic = all(unit_row(a.transition) for a in instance.initial_actions)
+    return ProcessClass(is_tree, instance.num_initial_actions == 1, is_deterministic)
+
+
+def reference_simulate(instance, contract, episodes: int, seed: int) -> SimulationResult:
+    """The sampling loop ``simulate`` had before its tables were flattened."""
+    transfers, state_transfers, terminated = contract_pieces(instance, contract)
+    response = best_response(instance, contract)
+    init = instance.initial_actions[response.profile.initial]
+
+    state_thresholds = _cdf_thresholds(init.transition)
+    outcome_thresholds = []
+    profit_of = []
+    payment_of = []
+    for s in range(instance.num_states):
+        if s in terminated:
+            outcome_thresholds.append(None)
+            profit_of.append(None)
+            payment_of.append(None)
+            continue
+        act = instance.states[s].final_actions[response.profile.finals[s]]
+        outcome_thresholds.append(_cdf_thresholds(act.outcome_dist))
+        profit_of.append([float(r - t - state_transfers[s]) for r, t in zip(instance.rewards, transfers)])
+        payment_of.append([float(t + state_transfers[s]) for t in transfers])
+
+    rng = random.Random(seed)
+    profit_sum = 0.0
+    profit_sumsq = 0.0
+    payment_sum = 0.0
+    for _ in range(episodes):
+        state = bisect_right(state_thresholds, rng.getrandbits(64))
+        if state in terminated:
+            continue
+        outcome = bisect_right(outcome_thresholds[state], rng.getrandbits(64))
+        profit = profit_of[state][outcome]
+        profit_sum += profit
+        profit_sumsq += profit * profit
+        payment_sum += payment_of[state][outcome]
+
+    n = episodes
+    mean = profit_sum / n
+    variance = max(0.0, (profit_sumsq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    return SimulationResult(mean, payment_sum / n, math.sqrt(variance / n))

@@ -1,0 +1,174 @@
+"""Differential tests of the model layer's integer kernels against the
+``Fraction`` forms they replaced: parsing, validation, expectations and the
+sampling loop of ``simulate``."""
+
+import dataclasses
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twostage import (
+    InstanceFormatError,
+    LinearContract,
+    PayHalfwayContract,
+    StandardContract,
+    State,
+    TerminateHalfwayContract,
+    classify,
+    parse_rational,
+    random_instance,
+    simulate,
+    validate,
+)
+from twostage.generators import state_markers_instance
+from twostage.model import expectation, scale
+
+from oracles import reference_classify, reference_expectation, reference_simulate, reference_validate
+
+KINDS = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
+
+
+def fraction_or_error(text):
+    """``Fraction(text)``, or the ``InstanceFormatError`` parse_rational must raise instead."""
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return InstanceFormatError
+
+
+def parsed_or_error(text):
+    try:
+        return parse_rational(text)
+    except InstanceFormatError:
+        return InstanceFormatError
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-0", "007", "3/0", "0/0", "1/-2", "--1", "-", "/", "1/", "/2", " 1/2", "1/2 ", "1 / 2", "\t2\n",
+     "+3", "1_0", "1__0", "_1", "0.5", "1e-5", "١", "²", "１", "-0/5", "00/01", "4/2", "1/2/3", ""],
+)
+def test_parse_rational_matches_fraction_on_edge_spellings(text):
+    assert parsed_or_error(text) == fraction_or_error(text)
+
+
+PLAIN = st.from_regex(r"\A-?[0-9]{1,40}(/[0-9]{1,40})?\Z")
+ODD = st.text(alphabet="0123456789-+/_. \t\n١²１٣", max_size=12)
+# Exponents stay small: a large one is refused by the digit limit, not by Fraction.
+EXPONENT = st.from_regex(r"\A\s?[-+]?[0-9_]{0,3}\.?[0-9]{0,3}[eE][-+]?[0-9]{1,2}\s?\Z")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(PLAIN, ODD, EXPONENT))
+def test_parse_rational_matches_fraction(text):
+    assert parsed_or_error(text) == fraction_or_error(text)
+
+
+def _replace_row(instance, which, index, row):
+    """A copy with the ``index``-th transition (``which == 0``) or outcome row replaced."""
+    if which == 0:
+        actions = list(instance.initial_actions)
+        actions[index] = dataclasses.replace(actions[index], transition=row)
+        return dataclasses.replace(instance, initial_actions=tuple(actions))
+    return _replace_final(instance, index, outcome_dist=row)
+
+
+def _finals(instance):
+    return [(s, j) for s, state in enumerate(instance.states) for j in range(len(state.final_actions))]
+
+
+def _replace_final(instance, index, **fields):
+    s, j = _finals(instance)[index]
+    finals = list(instance.states[s].final_actions)
+    finals[j] = dataclasses.replace(finals[j], **fields)
+    states = list(instance.states)
+    states[s] = State(states[s].name, tuple(finals))
+    return dataclasses.replace(instance, states=tuple(states))
+
+
+def mutations(instance, rng):
+    """Copies of the instance, each with one invariant possibly broken."""
+    rows = [(0, i, a.transition) for i, a in enumerate(instance.initial_actions)]
+    rows += [(1, k, instance.states[s].final_actions[j].outcome_dist) for k, (s, j) in enumerate(_finals(instance))]
+    which, index, row = rng.choice(rows)
+    k = rng.randrange(len(row))
+    yield _replace_row(instance, which, index, row[:k] + (F(-1, rng.randint(1, 5)),) + row[k + 1:])
+    yield _replace_row(instance, which, index, row[:k] + (1 + F(1, rng.randint(1, 5)),) + row[k + 1:])
+    yield _replace_row(instance, which, index, row[:k] + (row[k] + F(rng.choice((-1, 1)), 10**9),) + row[k + 1:])
+    yield _replace_row(instance, which, index, ())
+    final = rng.randrange(len(_finals(instance)))
+    yield _replace_final(instance, final, cost=F(-rng.randint(1, 5), rng.randint(1, 3)))
+    yield _replace_final(instance, final, cost=F(0))
+    initials = tuple(dataclasses.replace(a, cost=a.cost or F(1, 2)) for a in instance.initial_actions)
+    yield dataclasses.replace(instance, initial_actions=initials)  # no zero-cost initial action
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validate_and_classify_match_fraction_references(kind):
+    rng = random.Random(f"validate:{kind}")
+    broken = 0
+    for seed in range(60):
+        instance = random_instance(kind, seed=seed, max_states=4, max_final_actions=4)
+        assert validate(instance) == reference_validate(instance) and validate(instance).ok
+        assert classify(instance) == reference_classify(instance)
+        for mutated in mutations(instance, rng):
+            report = validate(mutated)
+            assert report == reference_validate(mutated)
+            assert classify(mutated) == reference_classify(mutated)
+            broken += not report.ok
+    assert broken == 60 * 6  # every mutation but the zero cost breaks an invariant
+
+
+SIZED = state_markers_instance(3, 2, F(10), F(1, 1000))
+SIZED_VALUES = sorted(
+    set(SIZED.rewards)
+    | {a.cost for s in SIZED.states for a in s.final_actions}
+    | {p for s in SIZED.states for a in s.final_actions for p in a.outcome_dist}
+)
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+    st.sampled_from(SIZED_VALUES),
+    st.sampled_from(SIZED_VALUES).map(lambda v: -v),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS), max_size=12))
+def test_expectation_matches_fraction_sum(pairs):
+    probabilities = [p for p, _ in pairs]
+    values = [v for _, v in pairs]
+    numerators, denominator = scale(values)
+    assert [F(n, denominator) for n in numerators] == values
+    assert expectation(probabilities, (numerators, denominator)) == reference_expectation(probabilities, values)
+
+
+def test_expectation_on_state_markers_rows():
+    rewards = scale(SIZED.rewards)
+    for state in SIZED.states:
+        for act in state.final_actions:
+            assert expectation(act.outcome_dist, rewards) == reference_expectation(act.outcome_dist, SIZED.rewards)
+
+
+def _contract(rng, instance, kind):
+    transfers = tuple(F(rng.randint(0, 20), rng.choice((1, 2, 3, 4))) for _ in range(instance.num_outcomes))
+    if kind == "standard":
+        return StandardContract(transfers)
+    if kind == "linear":
+        return LinearContract(F(rng.randint(0, 20), 20))
+    if kind == "pay_halfway":
+        return PayHalfwayContract(tuple(F(rng.randint(0, 8), 3) for _ in range(instance.num_states)), transfers)
+    return TerminateHalfwayContract(transfers, frozenset(s for s in range(instance.num_states) if rng.random() < 0.3))
+
+
+def test_simulate_matches_reference_loop_float_for_float():
+    rng = random.Random("simulate-reference")
+    for draw in range(20):
+        instance = random_instance(KINDS[draw % 4], seed=draw, max_states=6, max_final_actions=5, max_outcomes=6)
+        for kind in ("standard", "linear", "pay_halfway", "terminate_halfway"):
+            contract = _contract(rng, instance, kind)
+            seed = rng.randrange(2**31)
+            assert simulate(instance, contract, 2000, seed) == reference_simulate(instance, contract, 2000, seed)

@@ -16,6 +16,7 @@ from twostage import (
     profile_reward,
     random_instance,
 )
+from twostage import welfare
 from twostage.generators import cost_ladder_instance
 
 from oracles import brute_force_max_welfare, reference_max_welfare, tie_heavy_variants
@@ -119,3 +120,20 @@ def test_max_welfare_matches_the_reference_report_ties_included():
                     assert max_welfare(case) == reference_max_welfare(case), (kind, seed, case)
                     checked += 1
     assert checked == 4 * 60 * 5 * 2
+
+
+def test_max_welfare_report_is_kept_on_the_instance(interim_review, monkeypatch):
+    calls = []
+    induction = welfare.backward_induction
+    monkeypatch.setattr(welfare, "backward_induction", lambda *args: calls.append(1) or induction(*args))
+    instance = dataclasses.replace(interim_review)
+    first = max_welfare(instance)
+    assert max_welfare(instance) == first == reference_max_welfare(instance)
+    assert max_welfare(instance) is first and len(calls) == 1
+    # kept out of equality, hashing and repr, and not carried over by replace
+    assert instance == interim_review and hash(instance) == hash(interim_review)
+    assert repr(instance) == repr(interim_review)
+    fresh = dataclasses.replace(instance)
+    assert "_max_welfare" not in vars(fresh)
+    assert max_welfare(fresh) == first and max_welfare(fresh) is not first
+    assert len(calls) == 2
