@@ -10,7 +10,8 @@ what each action pays the agent; ``best_response`` feeds it a contract, and
 ``welfare.max_welfare`` feeds it full-reward transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
-sample statistics over exactly-sampled episodes.
+sample statistics over exactly-sampled episodes.  Every expected value and
+cumulative probability comes from ``model.scale`` and ``model.expectation``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .model import (
     ActionProfile,
@@ -97,6 +98,20 @@ def _contract_pieces(
     return transfers, state_transfers, terminated
 
 
+def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int]) -> None:
+    """Raise ``ValueError`` unless the profile gives an in-range final to exactly the surviving states."""
+    assigned = set(profile.finals)
+    if assigned - surviving:
+        raise ValueError(f"profile assigns finals to terminated states {sorted(assigned - surviving)}")
+    if surviving - assigned:
+        raise ValueError(f"profile is missing finals for states {sorted(surviving - assigned)}")
+    if not 0 <= profile.initial < instance.num_initial_actions:
+        raise ValueError(f"initial action index {profile.initial} is out of range")
+    for s, j in profile.finals.items():
+        if not 0 <= j < len(instance.states[s].final_actions):
+            raise ValueError(f"final action index {j} at state {s} is out of range")
+
+
 def _transfer_of(instance: Instance, contract: Contract, transfers: tuple[Fraction, ...]):
     """``(s, j) ->`` the expected outcome transfer of final j at state s.
 
@@ -151,24 +166,21 @@ def backward_induction(instance: Instance, final_transfers, state_transfers) -> 
                 state_payment[s] = transfer
         state_utility[s], state_profit[s] = best
 
+    agent_values = scale([u + st for u, st in zip(state_utility, state_transfers)])
+    principal_values = scale([v - st for v, st in zip(state_profit, state_transfers)])
     best_i = None
     for i, act in enumerate(instance.initial_actions):
-        utility = -act.cost
-        profit = _ZERO
-        for p, u, v, st in zip(act.transition, state_utility, state_profit, state_transfers):
-            if p:
-                utility += p * (u + st)
-                profit += p * (v - st)
+        utility = expectation(act.transition, agent_values) - act.cost
+        profit = expectation(act.transition, principal_values)
         if best_i is None or (utility, profit) > (best_i[1], best_i[2]):
             best_i = (i, utility, profit)
 
     chosen, agent_utility, principal_profit = best_i
-    transition = instance.initial_actions[chosen].transition
-    payment = sum((p * (t + st) for p, t, st in zip(transition, state_payment, state_transfers)), _ZERO)
+    payments = scale([t + st for t, st in zip(state_payment, state_transfers)])
     return BestResponse(
         profile=ActionProfile(chosen, finals),
         agent_utility=agent_utility,
-        expected_payment=payment,
+        expected_payment=expectation(instance.initial_actions[chosen].transition, payments),
         principal_profit=principal_profit,
         per_state_utility=tuple(state_utility),
     )
@@ -184,16 +196,7 @@ def evaluate_profile(
     """
     transfers, state_transfers, terminated = _contract_pieces(instance, contract)
     surviving = set(range(instance.num_states)) - terminated
-    assigned = set(profile.finals)
-    if assigned - surviving:
-        raise ValueError(f"profile assigns finals to terminated states {sorted(assigned - surviving)}")
-    if surviving - assigned:
-        raise ValueError(f"profile is missing finals for states {sorted(surviving - assigned)}")
-    if not 0 <= profile.initial < instance.num_initial_actions:
-        raise ValueError(f"initial action index {profile.initial} is out of range")
-    for s, j in profile.finals.items():
-        if not 0 <= j < len(instance.states[s].final_actions):
-            raise ValueError(f"final action index {j} at state {s} is out of range")
+    _check_profile(instance, profile, surviving)
 
     transfer = _transfer_of(instance, contract, transfers)
     init = instance.initial_actions[profile.initial]
@@ -217,12 +220,8 @@ def _cdf_thresholds(probabilities) -> list[int]:
     u < ceil(C_k * 2**64); comparisons against the exact rational CDF are
     thereby integer-exact, with per-category bias below 2**-64.
     """
-    thresholds = []
-    cum = _ZERO
-    for p in probabilities:
-        cum += p
-        thresholds.append(-((-cum.numerator << 64) // cum.denominator))
-    return thresholds
+    numerators, denominator = scale(probabilities)
+    return [-((-cum << 64) // denominator) for cum in accumulate(numerators)]
 
 
 def simulate(

@@ -34,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import BestResponse, best_response
+from .agent import BestResponse, _check_profile, _contract_pieces, best_response
 from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, solve_lp
 from .model import (
     ActionProfile,
@@ -132,12 +132,14 @@ def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptima
 
 def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
     """Cheapest standard contract incentivizing the total profile, or None."""
+    _check_profile(instance, profile, set(range(instance.num_states)))
     solution = _min_payment(instance, profile, range(instance.num_states), False)
     return None if solution is None else StandardContract(solution.x)
 
 
 def min_payment_pay(instance: Instance, profile: ActionProfile) -> PayHalfwayContract | None:
     """Cheapest pay-halfway contract incentivizing the total profile, or None."""
+    _check_profile(instance, profile, set(range(instance.num_states)))
     solution = _min_payment(instance, profile, range(instance.num_states), True)
     m = instance.num_outcomes
     return None if solution is None else PayHalfwayContract(solution.x[m:], solution.x[:m])
@@ -151,9 +153,10 @@ def min_payment_terminate(
     The profile must assign finals to exactly the surviving states.
     """
     terminate_set = frozenset(terminate_set)
+    if not all(0 <= s < instance.num_states for s in terminate_set):
+        raise ValueError("terminate_set contains an out-of-range state index")
     surviving = [s for s in range(instance.num_states) if s not in terminate_set]
-    if set(profile.finals) != set(surviving):
-        raise ValueError("profile must cover exactly the surviving states")
+    _check_profile(instance, profile, set(surviving))
     solution = _min_payment(instance, profile, surviving, False)
     return None if solution is None else TerminateHalfwayContract(solution.x, terminate_set)
 
@@ -337,10 +340,7 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     """
     if not classify(instance).is_tree:
         raise ValueError("instance is not a tree process")
-    if len(pay.state_transfers) != instance.num_states:
-        raise ValueError("contract dimensions do not match the instance")
-    if len(pay.transfers) != instance.num_outcomes:
-        raise ValueError("contract dimensions do not match the instance")
+    _contract_pieces(instance, pay)
     pred: dict[int, int] = {}
     for s, state in enumerate(instance.states):
         for act in state.final_actions:

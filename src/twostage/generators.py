@@ -340,11 +340,15 @@ def random_instance(
     "deterministic_first_stage" or "general".  Sizes are drawn uniformly up
     to the given caps, probabilities are small-denominator rationals, rewards
     are non-negative, and the required null actions are always present.
-    Identical seeds produce identical instances.
+    Identical seeds produce identical instances.  Every cap must be at least 1.
     """
     kinds = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
     if kind not in kinds:
         raise ValueError(f"unknown process class {kind!r}; expected one of {kinds}")
+    for name, cap in (("max_states", max_states), ("max_initial_actions", max_initial_actions),
+                      ("max_final_actions", max_final_actions), ("max_outcomes", max_outcomes)):
+        if cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     rng = random.Random(f"{kind}:{seed}")
 
     num_states = rng.randint(1, max_states)

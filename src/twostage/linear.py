@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .agent import best_response
 from .lp import SolverInvariantError
-from .model import ActionProfile, Instance, LinearContract
+from .model import ActionProfile, Instance, LinearContract, expectation, scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -157,14 +157,11 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
         mid = (lo + hi) / 2
         finals = {s: final_choice(state_envelopes[s], mid) for s in range(num_states)}
         chosen = [state_lines[s][j] for s, j in finals.items()]
-        lines = []
-        for i, act in enumerate(instance.initial_actions):
-            reward, neg_cost = _ZERO, -act.cost
-            for p, (state_reward, state_neg_cost, _) in zip(act.transition, chosen):
-                if p:
-                    reward += p * state_reward
-                    neg_cost += p * state_neg_cost
-            lines.append((reward, neg_cost, i))
+        rewards, neg_costs = scale([line[0] for line in chosen]), scale([line[1] for line in chosen])
+        lines = [
+            (expectation(act.transition, rewards), expectation(act.transition, neg_costs) - act.cost, i)
+            for i, act in enumerate(instance.initial_actions)
+        ]
         _, initial_segs = _upper_envelope(lines, lo, hi)
         for seg_lo, seg_hi, i in initial_segs:
             reward, neg_cost, _ = lines[i]

@@ -11,13 +11,13 @@ variables for feasibility.  Rows with a negative right-hand side are negated
 first.
 
 The tableau holds integers over one common denominator ``D``, the
-determinant of the current basis.  Each row (coefficients and right-hand
-side) is multiplied by the least common multiple of its denominators, and
-the objective likewise.  The slack and artificial columns start as the
-identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every other
-row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where ``f`` is
-the row's entry in the pivot column and ``b`` the pivot row's entry; the
-division is exact.  Then ``D = p``.  The reduced costs are one more row of
+determinant of the current basis.  ``model.scale``, the package's one
+common-denominator kernel, multiplies each row (coefficients and right-hand
+side), and the objective, by the least common multiple of its denominators.
+The slack and artificial columns start as the identity, so ``D`` starts at
+1.  A pivot on entry ``p`` updates every other row by the Bareiss (Edmonds)
+rule ``a' = (a*p - f*b) // D``, where ``f`` is the row's entry in the pivot
+column and ``b`` the pivot row's entry; the division is exact.  Then ``D = p``.  The reduced costs are one more row of
 the tableau, priced once per phase and updated by the same rule.
 
 Positive row scales leave the structural columns of the basis-inverse
@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from .model import _rational, _rational_tuple, scale
 
 try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
     from gmpy2 import mpz as _scalar
@@ -55,8 +57,8 @@ class Constraint:
     rhs: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "coeffs", _rational_tuple(self.coeffs))
+        object.__setattr__(self, "rhs", _rational(self.rhs))
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
 
@@ -69,7 +71,7 @@ class LinearProgram:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
+        object.__setattr__(self, "objective", _rational_tuple(self.objective))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         n = len(self.objective)
         for k, row in enumerate(self.constraints):
@@ -189,9 +191,9 @@ def _price(tableau, basis, costs, denom):
 
 
 def _scaled(values):
-    """The values times the positive LCM of their denominators, and that LCM."""
-    scale = lcm(*(v.denominator for v in values))
-    return [_scalar(v.numerator * (scale // v.denominator)) for v in values], scale
+    """``model.scale`` of the values, with the numerators as tableau integers."""
+    numerators, denominator = scale(values)
+    return list(map(_scalar, numerators)), denominator
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -206,12 +208,12 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # integers, and negate rows with a negative right-hand side.
     rows = []  # (integer coefficients then rhs, relation, origin, scale times sign)
     for idx, c in enumerate(lp.constraints):
-        values, scale = _scaled((*c.coeffs, c.rhs))
+        values, row_scale = _scaled((*c.coeffs, c.rhs))
         for rel in (LESS_EQUAL, GREATER_EQUAL) if c.relation == EQUAL else (c.relation,):
             if c.rhs < 0:
-                rows.append(([-v for v in values], _FLIPPED[rel], idx, -scale))
+                rows.append(([-v for v in values], _FLIPPED[rel], idx, -row_scale))
             else:
-                rows.append((values, rel, idx, scale))
+                rows.append((values, rel, idx, row_scale))
 
     m = len(rows)
     num_cols = n + m + sum(row[1] == GREATER_EQUAL for row in rows)
@@ -243,8 +245,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         # Weight each artificial by 1 / (its row's scale), times their LCM.
         common = lcm(*art_scales.values())
         costs1 = [_scalar(0)] * num_cols
-        for j, scale in art_scales.items():
-            costs1[j] = _scalar(common // scale)
+        for j, row_scale in art_scales.items():
+            costs1[j] = _scalar(common // row_scale)
         _price(tableau, basis, costs1, denom)
         status, denom = _bland(tableau, basis, num_cols, denom)
         if status != "optimal":

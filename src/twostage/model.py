@@ -17,7 +17,8 @@ and accepts or rejects every other spelling exactly as ``Fraction`` does.
 ``validate`` and ``classify`` test numerators and denominators, and a row
 sums to 1 when its numerators, brought to the row's least common
 denominator, sum to that denominator.  An expected value is one integer dot
-product over common denominators, reduced to a ``Fraction`` once at the end.
+product over common denominators, reduced to a ``Fraction`` once at the end;
+``scale`` and ``expectation`` are the package's only such kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -305,11 +307,10 @@ class ValidationReport:
 
 
 def _check_distribution(row: Sequence[Fraction], location: str, out: list[Violation]) -> None:
-    pairs = [p.as_integer_ratio() for p in row]
-    if any(n < 0 or n > d for n, d in pairs):
+    numerators, common = scale(row)
+    if any(n < 0 or n > common for n in numerators):
         out.append(Violation(location, "distribution entries must lie in [0, 1]"))
-    common = lcm(*[d for _, d in pairs])
-    if sum([n * (common // d) for n, d in pairs]) != common:
+    if sum(numerators) != common:
         out.append(Violation(location, "distribution does not sum to 1"))
 
 
@@ -413,20 +414,14 @@ def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     pairs = [v.as_integer_ratio() for v in values]
     denominator = lcm(*[d for _, d in pairs])
-    return [n * (denominator // d) for n, d in pairs], denominator
+    return [n and n * (denominator // d) for n, d in pairs], denominator  # zeros skip the division
 
 
 def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]) -> Fraction:
     """Sum of p * v, the values given by ``scale``: one integer dot product, reduced once."""
     values, denominator = scaled
-    pairs = [p.as_integer_ratio() for p in probabilities]
-    common = lcm(*[d for _, d in pairs])
-    total = 0
-    for (n, d), v in zip(pairs, values):
-        if n:
-            total += n * (common // d) * v
-    return Fraction(total, common * denominator)
-
+    weights, common = scale(probabilities)
+    return Fraction(sum(map(mul, weights, values)), common * denominator)
 
 
 def expected_state_reward(instance: Instance, state: int, final: int) -> Fraction:

@@ -17,7 +17,10 @@ the agent's backward induction.  ``reference_expectation``,
 kernels in ``twostage.model``.
 ``reference_simulate`` is the former sampling loop of ``simulate``: the
 faster loop must draw the same numbers and add the same floats in the same
-order.
+order.  ``reference_backward_induction`` and ``reference_cdf_thresholds``
+are the former per-entry ``Fraction`` sums of ``agent.backward_induction``
+and ``agent._cdf_thresholds``, the references for their forms over
+``model.scale``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from fractions import Fraction as F
 
-from twostage.agent import SimulationResult, _cdf_thresholds, best_response
+from twostage.agent import BestResponse, SimulationResult, best_response
 
 from twostage.contracts import min_payment_pay, min_payment_standard, min_payment_terminate
 from twostage.lp import (
@@ -483,6 +486,10 @@ def fraction_simplex(lp: LinearProgram) -> LpResult:
     return LpOptimal(tuple(x), value, tuple(dual))
 
 
+# The size caps of the benchmark's ``evaluate`` workload (bench/inputs.py).
+EVALUATE_CAPS = {"max_states": 10, "max_initial_actions": 5, "max_final_actions": 8, "max_outcomes": 8}
+
+
 def tie_heavy_variants(inst):
     """Duplicated initial actions, reversed action orders, mirrored outcomes,
     and an unreachable copy of a state with a duplicated final action."""
@@ -585,7 +592,7 @@ def reference_simulate(instance, contract, episodes: int, seed: int) -> Simulati
     response = best_response(instance, contract)
     init = instance.initial_actions[response.profile.initial]
 
-    state_thresholds = _cdf_thresholds(init.transition)
+    state_thresholds = reference_cdf_thresholds(init.transition)
     outcome_thresholds = []
     profit_of = []
     payment_of = []
@@ -596,7 +603,7 @@ def reference_simulate(instance, contract, episodes: int, seed: int) -> Simulati
             payment_of.append(None)
             continue
         act = instance.states[s].final_actions[response.profile.finals[s]]
-        outcome_thresholds.append(_cdf_thresholds(act.outcome_dist))
+        outcome_thresholds.append(reference_cdf_thresholds(act.outcome_dist))
         profit_of.append([float(r - t - state_transfers[s]) for r, t in zip(instance.rewards, transfers)])
         payment_of.append([float(t + state_transfers[s]) for t in transfers])
 
@@ -618,3 +625,59 @@ def reference_simulate(instance, contract, episodes: int, seed: int) -> Simulati
     mean = profit_sum / n
     variance = max(0.0, (profit_sumsq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     return SimulationResult(mean, payment_sum / n, math.sqrt(variance / n))
+
+
+def reference_backward_induction(instance, final_transfers, state_transfers) -> BestResponse:
+    """The agent's backward induction, summing ``Fraction`` products one at a time.
+
+    Same contract as ``agent.backward_induction``: ``final_transfers[s]`` is
+    each final's expected transfer at s, or None at a terminated state.
+    """
+    num_states = instance.num_states
+    finals = {}
+    state_utility = [ZERO] * num_states
+    state_profit = [ZERO] * num_states
+    state_payment = [ZERO] * num_states
+    for s, (state, row, rewards) in enumerate(zip(instance.states, final_transfers, instance.final_rewards)):
+        if row is None:
+            continue
+        best = None
+        for j, (act, transfer, reward) in enumerate(zip(state.final_actions, row, rewards)):
+            candidate = (transfer - act.cost, reward - transfer)
+            if best is None or candidate > best:
+                best = candidate
+                finals[s] = j
+                state_payment[s] = transfer
+        state_utility[s], state_profit[s] = best
+
+    best_i = None
+    for i, act in enumerate(instance.initial_actions):
+        utility = -act.cost
+        profit = ZERO
+        for p, u, v, st in zip(act.transition, state_utility, state_profit, state_transfers):
+            if p:
+                utility += p * (u + st)
+                profit += p * (v - st)
+        if best_i is None or (utility, profit) > (best_i[1], best_i[2]):
+            best_i = (i, utility, profit)
+
+    chosen, agent_utility, principal_profit = best_i
+    transition = instance.initial_actions[chosen].transition
+    payment = sum((p * (t + st) for p, t, st in zip(transition, state_payment, state_transfers)), ZERO)
+    return BestResponse(
+        profile=ActionProfile(chosen, finals),
+        agent_utility=agent_utility,
+        expected_payment=payment,
+        principal_profit=principal_profit,
+        per_state_utility=tuple(state_utility),
+    )
+
+
+def reference_cdf_thresholds(probabilities) -> list[int]:
+    """ceil(C_k * 2**64) for each prefix sum C_k, kept as a running ``Fraction``."""
+    thresholds = []
+    cum = ZERO
+    for p in probabilities:
+        cum += p
+        thresholds.append(-((-cum.numerator << 64) // cum.denominator))
+    return thresholds

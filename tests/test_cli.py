@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from twostage import (
+    FamilyParams,
     FinalAction,
     InitialAction,
     Instance,
@@ -21,8 +22,8 @@ from twostage import (
     State,
     analyze,
     best_response,
+    generate,
     instance_to_json,
-    interim_review_instance,
     midterm_instance,
     optimal_standard,
     random_instance,
@@ -113,6 +114,15 @@ def test_generate_non_integer_integer_parameter_exits_one(capsys, family, params
     name, value = params[0].split("=")
     assert code == 1 and out == ""
     assert f"parameter {name!r} must be an integer, got {F(value)}" in err
+
+
+@pytest.mark.parametrize(
+    "param, cap", [("s", "max_states"), ("n1", "max_initial_actions"), ("n2", "max_final_actions"), ("m", "max_outcomes")]
+)
+def test_generate_random_cap_below_one_exits_one_naming_it(capsys, param, cap):
+    code, out, err = run_cli(capsys, "generate", "--family", "random_general", "--param", "seed=1", "--param", f"{param}=0")
+    assert (code, out) == (1, "")
+    assert err == f"twostage: {cap} must be at least 1, got 0\n"
 
 
 def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
@@ -583,11 +593,18 @@ def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file,
     assert "Traceback" not in result.stderr
 
 
-# Whole stdout of every command on interim_review, pinned byte for byte apart
-# from the wall-clock ``duration_seconds`` line.  After an intended output
-# change, rewrite the files with
+# Whole stdout of every command on interim_review and on one draw at the caps
+# of the benchmark's evaluate workload, pinned byte for byte apart from the
+# wall-clock ``duration_seconds`` line.  After an intended output change,
+# rewrite the files with
 #   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
 GOLDEN = Path(__file__).parent / "golden"
+# Subdirectory of GOLDEN -> the generator family and parameters of its instance.
+# Each subdirectory holds the contract.json that best-response and simulate read.
+GOLDEN_INSTANCES = {
+    "": ("interim_review", {}),
+    "random_general_6": ("random_general", {"seed": 6, "s": 10, "n1": 5, "n2": 8, "m": 8}),
+}
 GOLDEN_COMMANDS = {
     "validate": ["validate", "{instance}"],
     "classify": ["classify", "{instance}"],
@@ -600,27 +617,52 @@ GOLDEN_COMMANDS = {
     "breakpoints": ["breakpoints", "{instance}", "--csv", "{csv}"],
     "best_response": ["best-response", "{instance}", "--contract-file", "{contract}"],
     "simulate": ["simulate", "{instance}", "--contract-file", "{contract}", "--episodes", "500", "--seed", "7"],
-    "generate": ["generate", "--family", "interim_review"],
+    "generate": ["generate", "--family", "{family}", "{params}"],
 }
 
 
+def golden_commands(directory: str, scratch: Path) -> tuple[list[tuple[str, list[str]]], Path]:
+    """(golden file name, argv) of every command on the directory's instance,
+    and the breakpoints CSV they write.  The instance is written to scratch."""
+    family, params = GOLDEN_INSTANCES[directory]
+    folder = scratch / (directory or "top")
+    folder.mkdir()
+    paths = {
+        "instance": folder / "instance.json",
+        "contract": GOLDEN / directory / "contract.json",
+        "csv": folder / "plot.csv",
+        "family": family,
+    }
+    paths["instance"].write_text(instance_to_json(generate(FamilyParams(family, params))))
+    param_args = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
+    commands = [
+        (
+            str(Path(directory) / f"{name}.out"),
+            [new for arg in argv for new in (param_args if arg == "{params}" else [arg.format(**paths)])],
+        )
+        for name, argv in GOLDEN_COMMANDS.items()
+    ]
+    return commands, paths["csv"]
+
+
+def run_golden(argv: list[str]) -> str:
+    """Stdout of one successful in-process command, without ``duration_seconds``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return re.sub(r'^  "duration_seconds": .*\n', "", out.getvalue(), flags=re.M)
+
+
 def golden_outputs() -> dict:
-    """File name -> text for every golden command (and the breakpoints CSV)."""
+    """Golden file name -> text for every command on every instance (and the breakpoints CSVs)."""
     outputs = {}
     with tempfile.TemporaryDirectory() as scratch:
-        paths = {
-            "instance": Path(scratch) / "instance.json",
-            "contract": GOLDEN / "contract.json",
-            "csv": Path(scratch) / "plot.csv",
-        }
-        paths["instance"].write_text(instance_to_json(interim_review_instance()))
-        for name, argv in GOLDEN_COMMANDS.items():
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([arg.format(**paths) for arg in argv])
-            assert (code, err.getvalue()) == (0, ""), name
-            outputs[f"{name}.out"] = re.sub(r'^  "duration_seconds": .*\n', "", out.getvalue(), flags=re.M)
-        outputs["breakpoints.csv"] = paths["csv"].read_text()
+        for directory in GOLDEN_INSTANCES:
+            commands, csv = golden_commands(directory, Path(scratch))
+            for name, argv in commands:
+                outputs[name] = run_golden(argv)
+            outputs[str(Path(directory) / "breakpoints.csv")] = csv.read_text()
     return outputs
 
 
@@ -634,6 +676,19 @@ def test_every_command_matches_its_golden_output():
     assert "duration_seconds" not in outputs["compare.out"] + outputs["solve_standard.out"]
     for name, text in outputs.items():
         assert text == (GOLDEN / name).read_text(), name
+
+
+def test_golden_commands_give_the_same_output_twice_when_interleaved(tmp_path):
+    # A fault that some inputs reach only after others, or state kept between
+    # commands in one process, would show as a difference from a fresh run.
+    runs = [golden_commands(directory, tmp_path) for directory in GOLDEN_INSTANCES]
+    interleaved = [command for group in zip(*(commands for commands, _ in runs)) for command in group]
+    assert len(interleaved) == len(GOLDEN_INSTANCES) * len(GOLDEN_COMMANDS)
+    for _ in range(2):
+        for name, argv in interleaved:
+            assert run_golden(argv) == (GOLDEN / name).read_text(), name
+        for directory, (_, csv) in zip(GOLDEN_INSTANCES, runs):
+            assert csv.read_text() == (GOLDEN / directory / "breakpoints.csv").read_text(), directory
 
 
 def test_benchmark_trace_hooks_see_every_required_layer(tmp_path):

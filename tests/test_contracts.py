@@ -119,6 +119,54 @@ def test_min_payment_terminate_validates_profile_coverage(interim_review):
         min_payment_terminate(interim_review, {0}, ActionProfile(0, {0: 0, 1: 1}))
 
 
+MALFORMED_PROFILES = [
+    (ActionProfile(0, {}), r"profile is missing finals for states \[0, 1\]"),
+    (ActionProfile(0, {0: 0, 1: 1, 2: 0}), r"profile assigns finals to terminated states \[2\]"),
+    (ActionProfile(5, {0: 0, 1: 1}), "initial action index 5 is out of range"),
+    (ActionProfile(-2, {0: -2, 1: -1}), "initial action index -2 is out of range"),
+    (ActionProfile(0, {0: 0, 1: 2}), "final action index 2 at state 1 is out of range"),
+    (ActionProfile(1, {0: -1, 1: 0}), "final action index -1 at state 0 is out of range"),
+]
+
+
+@pytest.mark.parametrize("profile, message", MALFORMED_PROFILES)
+def test_min_payment_standard_and_pay_reject_malformed_profiles(midterm, profile, message):
+    for solve in (min_payment_standard, min_payment_pay):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(midterm, profile)
+
+
+@pytest.mark.parametrize(
+    "terminate_set, profile, message",
+    [
+        ({5}, ActionProfile(0, {0: 0, 1: 1}), "terminate_set contains an out-of-range state index"),
+        ({-1}, ActionProfile(0, {0: 0, 1: 1}), "terminate_set contains an out-of-range state index"),
+        ({0}, ActionProfile(0, {0: 0, 1: 1}), r"profile assigns finals to terminated states \[0\]"),
+        ({0}, ActionProfile(0, {}), r"profile is missing finals for states \[1\]"),
+        ({0}, ActionProfile(5, {1: 0}), "initial action index 5 is out of range"),
+        ({0}, ActionProfile(-2, {1: -1}), "initial action index -2 is out of range"),
+        ({0}, ActionProfile(0, {1: 2}), "final action index 2 at state 1 is out of range"),
+    ],
+)
+def test_min_payment_terminate_rejects_malformed_input(midterm, terminate_set, profile, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        min_payment_terminate(midterm, terminate_set, profile)
+
+
+def test_pay_to_standard_tree_checks_dimensions_like_best_response():
+    inst = random_instance("tree", seed=3)
+    s, m = inst.num_states, inst.num_outcomes
+    cases = [
+        (PayHalfwayContract((F(0),) * (s + 1), (F(0),) * m), f"contract has {s + 1} state transfers, instance has {s} states"),
+        (PayHalfwayContract((F(0),) * s, (F(0),) * (m + 1)), f"contract has {m + 1} transfers, instance has {m} outcomes"),
+    ]
+    for pay, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pay_to_standard_tree(inst, pay)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            best_response(inst, pay)
+
+
 def test_state_marker_contract_extracts_full_welfare():
     # Paying cost/epsilon on each state's marker outcome while blocking the
     # sink states makes every top-rung action exactly break even, so the

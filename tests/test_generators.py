@@ -179,3 +179,22 @@ def test_random_instance_class_flags():
 def test_random_instance_rejects_unknown_kind():
     with pytest.raises(ValueError):
         random_instance("spooky", seed=1)
+
+
+@pytest.mark.parametrize("family", ["random_tree", "random_stochastic", "random_deterministic", "random_general"])
+@pytest.mark.parametrize(
+    "param, cap", [("s", "max_states"), ("n1", "max_initial_actions"), ("n2", "max_final_actions"), ("m", "max_outcomes")]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_random_families_reject_caps_below_one(family, param, cap, value):
+    # random_tree with m=0 and random_stochastic with n1=0 draw nothing from
+    # that cap, yet are refused like the rest.
+    with pytest.raises(ValueError, match=f"^{cap} must be at least 1, got {value}$"):
+        generate(FamilyParams(family, {"seed": 1, param: value}))
+
+
+def test_random_instance_accepts_caps_of_one():
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        inst = random_instance(kind, seed=5, max_states=1, max_initial_actions=1, max_final_actions=1, max_outcomes=1)
+        assert validate(inst).ok
+        assert (inst.num_states, inst.num_initial_actions, inst.max_final_actions, inst.num_outcomes) == (1, 1, 1, 1)

@@ -1,6 +1,6 @@
-"""Differential tests of the model layer's integer kernels against the
-``Fraction`` forms they replaced: parsing, validation, expectations and the
-sampling loop of ``simulate``."""
+"""Differential tests of the integer kernels against the ``Fraction`` forms
+they replaced: parsing, validation, expectations, the agent's backward
+induction, and the thresholds and sampling loop of ``simulate``."""
 
 import dataclasses
 import random
@@ -23,10 +23,21 @@ from twostage import (
     simulate,
     validate,
 )
+from twostage.agent import _cdf_thresholds, backward_induction, best_response
 from twostage.generators import state_markers_instance
 from twostage.model import expectation, scale
 
-from oracles import reference_classify, reference_expectation, reference_simulate, reference_validate
+from oracles import (
+    EVALUATE_CAPS,
+    contract_pieces,
+    reference_backward_induction,
+    reference_cdf_thresholds,
+    reference_classify,
+    reference_expectation,
+    reference_simulate,
+    reference_validate,
+    tie_heavy_variants,
+)
 
 KINDS = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
 
@@ -172,3 +183,60 @@ def test_simulate_matches_reference_loop_float_for_float():
             contract = _contract(rng, instance, kind)
             seed = rng.randrange(2**31)
             assert simulate(instance, contract, 2000, seed) == reference_simulate(instance, contract, 2000, seed)
+
+
+CONTRACT_KINDS = ("standard", "linear", "pay_halfway", "terminate_halfway")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_backward_induction_matches_fraction_reference(kind):
+    # Each final's expected transfer comes from per-entry Fraction sums, so
+    # only the induction's own sums differ between the two sides.
+    rng = random.Random(f"induction:{kind}")
+    for seed in range(30):
+        instance = random_instance(kind, seed=seed, **EVALUATE_CAPS)
+        for variant in [instance, *tie_heavy_variants(instance)]:
+            zeros = (F(0),) * variant.num_states
+            assert backward_induction(variant, variant.final_rewards, zeros) == reference_backward_induction(
+                variant, variant.final_rewards, zeros
+            )
+            for contract_kind in CONTRACT_KINDS:
+                contract = _contract(rng, variant, contract_kind)
+                transfers, state_transfers, terminated = contract_pieces(variant, contract)
+                final_transfers = [
+                    None if s in terminated
+                    else [reference_expectation(act.outcome_dist, transfers) for act in state.final_actions]
+                    for s, state in enumerate(variant.states)
+                ]
+                expected = reference_backward_induction(variant, final_transfers, state_transfers)
+                assert backward_induction(variant, final_transfers, state_transfers) == expected
+                assert best_response(variant, contract) == expected
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (F(1),),
+        (F(0),),
+        (F(1, 3),),
+        (F(0), F(1)),
+        (F(1), F(0)),
+        (F(0), F(0), F(1), F(0)),
+        (F(1, 2), F(0), F(1, 2)),
+        (F(0), F(1, 3), F(0), F(2, 3), F(0)),
+        (F(1, 7), F(2, 7), F(0), F(4, 7)),
+        (F(1, 6), F(1, 3), F(1, 2)),
+        (F(1, 10**20), F(10**20 - 1, 10**20)),
+    ],
+)
+def test_cdf_thresholds_match_fraction_reference(row):
+    assert _cdf_thresholds(row) == reference_cdf_thresholds(row)
+
+
+def test_cdf_thresholds_match_fraction_reference_on_instance_rows():
+    for draw in range(40):
+        instance = random_instance(KINDS[draw % 4], seed=draw, **EVALUATE_CAPS)
+        rows = [act.transition for act in instance.initial_actions]
+        rows += [act.outcome_dist for state in instance.states for act in state.final_actions]
+        for row in rows:
+            assert _cdf_thresholds(row) == reference_cdf_thresholds(row)

@@ -20,7 +20,7 @@ from twostage import (
 )
 from twostage.generators import cost_ladder_instance, interim_review_instance
 
-from oracles import tie_heavy_variants
+from oracles import EVALUATE_CAPS, tie_heavy_variants
 
 
 def _single_state(reward, actions):
@@ -201,9 +201,10 @@ def test_segments_predict_best_response_on_families(family, params):
     "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
 )
 def test_segments_predict_best_response_on_random_instances(kind):
-    for seed in range(60):
-        inst = random_instance(kind, seed=seed, max_states=4, max_final_actions=4)
-        assert_segments_predict_best_response(inst)
-        if seed % 5 == 0:
-            for variant in tie_heavy_variants(inst):
-                assert_segments_predict_best_response(variant)
+    for caps in ({"max_states": 4, "max_final_actions": 4}, EVALUATE_CAPS):
+        for seed in range(60):
+            inst = random_instance(kind, seed=seed, **caps)
+            assert_segments_predict_best_response(inst)
+            if seed % 5 == 0:
+                for variant in tie_heavy_variants(inst):
+                    assert_segments_predict_best_response(variant)
