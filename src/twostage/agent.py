@@ -11,7 +11,8 @@ what each action pays the agent; ``best_response`` feeds it a contract, and
 
 All computations are exact; ``simulate`` is the only place floats appear, as
 sample statistics over exactly-sampled episodes.  Every expected value and
-cumulative probability comes from ``model.scale`` and ``model.expectation``.
+cumulative probability comes from ``model.scale`` and ``model.expectation``,
+a given profile's values through ``_profile_expectation``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ def _contract_pieces(
 def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int]) -> None:
     """Raise ``ValueError`` unless the profile gives an in-range final to exactly the surviving states."""
     assigned = set(profile.finals)
+    num_states = instance.num_states
+    outside = sorted(s for s in assigned if not 0 <= s < num_states)
+    if outside:
+        raise ValueError(f"profile assigns finals to states {outside}, instance has {num_states} states")
     if assigned - surviving:
         raise ValueError(f"profile assigns finals to terminated states {sorted(assigned - surviving)}")
     if surviving - assigned:
@@ -199,18 +204,20 @@ def evaluate_profile(
     _check_profile(instance, profile, surviving)
 
     transfer = _transfer_of(instance, contract, transfers)
-    init = instance.initial_actions[profile.initial]
-    payment = reward = _ZERO
-    cost = init.cost
-    for s in sorted(surviving):
-        p = init.transition[s]
-        if p:
-            j = profile.finals[s]
-            act = instance.states[s].final_actions[j]
-            payment += p * (transfer(s, j) + state_transfers[s])
-            reward += p * instance.final_rewards[s][j]
-            cost += p * act.cost
+    rewards, states = instance.final_rewards, instance.states
+    payment = _profile_expectation(instance, profile, surviving, lambda s, j: transfer(s, j) + state_transfers[s])
+    reward = _profile_expectation(instance, profile, surviving, lambda s, j: rewards[s][j])
+    cost = _profile_expectation(instance, profile, surviving, lambda s, j: states[s].final_actions[j].cost)
+    cost += instance.initial_actions[profile.initial].cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
+
+
+def _profile_expectation(instance: Instance, profile: ActionProfile, states, value) -> Fraction:
+    """Expected ``value(s, profile.finals[s])`` over the given states that the
+    profile's initial action reaches; no final is read at the others."""
+    transition = instance.initial_actions[profile.initial].transition
+    reached = [s for s in states if transition[s]]
+    return expectation([transition[s] for s in reached], scale([value(s, profile.finals[s]) for s in reached]))
 
 
 def _cdf_thresholds(probabilities) -> list[int]:

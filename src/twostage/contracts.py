@@ -6,6 +6,8 @@ at every (surviving) state, and initial-stage rows compare the designated
 initial action against each alternative using the designated continuation
 values, which is valid exactly because the final rows hold everywhere.  Weak
 inequalities suffice since the agent breaks ties in the principal's favor.
+Each expected-value coefficient is one ``model.expectation`` over the
+designated finals' outcome column or costs, scaled once per program.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -34,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import BestResponse, _check_profile, _contract_pieces, best_response
+from .agent import BestResponse, _check_profile, _contract_pieces, _profile_expectation, best_response
 from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, solve_lp
 from .model import (
     ActionProfile,
@@ -47,6 +49,8 @@ from .model import (
     State,
     TerminateHalfwayContract,
     classify,
+    expectation,
+    scale,
 )
 from .welfare import max_welfare
 
@@ -98,21 +102,18 @@ def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptima
     m = instance.num_outcomes
     n = m + (instance.num_states if with_state_transfers else 0)
     designated = [(s, instance.states[s].final_actions[profile.finals[s]]) for s in surviving]
+    # One column per outcome, so an empty ``surviving`` still gives m of them.
+    columns = [scale([act.outcome_dist[k] for _, act in designated]) for k in range(m)]
+    costs = scale([act.cost for _, act in designated])
 
     def value(weights):
         """Coefficients of sum_s w_s * (expected transfer of the designated
         final at s, plus the state transfer), and sum_s w_s * its cost."""
-        coeffs = [_ZERO] * n
-        cost = _ZERO
-        for s, act in designated:
-            w = weights[s]
-            if w:
-                for k, p in enumerate(act.outcome_dist):
-                    coeffs[k] += w * p
-                if with_state_transfers:
-                    coeffs[m + s] = w
-                cost += w * act.cost
-        return coeffs, cost
+        w = [weights[s] for s in surviving]
+        coeffs = [expectation(w, column) for column in columns]
+        if with_state_transfers:
+            coeffs += weights
+        return coeffs, expectation(w, costs)
 
     rows = []
     for s, act in designated:
@@ -206,14 +207,8 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     # Non-negative transfers leave the agent no worse off than minus the cost
     # of the cheapest profile.  Counting negative final costs (unvalidated
     # input only) as zero makes one value cover every set of surviving states.
-    cheapest = [min((a.cost for a in state.final_actions), default=_ZERO) for state in states]
-    slack = min(
-        (
-            act.cost + sum((p * max(c, _ZERO) for p, c in zip(act.transition, cheapest)), _ZERO)
-            for act in instance.initial_actions
-        ),
-        default=_ZERO,
-    )
+    cheapest = scale([max(min((a.cost for a in s.final_actions), default=_ZERO), _ZERO) for s in states])
+    slack = min((a.cost + expectation(a.transition, cheapest) for a in instance.initial_actions), default=_ZERO)
     options = []  # options[i][s]: (bound term, final or _BLOCKED), largest term first
     for act in instance.initial_actions:
         rows = []
@@ -264,10 +259,8 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         if solution is None:
             infeasible += 1
             continue
-        transition = instance.initial_actions[i].transition
-        profit = sum(
-            (transition[s] * reward[s][j] for s, j in zip(surviving, finals)), _ZERO
-        ) - solution.objective_value
+        profit = _profile_expectation(instance, profile, surviving, lambda s, j: reward[s][j])
+        profit -= solution.objective_value
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
             best = (profit, key, solution)
 

@@ -17,8 +17,10 @@ side), and the objective, by the least common multiple of its denominators.
 The slack and artificial columns start as the identity, so ``D`` starts at
 1.  A pivot on entry ``p`` updates every other row by the Bareiss (Edmonds)
 rule ``a' = (a*p - f*b) // D``, where ``f`` is the row's entry in the pivot
-column and ``b`` the pivot row's entry; the division is exact.  Then ``D = p``.  The reduced costs are one more row of
-the tableau, priced once per phase and updated by the same rule.
+column and ``b`` the pivot row's entry; the division is exact.  Then
+``D = p``.  The reduced costs are one more row of the tableau, priced once
+per phase and updated by the same rule.  Its right-hand side is minus ``D``
+times the scaled objective value, so the optimal value is read from there.
 
 Positive row scales leave the structural columns of the basis-inverse
 tableau unchanged and multiply each slack, surplus and artificial variable
@@ -276,14 +278,15 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for k, b in enumerate(basis):
         if b < n:
             x[b] = Fraction(int(tableau[k][-1]), int(denom))
-    value = sum((cj * xj for cj, xj in zip(lp.objective, x)), zero)
 
-    # Row k's slack or artificial started as the identity column e_k and costs
-    # nothing in phase 2, so its reduced cost is minus the scaled dual of row k.
-    # Undo the row scale, the sign flip and the objective scale.
+    # The reduced-cost row's right-hand side is minus D times the scaled
+    # objective value.  Row k's slack or artificial started as the identity
+    # column e_k and costs nothing in phase 2, so its reduced cost is minus
+    # the scaled dual of row k.  Undo the row scale, the sign flip and the
+    # objective scale.
     reduced = tableau[-1]
     dual_denom = int(denom * obj_scale)
     dual = [zero] * len(lp.constraints)
     for k, (_values, _rel, origin, signed_scale) in enumerate(rows):
         dual[origin] += Fraction(int(-reduced[init_col[k]] * signed_scale), dual_denom)
-    return LpOptimal(tuple(x), value, tuple(dual))
+    return LpOptimal(tuple(x), Fraction(int(-reduced[-1]), dual_denom), tuple(dual))

@@ -1,5 +1,7 @@
 """Expected reward, expected cost and maximal welfare of action profiles.
 
+A profile's reward and cost are each one ``agent._profile_expectation``.
+
 Maximal welfare needs no search of its own: it is the agent's backward
 induction (``agent.backward_induction``) when every final action pays the
 agent its own expected reward and nothing is paid on reaching a state.
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import backward_induction
+from .agent import _profile_expectation, backward_induction
 from .model import ActionProfile, Instance
 
 
@@ -31,24 +33,16 @@ class WelfareReport:
 
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
-    initial = instance.initial_actions[profile.initial]
-    total = Fraction(0)
-    for s, rewards in enumerate(instance.final_rewards):
-        p = initial.transition[s]
-        if p:
-            total += p * rewards[profile.finals[s]]
-    return total
+    rewards = instance.final_rewards
+    return _profile_expectation(instance, profile, range(len(rewards)), lambda s, j: rewards[s][j])
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
-    initial = instance.initial_actions[profile.initial]
-    total = initial.cost
-    for s in range(instance.num_states):
-        p = initial.transition[s]
-        if p:
-            total += p * instance.states[s].final_actions[profile.finals[s]].cost
-    return total
+    states = instance.states
+    return instance.initial_actions[profile.initial].cost + _profile_expectation(
+        instance, profile, range(len(states)), lambda s, j: states[s].final_actions[j].cost
+    )
 
 
 # The instance attribute that holds its report: the per-object slot in which

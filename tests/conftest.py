@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -16,3 +17,11 @@ def midterm():
 @pytest.fixture(scope="session")
 def interim_review():
     return interim_review_instance()
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter: ``PYTHONPATH`` starts with this
+    checkout's ``src``, so the child imports the ``twostage`` under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -20,7 +20,10 @@ faster loop must draw the same numbers and add the same floats in the same
 order.  ``reference_backward_induction`` and ``reference_cdf_thresholds``
 are the former per-entry ``Fraction`` sums of ``agent.backward_induction``
 and ``agent._cdf_thresholds``, the references for their forms over
-``model.scale``.
+``model.scale``.  ``reference_min_payment_program``,
+``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
+former ``Fraction`` sums of ``contracts._min_payment``'s program and of
+``welfare.profile_reward``/``profile_cost``.
 """
 
 from __future__ import annotations
@@ -681,3 +684,64 @@ def reference_cdf_thresholds(probabilities) -> list[int]:
         cum += p
         thresholds.append(-((-cum.numerator << 64) // cum.denominator))
     return thresholds
+
+
+def reference_min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
+    """The program ``contracts._min_payment`` built before its sums went
+    through ``model.expectation``, adding one ``Fraction`` product at a time.
+
+    Same rows in the same order: final rows by surviving state, then
+    alternative final; then initial rows by alternative initial action.
+    """
+    m = instance.num_outcomes
+    n = m + (instance.num_states if with_state_transfers else 0)
+    designated = [(s, instance.states[s].final_actions[profile.finals[s]]) for s in surviving]
+
+    def value(weights):
+        coeffs = [ZERO] * n
+        cost = ZERO
+        for s, act in designated:
+            w = weights[s]
+            if w:
+                for k, p in enumerate(act.outcome_dist):
+                    coeffs[k] += w * p
+                if with_state_transfers:
+                    coeffs[m + s] = w
+                cost += w * act.cost
+        return coeffs, cost
+
+    rows = []
+    for s, act in designated:
+        for j, other in enumerate(instance.states[s].final_actions):
+            if j != profile.finals[s]:
+                coeffs = [p - q for p, q in zip(act.outcome_dist, other.outcome_dist)]
+                rows.append(Constraint(coeffs + [ZERO] * (n - m), ">=", act.cost - other.cost))
+    chosen = instance.initial_actions[profile.initial]
+    for k, other in enumerate(instance.initial_actions):
+        if k != profile.initial:
+            coeffs, cost = value([p - q for p, q in zip(chosen.transition, other.transition)])
+            rows.append(Constraint(coeffs, ">=", chosen.cost - other.cost + cost))
+    objective, _ = value(chosen.transition)
+    return LinearProgram(objective, tuple(rows))
+
+
+def reference_profile_reward(instance, profile) -> Fraction:
+    """``welfare.profile_reward`` as a running ``Fraction`` sum over the reached states."""
+    initial = instance.initial_actions[profile.initial]
+    total = ZERO
+    for s, rewards in enumerate(instance.final_rewards):
+        p = initial.transition[s]
+        if p:
+            total += p * rewards[profile.finals[s]]
+    return total
+
+
+def reference_profile_cost(instance, profile) -> Fraction:
+    """``welfare.profile_cost`` as a running ``Fraction`` sum over the reached states."""
+    initial = instance.initial_actions[profile.initial]
+    total = initial.cost
+    for s in range(instance.num_states):
+        p = initial.transition[s]
+        if p:
+            total += p * instance.states[s].final_actions[profile.finals[s]].cost
+    return total

@@ -82,6 +82,8 @@ def test_evaluate_profile_validates_state_coverage(interim_review):
         (ActionProfile(2, {0: 0, 1: 0}), "initial action index 2"),
         (ActionProfile(0, {0: -1, 1: 0}), "final action index -1 at state 0"),
         (ActionProfile(1, {0: 0, 1: 2}), "final action index 2 at state 1"),
+        (ActionProfile(0, {0: 0, 1: 1, 2: 0}), r"^profile assigns finals to states \[2\], instance has 2 states$"),
+        (ActionProfile(1, {-1: 0, 0: 0, 1: 1}), r"^profile assigns finals to states \[-1\], instance has 2 states$"),
     ],
 )
 def test_evaluate_profile_rejects_out_of_range_indices(midterm, profile, named):

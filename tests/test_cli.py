@@ -422,11 +422,12 @@ def test_usage_errors_exit_three(capsys):
     assert err.value.code == 3
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "twostage", "generate", "--family", "midterm"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["rewards"] == ["0", "5"]
@@ -481,7 +482,7 @@ def test_failed_self_check_exits_four_without_traceback(capsys, monkeypatch, ins
     assert "Traceback" not in err
 
 
-def test_self_check_survives_optimize_flag(instance_file):
+def test_self_check_survives_optimize_flag(instance_file, child_env):
     script = (
         "import dataclasses, sys\n"
         "from twostage import cli, contracts\n"
@@ -496,6 +497,7 @@ def test_self_check_survives_optimize_flag(instance_file):
         [sys.executable, "-O", "-c", script, "solve", instance_file, "--contract", "pay"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 4
     assert "Traceback" not in result.stderr
@@ -575,7 +577,7 @@ def test_forced_self_check_failure_exits_four(capsys, monkeypatch, instance_file
 
 
 @pytest.mark.parametrize("check", sorted(FORCED_FAILURES))
-def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file, check):
+def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file, check, child_env):
     argv, module_name, attribute, expression, message = FORCED_FAILURES[check]
     script = (
         replacement_source(module_name, attribute, expression)
@@ -586,6 +588,7 @@ def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file,
         [sys.executable, "-O", "-c", script, *(a.format(instance=instance_file) for a in argv)],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 4
     assert result.stdout == ""

@@ -33,6 +33,7 @@ from twostage import (
     generate,
     validate,
 )
+from twostage import contracts
 from twostage.generators import (
     cost_ladder_instance,
     payment_gap_instance,
@@ -44,6 +45,7 @@ from oracles import (
     incentive_program,
     iter_profiles,
     lattice_min_payment_standard,
+    reference_min_payment_program,
     scipy_lp_min,
     tie_heavy_variants,
 )
@@ -121,11 +123,12 @@ def test_min_payment_terminate_validates_profile_coverage(interim_review):
 
 MALFORMED_PROFILES = [
     (ActionProfile(0, {}), r"profile is missing finals for states \[0, 1\]"),
-    (ActionProfile(0, {0: 0, 1: 1, 2: 0}), r"profile assigns finals to terminated states \[2\]"),
+    (ActionProfile(0, {0: 0, 1: 1, 2: 0}), r"profile assigns finals to states \[2\], instance has 2 states"),
     (ActionProfile(5, {0: 0, 1: 1}), "initial action index 5 is out of range"),
     (ActionProfile(-2, {0: -2, 1: -1}), "initial action index -2 is out of range"),
     (ActionProfile(0, {0: 0, 1: 2}), "final action index 2 at state 1 is out of range"),
     (ActionProfile(1, {0: -1, 1: 0}), "final action index -1 at state 0 is out of range"),
+    (ActionProfile(0, {-1: 0, 0: 0, 1: 1}), r"profile assigns finals to states \[-1\], instance has 2 states"),
 ]
 
 
@@ -146,11 +149,79 @@ def test_min_payment_standard_and_pay_reject_malformed_profiles(midterm, profile
         ({0}, ActionProfile(5, {1: 0}), "initial action index 5 is out of range"),
         ({0}, ActionProfile(-2, {1: -1}), "initial action index -2 is out of range"),
         ({0}, ActionProfile(0, {1: 2}), "final action index 2 at state 1 is out of range"),
+        ({0}, ActionProfile(0, {0: 0, 1: 1, 5: 0}), r"profile assigns finals to states \[5\], instance has 2 states"),
     ],
 )
 def test_min_payment_terminate_rejects_malformed_input(midterm, terminate_set, profile, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         min_payment_terminate(midterm, terminate_set, profile)
+
+
+SEPARATION_FAMILIES = [
+    ("midterm", {}),
+    ("interim_review", {}),
+    ("payment_gap", {"p": F(9, 10), "q": F(1, 2), "c": F(1), "x": F(20)}),
+    ("cost_ladder", {"n1": 3, "n2": 3}),
+    ("state_markers", {"s": 3, "n2": 2}),
+]
+
+
+def _random_profile(rng, inst, surviving):
+    return ActionProfile(
+        rng.randrange(inst.num_initial_actions),
+        {s: rng.randrange(len(inst.states[s].final_actions)) for s in surviving},
+    )
+
+
+def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, midterm):
+    # Every program _min_payment hands to solve_lp, from the three searches
+    # and from the public wrappers under every blocked set, must equal the
+    # Fraction-summing builder's, coefficient for coefficient.
+    handed = []
+    solve = contracts.solve_lp
+    monkeypatch.setattr(contracts, "solve_lp", lambda lp: handed.append(lp) or solve(lp))
+    build = contracts._min_payment
+    checked = []
+
+    def checked_min_payment(instance, profile, surviving, with_state_transfers):
+        start = len(handed)
+        result = build(instance, profile, surviving, with_state_transfers)
+        (lp,) = handed[start:]
+        assert lp == reference_min_payment_program(instance, profile, surviving, with_state_transfers)
+        checked.append((with_state_transfers, len(surviving)))
+        return result
+
+    monkeypatch.setattr(contracts, "_min_payment", checked_min_payment)
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    # Unvalidated: every action costs something.
+    instances.append(
+        Instance(
+            midterm.rewards,
+            tuple(InitialAction(a.name, a.cost + 1, a.transition) for a in midterm.initial_actions),
+            tuple(
+                State(s.name, tuple(FinalAction(a.name, a.cost + F(1, 2), a.outcome_dist) for a in s.final_actions))
+                for s in midterm.states
+            ),
+        )
+    )
+    rng = random.Random("min-payment-rows")
+    for inst in instances:
+        for solver in (optimal_standard, optimal_pay, optimal_terminate):
+            solver(inst)
+        every_state = range(inst.num_states)
+        min_payment_standard(inst, _random_profile(rng, inst, every_state))
+        min_payment_pay(inst, _random_profile(rng, inst, every_state))
+        for size in range(inst.num_states + 1):
+            for blocked in itertools.combinations(every_state, size):
+                surviving = [s for s in every_state if s not in blocked]
+                min_payment_terminate(inst, blocked, _random_profile(rng, inst, surviving))
+    assert len(instances) == 5 + 4 * 20 * 5 + 1
+    assert (False, 0) in checked  # every state blocked: m zero coefficients per row
+    assert any(with_state_transfers for with_state_transfers, _ in checked)
 
 
 def test_pay_to_standard_tree_checks_dimensions_like_best_response():

@@ -1,6 +1,7 @@
 """Differential tests of the integer kernels against the ``Fraction`` forms
 they replaced: parsing, validation, expectations, the agent's backward
-induction, and the thresholds and sampling loop of ``simulate``."""
+induction, profile values, and the thresholds and sampling loop of
+``simulate``."""
 
 import dataclasses
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage import (
+    ActionProfile,
     InstanceFormatError,
     LinearContract,
     PayHalfwayContract,
@@ -18,7 +20,10 @@ from twostage import (
     State,
     TerminateHalfwayContract,
     classify,
+    evaluate_profile,
     parse_rational,
+    profile_cost,
+    profile_reward,
     random_instance,
     simulate,
     validate,
@@ -30,10 +35,13 @@ from twostage.model import expectation, scale
 from oracles import (
     EVALUATE_CAPS,
     contract_pieces,
+    profile_value,
     reference_backward_induction,
     reference_cdf_thresholds,
     reference_classify,
     reference_expectation,
+    reference_profile_cost,
+    reference_profile_reward,
     reference_simulate,
     reference_validate,
     tie_heavy_variants,
@@ -211,6 +219,39 @@ def test_backward_induction_matches_fraction_reference(kind):
                 expected = reference_backward_induction(variant, final_transfers, state_transfers)
                 assert backward_induction(variant, final_transfers, state_transfers) == expected
                 assert best_response(variant, contract) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_profile_values_match_fraction_references(kind):
+    # evaluate_profile against the direct sums of oracles.profile_value, and
+    # profile_reward/profile_cost against their former running sums, on random
+    # profiles.  Unreached states come from sparse transitions and from the
+    # tie-heavy variant with an unreachable copy of a state; the reward and
+    # cost must not read a final there, so a profile may leave them out.
+    rng = random.Random(f"profile-values:{kind}")
+    unreached = 0
+    for seed in range(30):
+        instance = random_instance(kind, seed=seed, **EVALUATE_CAPS)
+        for variant in (instance, tie_heavy_variants(instance)[-1]):
+            states = range(variant.num_states)
+            for contract_kind in CONTRACT_KINDS:
+                contract = _contract(rng, variant, contract_kind)
+                terminated = contract_pieces(variant, contract)[2]
+                i = rng.randrange(variant.num_initial_actions)
+                finals = {s: rng.randrange(len(variant.states[s].final_actions)) for s in states}
+                profile = ActionProfile(i, {s: j for s, j in finals.items() if s not in terminated})
+                got = evaluate_profile(variant, contract, profile)
+                assert (got.agent_utility, got.expected_payment, got.principal_profit) == profile_value(
+                    variant, contract, profile
+                )
+                total = ActionProfile(i, finals)
+                reward, cost = reference_profile_reward(variant, total), reference_profile_cost(variant, total)
+                assert (profile_reward(variant, total), profile_cost(variant, total)) == (reward, cost)
+                transition = variant.initial_actions[i].transition
+                reached = ActionProfile(i, {s: j for s, j in finals.items() if transition[s]})
+                assert (profile_reward(variant, reached), profile_cost(variant, reached)) == (reward, cost)
+                unreached += len(reached.finals) < variant.num_states
+    assert unreached > 100
 
 
 @pytest.mark.parametrize(

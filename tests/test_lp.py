@@ -97,6 +97,20 @@ def _random_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram(objective, tuple(constraints))
 
 
+def _boxed_lp(rng: random.Random) -> LinearProgram:
+    """A ``_random_lp`` with costs of both signs and a ``<=`` box row on each
+    variable, so it is never unbounded and phase 2 has pivots to take."""
+    lp = _random_lp(rng)
+    n = lp.num_variables
+    objective = [F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+    objective[rng.randrange(n)] = F(-rng.randint(1, 9), rng.choice((1, 2, 3)))
+    boxes = tuple(
+        Constraint(tuple(F(int(k == j)) for k in range(n)), "<=", F(rng.randint(0, 12), rng.choice((1, 2))))
+        for j in range(n)
+    )
+    return LinearProgram(tuple(objective), lp.constraints + boxes)
+
+
 def _satisfies(lp: LinearProgram, x) -> bool:
     for row in lp.constraints:
         lhs = sum((c * v for c, v in zip(row.coeffs, x)), F(0))
@@ -111,16 +125,18 @@ def _satisfies(lp: LinearProgram, x) -> bool:
 
 def test_optimal_solutions_are_exactly_feasible():
     rng = random.Random(42)
-    solved = 0
-    for _ in range(120):
-        lp = _random_lp(rng)
+    solved = negative = 0
+    for k in range(240):
+        lp = _random_lp(rng) if k < 120 else _boxed_lp(rng)
         result = solve_lp(lp)
         if isinstance(result, LpOptimal):
             solved += 1
             assert _satisfies(lp, result.x)
             value = sum((c * v for c, v in zip(lp.objective, result.x)), F(0))
             assert value == result.objective_value
+            negative += value < 0
     assert solved > 30  # the generator must actually exercise the solver
+    assert negative > 10  # and the boxed programs must reach negative optima
 
 
 def test_duality_certificates():
@@ -227,6 +243,21 @@ def test_random_programs_match_the_fraction_simplex():
     assert equalities > 500 and negative_rhs > 500
 
 
+def test_boxed_programs_with_costs_of_both_signs_match_the_fraction_simplex():
+    # The objective value is read off the reduced-cost row, which negative
+    # costs move in phase 2; the reference sums c.x.
+    rng = random.Random(11)
+    optimal = negative = 0
+    for _ in range(200):
+        lp = _boxed_lp(rng)
+        result = solve_lp(lp)
+        assert result == fraction_simplex(lp), lp
+        if isinstance(result, LpOptimal):
+            optimal += 1
+            negative += result.objective_value < 0
+    assert optimal > 50 and negative > 50
+
+
 SEARCHED_FAMILIES = [
     ("midterm", {}),
     ("interim_review", {}),
@@ -288,7 +319,7 @@ def test_negative_drive_out_pivot_keeps_the_denominator_positive(monkeypatch):
     assert result == fraction_simplex(lp)
 
 
-def test_phase_one_self_check_raises_under_optimize_flag():
+def test_phase_one_self_check_raises_under_optimize_flag(child_env):
     # Phase 1 minimizes a non-negative sum, so "unbounded" there is a solver
     # fault; the check must raise even when asserts are stripped.
     script = (
@@ -302,7 +333,7 @@ def test_phase_one_self_check_raises_under_optimize_flag():
         "    print(exc)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=child_env
     )
     assert result.returncode == 0, result.stderr
     assert "phase 1 came out unbounded" in result.stdout
