@@ -2,13 +2,17 @@
 
 Every command prints a single JSON document to stdout with sorted keys, so
 output is byte-deterministic for fixed inputs and flags (the only exception
-is the wall-clock ``duration_seconds`` field).  Exact rationals appear as
-``{"exact": "p/q", "decimal": <12 significant digits>}`` pairs.
+is the wall-clock ``duration_seconds`` field).  One rule, ``_doc``, renders
+every result object: a dataclass by its field names, so the documents carry
+the library's own names, a tuple as a list, and a dict with string keys.
+Exact rationals appear as ``{"exact": "p/q", "decimal": <12 significant
+digits>}`` pairs, and an exact value may have more digits than an input may.
 
 Exit codes are part of the contract:
   0  success
   1  validation failure (instance invariants, contract dimensions, family
-     parameter constraints, and negative rewards for ``compare``,
+     parameter constraints, among them an instance ``generate`` could not
+     read back, and negative rewards for ``compare``,
      ``solve --contract linear`` and ``breakpoints``, since linear contracts
      need non-negative rewards)
   2  enumeration cap exceeded
@@ -21,6 +25,7 @@ A failing command prints nothing on stdout, only its message on stderr;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -34,7 +39,6 @@ from .agent import best_response, simulate
 from .generators import FAMILIES, FamilyParams, generate
 from .linear import LinearOptimum, analyze
 from .model import (
-    ActionProfile,
     Instance,
     InstanceFormatError,
     LinearContract,
@@ -63,28 +67,40 @@ def _decimal_str(value: Fraction, digits: int = 12) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _rat(value: Fraction) -> dict:
-    return {"exact": format_rational(value), "decimal": _decimal_str(value)}
+def _doc(value):
+    """The JSON form of a result: a dataclass by its fields, a ``Fraction`` as
+    its exact and decimal strings, a tuple as a list and a dict with ``str``
+    keys (``sort_keys`` then puts state "10" before "2"); any other value as it is."""
+    kind = type(value)
+    if kind is Fraction:
+        return {"exact": format_rational(value), "decimal": _decimal_str(value)}
+    if kind is tuple:
+        return [_doc(v) for v in value]
+    if kind is dict:
+        return {str(k): _doc(v) for k, v in value.items()}
+    names = _field_names(kind)
+    return value if names is None else {name: _doc(getattr(value, name)) for name in names}
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names, or None for any other type."""
+    return tuple(f.name for f in dataclasses.fields(kind)) if dataclasses.is_dataclass(kind) else None
 
 
 def _ratio(numerator: Fraction, denominator: Fraction):
-    return _rat(numerator / denominator) if denominator != 0 else None
+    return _doc(numerator / denominator) if denominator != 0 else None
 
 
-def _profile_doc(profile: ActionProfile) -> dict:
-    return {
-        "initial": profile.initial,
-        "finals": {str(s): j for s, j in sorted(profile.finals.items())},
-    }
+# Contract-file key -> the contract field it holds.
+_CONTRACT_KEYS = {"t": "transfers", "s": "state_transfers", "alpha": "alpha"}
 
 
 def _contract_doc(contract) -> dict:
     doc = contract_to_dict(contract)
-    for key in ("t", "s"):
+    for key, field in _CONTRACT_KEYS.items():
         if key in doc:
-            doc[key] = [_rat(Fraction(v)) for v in doc[key]]
-    if "alpha" in doc:
-        doc["alpha"] = _rat(Fraction(doc["alpha"]))
+            doc[key] = _doc(getattr(contract, field))
     return doc
 
 
@@ -105,31 +121,19 @@ def _read(path: str) -> str:
 
 def _cmd_classify(args, instance: Instance) -> dict:
     process_class = classify(instance)
-    return {
-        "is_tree": process_class.is_tree,
-        "is_stochastic_first_stage": process_class.is_stochastic_first_stage,
-        "is_deterministic_first_stage": process_class.is_deterministic_first_stage,
-        "label": process_class.label,
-    }
+    return {**_doc(process_class), "label": process_class.label}
 
 
 def _cmd_welfare(args, instance: Instance) -> dict:
-    report = max_welfare(instance)
-    return {
-        "max_welfare": _rat(report.max_welfare),
-        "argmax_profile": _profile_doc(report.argmax_profile),
-        "per_state_best": [
-            {"final": sb.final, "value": _rat(sb.value)} for sb in report.per_state_best
-        ],
-    }
+    return _doc(max_welfare(instance))
 
 
 def _solver_result(report: solvers.SolveReport) -> tuple[solvers.SolveReport, dict]:
     return report, {
         "contract": _contract_doc(report.best_contract),
-        "profile": _profile_doc(report.best_response.profile),
-        "payment": _rat(report.best_response.expected_payment),
-        "profit": _rat(report.profit),
+        "profile": _doc(report.best_response.profile),
+        "payment": _doc(report.best_response.expected_payment),
+        "profit": _doc(report.profit),
         "profiles_enumerated": report.profiles_enumerated,
         "termination_sets_enumerated": report.termination_sets_enumerated,
         "infeasible_profiles": report.infeasible_profiles,
@@ -142,10 +146,10 @@ def _linear_result(instance: Instance) -> tuple[LinearOptimum, dict]:
     alpha = analysis.optimal.alpha
     segment = next(seg for seg in analysis.segments if seg.alpha_low == alpha)
     return analysis.optimal, {
-        "contract": {"kind": "linear", "alpha": _rat(alpha)},
-        "profile": _profile_doc(segment.profile),
-        "payment": _rat(alpha * segment.reward),
-        "profit": _rat(analysis.optimal.profit),
+        "contract": _contract_doc(LinearContract(alpha)),
+        "profile": _doc(segment.profile),
+        "payment": _doc(alpha * segment.reward),
+        "profit": _doc(analysis.optimal.profit),
         "breakpoints": len(analysis.breakpoints),
     }
 
@@ -178,7 +182,7 @@ def _cmd_solve(args, instance: Instance) -> dict:
     return {
         "contract_kind": args.contract,
         "result": result,
-        "welfare": _rat(welfare),
+        "welfare": _doc(welfare),
         "profit_over_welfare": _ratio(optimum.profit, welfare),
         "duration_seconds": time.perf_counter() - started,
     }
@@ -191,7 +195,7 @@ def _cmd_compare(args, instance: Instance) -> dict:
     welfare = solved["standard"][0].welfare
     return {
         "process_class": classify(instance).label,
-        "welfare": _rat(welfare),
+        "welfare": _doc(welfare),
         "results": {kind: result for kind, (_, result) in solved.items()},
         "ratios": {
             "profit_over_welfare": _ratio(max(profit.values()), welfare),
@@ -204,15 +208,7 @@ def _cmd_compare(args, instance: Instance) -> dict:
 
 def _cmd_best_response(args, instance: Instance) -> dict:
     contract = contract_from_json(_read(args.contract_file))
-    response = best_response(instance, contract)
-    return {
-        "contract": _contract_doc(contract),
-        "profile": _profile_doc(response.profile),
-        "agent_utility": _rat(response.agent_utility),
-        "expected_payment": _rat(response.expected_payment),
-        "principal_profit": _rat(response.principal_profit),
-        "per_state_utility": [_rat(u) for u in response.per_state_utility],
-    }
+    return {**_doc(best_response(instance, contract)), "contract": _contract_doc(contract)}
 
 
 def _cmd_breakpoints(args, instance: Instance) -> dict:
@@ -227,56 +223,17 @@ def _cmd_breakpoints(args, instance: Instance) -> dict:
         lines = ["alpha_exact,alpha_decimal,profit_exact,profit_decimal,profile"]
         for alpha, profit, profile in rows:
             finals = ";".join(str(j) for _, j in sorted(profile.finals.items()))
-            lines.append(
-                ",".join(
-                    [
-                        format_rational(alpha),
-                        _decimal_str(alpha),
-                        format_rational(profit),
-                        _decimal_str(profit),
-                        f"{profile.initial}|{finals}",
-                    ]
-                )
-            )
+            cells = [pair[form] for pair in (_doc(alpha), _doc(profit)) for form in ("exact", "decimal")]
+            lines.append(",".join([*cells, f"{profile.initial}|{finals}"]))
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-    return {
-        "breakpoints": [
-            {
-                "alpha": _rat(bp.alpha),
-                "profile_left": _profile_doc(bp.profile_left),
-                "profile_right": _profile_doc(bp.profile_right),
-            }
-            for bp in analysis.breakpoints
-        ],
-        "segments": [
-            {
-                "alpha_low": _rat(seg.alpha_low),
-                "alpha_high": _rat(seg.alpha_high),
-                "profile": _profile_doc(seg.profile),
-                "reward": _rat(seg.reward),
-                "cost": _rat(seg.cost),
-            }
-            for seg in analysis.segments
-        ],
-        "optimal": {
-            "alpha": _rat(analysis.optimal.alpha),
-            "profit": _rat(analysis.optimal.profit),
-        },
-    }
+    return _doc(analysis)
 
 
 def _cmd_simulate(args, instance: Instance) -> dict:
     contract = contract_from_json(_read(args.contract_file))
     result = simulate(instance, contract, args.episodes, args.seed)
-    return {
-        "contract": _contract_doc(contract),
-        "episodes": args.episodes,
-        "seed": args.seed,
-        "empirical_profit": result.empirical_profit,
-        "empirical_payment": result.empirical_payment,
-        "std_error": result.std_error,
-    }
+    return {**_doc(result), "contract": _contract_doc(contract), "episodes": args.episodes, "seed": args.seed}
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -293,6 +250,10 @@ def _cmd_generate(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
     instance = generate(FamilyParams(args.family, params))
     text = instance_to_json(instance)
+    try:  # write only what twostage reads back, e.g. no number over the digit limit
+        instance_from_json(text)
+    except InstanceFormatError as exc:
+        raise ValueError(f"the family parameters give an unreadable instance: {exc}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -360,10 +321,7 @@ def main(argv=None) -> int:
         instance = instance_from_json(_read(args.instance))
         report = validate(instance)
         if args.command == "validate":  # the report is the output, valid or not
-            doc = {
-                "ok": report.ok,
-                "violations": [{"location": v.location, "rule": v.rule} for v in report.violations],
-            }
+            doc = {**_doc(report), "ok": report.ok}
         elif not report.ok:
             for violation in report.violations:
                 print(f"invalid instance: {violation}", file=sys.stderr)

@@ -27,6 +27,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -117,8 +118,16 @@ def parse_rational(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form, ``"p/q"`` or ``"p"``; round-trips exactly."""
-    return str(value)
+    """Canonical string form, ``"p/q"`` or ``"p"``; round-trips exactly within the digit limit.
+
+    ``str`` refuses an integer past ``sys.get_int_max_str_digits()``; ``Decimal`` prints any.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        numerator, denominator = value.as_integer_ratio()
+        text = str(Decimal(numerator))
+        return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
 
 
 def _rational(value: object) -> Fraction:

@@ -31,14 +31,26 @@ class WelfareReport:
     per_state_best: tuple[StateBest, ...]
 
 
+def _check_indices(instance: Instance, profile: ActionProfile) -> None:
+    """Raise ``IndexError`` for an action index outside the instance, which
+    Python's indexing would wrap if it is negative."""
+    sizes = [len(state.final_actions) for state in instance.states]
+    if not 0 <= profile.initial < instance.num_initial_actions or not all(
+        0 <= j < sizes[s] for s, j in profile.finals.items() if 0 <= s < len(sizes)
+    ):
+        raise IndexError(f"action index out of range in {profile}")
+
+
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
+    _check_indices(instance, profile)
     rewards = instance.final_rewards
     return _profile_expectation(instance, profile, range(len(rewards)), lambda s, j: rewards[s][j])
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
+    _check_indices(instance, profile)
     states = instance.states
     return instance.initial_actions[profile.initial].cost + _profile_expectation(
         instance, profile, range(len(states)), lambda s, j: states[s].final_actions[j].cost

@@ -3,11 +3,13 @@ import dataclasses
 import importlib.util
 import io
 import json
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,11 +21,14 @@ from twostage import (
     InitialAction,
     Instance,
     LinearContract,
+    StandardContract,
     State,
     analyze,
     best_response,
     generate,
+    instance_from_json,
     instance_to_json,
+    max_welfare,
     midterm_instance,
     optimal_standard,
     random_instance,
@@ -125,6 +130,86 @@ def test_generate_random_cap_below_one_exits_one_naming_it(capsys, param, cap):
     assert err == f"twostage: {cap} must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_generate_refuses_an_instance_it_could_not_read_back(tmp_path, capsys, to_file):
+    # With n2=11 a probability's "p/q" has more digits than parsing allows;
+    # n2=10 still fits.
+    out_path = tmp_path / "ladder.json"
+
+    def ladder(n2: int) -> list[str]:
+        return ["generate", "--family", "cost_ladder", "--param", "n1=1", "--param", f"n2={n2}", "--param", "growth=1e100"]
+
+    code, out, err = run_cli(capsys, *ladder(11), *(["--out", str(out_path)] if to_file else []))
+    assert (code, out) == (1, "")
+    assert err.startswith("twostage: the family parameters give an unreadable instance: number too large:")
+    assert f"over the limit of {sys.get_int_max_str_digits()}" in err
+    assert not out_path.exists()
+    assert run_cli(capsys, *ladder(10), "--out", str(out_path))[0] == 0
+    assert run_cli(capsys, "validate", str(out_path))[0] == 0
+
+
+def _huge_instance(seed: int, transfer: bool) -> dict:
+    """A valid one-state instance whose integers have 2100 digits.
+
+    Its welfare (``transfer`` false) or, with a paid final whose distribution
+    and cost have their own denominators, its minimal standard transfer
+    (``transfer`` true) has a part of more than 4300 digits, which ``str`` refuses.
+    """
+    rng = random.Random(seed)
+
+    def big() -> int:
+        return rng.randrange(10**2099, 10**2100)
+
+    def dist(c: int, b: int) -> list[str]:
+        return [f"{c - b}/{c}", f"{b}/{c}"]
+
+    if transfer:
+        c1, c2, k = big(), big(), big()
+        rewards = ["0", "10"]
+        finals = [
+            {"name": "null", "cost": "0", "outcome_dist": dist(c1, c1 // 10 + rng.randrange(c1 // 100))},
+            {"name": "work", "cost": f"{k}/{2 * k + 1}", "outcome_dist": dist(c2, c2 * 9 // 10)},
+        ]
+    else:
+        c = big()
+        rewards = [f"{big()}/{big()}", f"{big()}/{big()}"]
+        finals = [{"name": "null", "cost": "0", "outcome_dist": dist(c, rng.randrange(1, c))}]
+    return {
+        "rewards": rewards,
+        "initial_actions": [{"name": "null", "cost": "0", "transition": ["1"]}],
+        "states": [{"name": "s", "final_actions": finals}],
+    }
+
+
+def _exact(pair: dict) -> F:
+    """The value of an ``{"exact", "decimal"}`` pair, read without ``str``'s digit limit."""
+    return F(*(int(Decimal(part)) for part in pair["exact"].split("/")))
+
+
+@pytest.mark.parametrize("transfer", [False, True])
+def test_results_longer_than_the_digit_limit_print(tmp_path, capsys, transfer):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_instance(7, transfer)))
+    contract = tmp_path / "contract.json"
+    contract.write_text('{"kind": "standard", "t": ["0", "1"]}')
+    instance = instance_from_json(path.read_text())
+    outputs = {}
+    for argv in (["welfare"], ["solve", "--contract", "standard"], ["breakpoints"],
+                 ["best-response", "--contract-file", str(contract)]):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+        outputs[argv[0]] = json.loads(out)
+    welfare = outputs["welfare"]["max_welfare"]
+    assert _exact(welfare) == max_welfare(instance).max_welfare
+    result = outputs["solve"]["result"]
+    transfers = [_exact(t) for t in result["contract"]["t"]]
+    response = best_response(instance, StandardContract(transfers))
+    assert response.profile.finals == {0: int(transfer)}
+    assert _exact(result["profit"]) == response.principal_profit
+    longest = result["contract"]["t"][1] if transfer else welfare
+    assert max(map(len, longest["exact"].split("/"))) > sys.get_int_max_str_digits()
+
+
 def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     doc = {
@@ -145,6 +230,21 @@ def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
     rules = [v["rule"] for v in report["violations"]]
     assert any("does not sum to 1" in r for r in rules)
     assert any("missing null initial action" in r for r in rules)
+    assert out == """{
+  "command": "validate",
+  "ok": false,
+  "violations": [
+    {
+      "location": "initial_actions[0].transition",
+      "rule": "distribution does not sum to 1"
+    },
+    {
+      "location": "initial_actions",
+      "rule": "missing null initial action (zero cost)"
+    }
+  ]
+}
+"""
 
 
 def test_parse_error_exits_three(tmp_path, capsys):
@@ -607,6 +707,8 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INSTANCES = {
     "": ("interim_review", {}),
     "random_general_6": ("random_general", {"seed": 6, "s": 10, "n1": 5, "n2": 8, "m": 8}),
+    "state_markers_5_1": ("state_markers", {"s": 5, "n2": 1}),  # 11 states: finals keys "10" < "2"
+    "midterm": ("midterm", {}),
 }
 GOLDEN_COMMANDS = {
     "validate": ["validate", "{instance}"],
@@ -679,6 +781,13 @@ def test_every_command_matches_its_golden_output():
     assert "duration_seconds" not in outputs["compare.out"] + outputs["solve_standard.out"]
     for name, text in outputs.items():
         assert text == (GOLDEN / name).read_text(), name
+
+
+def test_every_golden_file_is_a_contract_or_a_checked_output():
+    # A pinned file that no command produces would be checked by nothing.
+    pinned = {str(path.relative_to(GOLDEN)) for path in GOLDEN.rglob("*") if path.is_file()}
+    contracts = {str(Path(directory) / "contract.json") for directory in GOLDEN_INSTANCES}
+    assert pinned == contracts | set(golden_outputs())
 
 
 def test_golden_commands_give_the_same_output_twice_when_interleaved(tmp_path):

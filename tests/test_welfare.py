@@ -103,6 +103,11 @@ def test_profile_reward_index_errors(midterm):
         profile_reward(midterm, ActionProfile(5, {0: 0, 1: 0}))
     with pytest.raises(KeyError):
         profile_reward(midterm, ActionProfile(0, {0: 0}))  # missing a state
+    # Negative indices would wrap to the last action; both functions refuse them.
+    for profile in (ActionProfile(-1, {0: 0, 1: 0}), ActionProfile(0, {0: -1, 1: 0}), ActionProfile(0, {0: 0, 1: 2})):
+        for function in (profile_reward, profile_cost):
+            with pytest.raises(IndexError):
+                function(midterm, profile)
 
 
 def test_max_welfare_matches_the_reference_report_ties_included():
