@@ -6,8 +6,9 @@ at every (surviving) state, and initial-stage rows compare the designated
 initial action against each alternative using the designated continuation
 values, which is valid exactly because the final rows hold everywhere.  Weak
 inequalities suffice since the agent breaks ties in the principal's favor.
-Each expected-value coefficient is one ``model.expectation`` over the
-designated finals' outcome column or costs, scaled once per program.
+Each expected-value coefficient is one ``model.dot`` of the weights, scaled
+once per row, with the designated finals' outcome column or costs, scaled
+once per program.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -23,6 +24,19 @@ profits go to the candidate first in the order (termination-set size,
 termination set, initial action, finals by state), which is the one an
 exhaustive enumeration in that order keeps.  The caps count the whole
 candidate space, pruned or not.
+
+Each instance keeps one private ``_Compiled`` in its ``vars``, next to its
+welfare report and likewise outside equality, hashing, repr and JSON: each
+state's distinct finals, each (state, designated final, column count)'s
+final-stage rows, built once, and the solution of every program without
+state transfers that a search solved.  A terminate candidate that blocks no
+state is the standard program of the same initial action and finals, so
+``compare``'s terminate search finds most of its programs already solved by
+its standard search.  A program taken from that memo still counts in
+``programs_solved`` and ``infeasible_profiles``, so a report, counters
+included, does not depend on what ran before on the instance.  The memo holds
+at most the programs without state transfers solved on that instance, and it
+goes with the instance (with each command, in the CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -49,6 +63,7 @@ from .model import (
     State,
     TerminateHalfwayContract,
     classify,
+    dot,
     expectation,
     scale,
 )
@@ -87,6 +102,54 @@ class SolveReport:
     programs_solved: int
 
 
+# --- what every search on one instance reuses ---------------------------------
+
+
+class _Compiled:
+    """An instance's distinct finals, final-stage rows and solved programs.
+
+    ``finals[s]`` lists state ``s``'s distinct final indices (see
+    ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
+    column count) to that final's incentive rows, built on first use.
+    ``programs`` maps a program without state transfers, named by (blocked
+    states, initial action, finals), to its solution or None when infeasible.
+    Every entry is set once, and whoever sets it sets an equal value.
+    """
+
+    __slots__ = ("finals", "rows", "programs")
+
+    def __init__(self, instance):
+        self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
+        self.rows = {}
+        self.programs = {}
+
+    def final_rows(self, instance, s, j, n) -> tuple[Constraint, ...]:
+        """Rows keeping final ``j`` optimal at state ``s``, over ``n`` columns:
+        one per alternative final, in index order, zero past the outcomes."""
+        key = (s, j, n)
+        rows = self.rows.get(key)
+        if rows is None:
+            finals = instance.states[s].final_actions
+            act, pad = finals[j], [_ZERO] * (n - instance.num_outcomes)
+            rows = self.rows[key] = tuple(
+                Constraint([p - q for p, q in zip(act.outcome_dist, other.outcome_dist)] + pad, ">=", act.cost - other.cost)
+                for other in finals[:j] + finals[j + 1 :]
+            )
+        return rows
+
+
+# The instance attribute that holds its ``_Compiled``, kept where
+# ``welfare.max_welfare`` keeps its report and for the same reasons.
+_COMPILED = "_compiled_programs"
+
+
+def _compiled(instance) -> _Compiled:
+    compiled = vars(instance).get(_COMPILED)
+    if compiled is None:
+        compiled = vars(instance).setdefault(_COMPILED, _Compiled(instance))
+    return compiled
+
+
 # --- minimal-payment programs -------------------------------------------------
 
 
@@ -101,26 +164,22 @@ def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptima
     """
     m = instance.num_outcomes
     n = m + (instance.num_states if with_state_transfers else 0)
-    designated = [(s, instance.states[s].final_actions[profile.finals[s]]) for s in surviving]
+    designated = [instance.states[s].final_actions[profile.finals[s]] for s in surviving]
     # One column per outcome, so an empty ``surviving`` still gives m of them.
-    columns = [scale([act.outcome_dist[k] for _, act in designated]) for k in range(m)]
-    costs = scale([act.cost for _, act in designated])
+    columns = [scale([act.outcome_dist[k] for act in designated]) for k in range(m)]
+    costs = scale([act.cost for act in designated])
 
     def value(weights):
         """Coefficients of sum_s w_s * (expected transfer of the designated
         final at s, plus the state transfer), and sum_s w_s * its cost."""
-        w = [weights[s] for s in surviving]
-        coeffs = [expectation(w, column) for column in columns]
+        w = scale([weights[s] for s in surviving])
+        coeffs = [dot(w, column) for column in columns]
         if with_state_transfers:
             coeffs += weights
-        return coeffs, expectation(w, costs)
+        return coeffs, dot(w, costs)
 
-    rows = []
-    for s, act in designated:
-        for j, other in enumerate(instance.states[s].final_actions):
-            if j != profile.finals[s]:
-                coeffs = [p - q for p, q in zip(act.outcome_dist, other.outcome_dist)]
-                rows.append(Constraint(coeffs + [_ZERO] * (n - m), ">=", act.cost - other.cost))
+    compiled = _compiled(instance)
+    rows = [row for s in surviving for row in compiled.final_rows(instance, s, profile.finals[s], n)]
     chosen = instance.initial_actions[profile.initial]
     for k, other in enumerate(instance.initial_actions):
         if k != profile.initial:
@@ -165,6 +224,7 @@ def min_payment_terminate(
 # --- search -------------------------------------------------------------------
 
 _BLOCKED = -1  # the option of terminating at a state instead of picking a final
+_UNSOLVED = object()  # a program the instance's memo does not hold yet
 
 
 def _distinct_final_indices(state) -> list[int]:
@@ -197,7 +257,8 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     action's best candidate yields the space lazily in descending bound order.
     """
     states = instance.states
-    reps = [_distinct_final_indices(state) for state in states]
+    compiled = _compiled(instance)
+    reps = compiled.finals
     space = instance.num_initial_actions
     for finals in reps:
         space *= len(finals) + may_block
@@ -254,7 +315,12 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             continue  # it can at best tie, and ties keep the earlier candidate
         surviving = [s for s in range(len(states)) if s not in blocked]
         profile = ActionProfile(i, dict(zip(surviving, finals)))
-        solution = _min_payment(instance, profile, surviving, with_state_transfers)
+        program = None if with_state_transfers else key[1:]
+        solution = compiled.programs.get(program, _UNSOLVED)
+        if solution is _UNSOLVED:
+            solution = _min_payment(instance, profile, surviving, with_state_transfers)
+            if program is not None:
+                compiled.programs[program] = solution
         solved += 1
         if solution is None:
             infeasible += 1

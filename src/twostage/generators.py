@@ -166,8 +166,8 @@ def payment_gap_instance(p: Fraction, q: Fraction, c: Fraction, x: Fraction) -> 
 
 
 def _geometric_sum(growth: Fraction, k: int) -> Fraction:
-    """growth + growth**2 + ... + growth**k, exactly."""
-    return sum((growth ** i for i in range(1, k + 1)), _ZERO)
+    """growth + growth**2 + ... + growth**k, exactly; requires growth != 1."""
+    return growth * (growth ** k - 1) / (growth - 1)
 
 
 def _power_of_ten_at_least(bound: Fraction) -> Fraction:

@@ -14,12 +14,13 @@ The tableau holds integers over one common denominator ``D``, the
 determinant of the current basis.  ``model.scale``, the package's one
 common-denominator kernel, multiplies each row (coefficients and right-hand
 side), and the objective, by the least common multiple of its denominators.
-The slack and artificial columns start as the identity, so ``D`` starts at
-1.  A pivot on entry ``p`` updates every other row by the Bareiss (Edmonds)
-rule ``a' = (a*p - f*b) // D``, where ``f`` is the row's entry in the pivot
-column and ``b`` the pivot row's entry; the division is exact.  Then
-``D = p``.  The reduced costs are one more row of the tableau, priced once
-per phase and updated by the same rule.  Its right-hand side is minus ``D``
+A ``Constraint`` keeps its scaled row once computed, so a row shared by
+several programs is scaled once.  The slack and artificial columns start as
+the identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every
+other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
+``f`` is the row's entry in the pivot column and ``b`` the pivot row's
+entry; the division is exact.  Then ``D = p``.  The reduced costs are one
+more row of the tableau, priced once per phase and updated by the same rule.  Its right-hand side is minus ``D``
 times the scaled objective value, so the optimal value is read from there.
 
 Positive row scales leave the structural columns of the basis-inverse
@@ -34,6 +35,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -63,6 +65,15 @@ class Constraint:
         object.__setattr__(self, "rhs", _rational(self.rhs))
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        """The row's coefficients, then its right-hand side, as ``model.scale``
+        integers, and their scale.  Computed on first use and kept, outside
+        equality, hashing and repr, so a row shared by many programs is scaled
+        once; a tuple, so no program can write into it."""
+        numerators, denominator = scale((*self.coeffs, self.rhs))
+        return tuple(map(_scalar, numerators)), denominator
 
 
 @dataclass(frozen=True)
@@ -192,12 +203,6 @@ def _price(tableau, basis, costs, denom):
     tableau[-1] = priced
 
 
-def _scaled(values):
-    """``model.scale`` of the values, with the numerators as tableau integers."""
-    numerators, denominator = scale(values)
-    return list(map(_scalar, numerators)), denominator
-
-
 def solve_lp(lp: LinearProgram) -> LpResult:
     """Exact optimum via two-phase simplex with Bland's pivot rule.
 
@@ -210,7 +215,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # integers, and negate rows with a negative right-hand side.
     rows = []  # (integer coefficients then rhs, relation, origin, scale times sign)
     for idx, c in enumerate(lp.constraints):
-        values, row_scale = _scaled((*c.coeffs, c.rhs))
+        values, row_scale = c._scaled
         for rel in (LESS_EQUAL, GREATER_EQUAL) if c.relation == EQUAL else (c.relation,):
             if c.rhs < 0:
                 rows.append(([-v for v in values], _FLIPPED[rel], idx, -row_scale))
@@ -228,7 +233,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     basis = []
     art_scales = {}  # artificial column -> its row's scale
     for k, (values, rel, _origin, signed_scale) in enumerate(rows):
-        trow = values[:-1] + zeros + values[-1:]
+        trow = [*values[:-1], *zeros, values[-1]]
         if rel == LESS_EQUAL:
             trow[n + k] = _scalar(1)  # slack
             basis.append(n + k)
@@ -268,8 +273,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                         denom = _pivot(tableau, basis, k, j, denom)
                         break
 
-    objective, obj_scale = _scaled(lp.objective)
-    _price(tableau, basis, objective + zeros, denom)
+    objective, obj_scale = scale(lp.objective)
+    _price(tableau, basis, [*map(_scalar, objective), *zeros], denom)
     status, denom = _bland(tableau, basis, n + m, denom)
     if status == "unbounded":
         return LpUnbounded()

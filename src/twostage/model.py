@@ -8,8 +8,10 @@ are exact rationals; nothing in this package ever rounds.
 
 Everything here is immutable after construction and safe to share across
 threads.  Instances are plain containers: ``validate`` reports invariant
-violations as data instead of refusing to construct.  An instance caches one
-derived table, ``final_rewards``, outside equality, hashing, repr and JSON.
+violations as data instead of refusing to construct.  An instance caches the
+derived table ``final_rewards``, and the solvers keep what they derive from it
+in its ``vars`` (``welfare.max_welfare``'s report, ``contracts``' rows and
+solved programs), all outside equality, hashing, repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
 ``parse_rational`` reads a plain ``[-]digits[/digits]`` string with ``int``
@@ -18,7 +20,7 @@ and accepts or rejects every other spelling exactly as ``Fraction`` does.
 sums to 1 when its numerators, brought to the row's least common
 denominator, sum to that denominator.  An expected value is one integer dot
 product over common denominators, reduced to a ``Fraction`` once at the end;
-``scale`` and ``expectation`` are the package's only such kernel.
+``scale``, ``dot`` and ``expectation`` are the package's only such kernel.
 """
 
 from __future__ import annotations
@@ -417,20 +419,23 @@ def classify(instance: Instance) -> ProcessClass:
 def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``(numerators, denominator)`` with ``values[k] == numerators[k] / denominator``.
 
-    The denominator is the least common one.  ``expectation`` takes its
-    values in this form, so a caller that takes many expectations of one
-    value vector scales it once.
+    The denominator is the least common one.  ``dot`` and ``expectation``
+    take their values in this form, so a caller that takes many expectations
+    of one value vector, or with one weight vector, scales it once.
     """
     pairs = [v.as_integer_ratio() for v in values]
     denominator = lcm(*[d for _, d in pairs])
     return [n and n * (denominator // d) for n, d in pairs], denominator  # zeros skip the division
 
 
+def dot(weights: tuple[Sequence[int], int], values: tuple[Sequence[int], int]) -> Fraction:
+    """Sum of w * v, both given by ``scale``: one integer dot product, reduced once."""
+    return Fraction(sum(map(mul, weights[0], values[0])), weights[1] * values[1])
+
+
 def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]) -> Fraction:
-    """Sum of p * v, the values given by ``scale``: one integer dot product, reduced once."""
-    values, denominator = scaled
-    weights, common = scale(probabilities)
-    return Fraction(sum(map(mul, weights, values)), common * denominator)
+    """Sum of p * v, the values given by ``scale``: ``dot(scale(probabilities), scaled)``."""
+    return dot(scale(probabilities), scaled)
 
 
 def expected_state_reward(instance: Instance, state: int, final: int) -> Fraction:

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -31,9 +35,11 @@ from twostage import (
     reduce_deterministic,
     State,
     generate,
+    instance_to_json,
     validate,
 )
 from twostage import contracts
+from twostage.cli import main
 from twostage.generators import (
     cost_ladder_instance,
     payment_gap_instance,
@@ -222,6 +228,56 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, midte
     assert len(instances) == 5 + 4 * 20 * 5 + 1
     assert (False, 0) in checked  # every state blocked: m zero coefficients per row
     assert any(with_state_transfers for with_state_transfers, _ in checked)
+
+
+def test_searches_report_the_same_after_other_searches_on_the_instance():
+    # An instance keeps the rows and the programs its searches built, so a
+    # search that runs after others reuses them.  What it reports, counters
+    # included, must equal what it reports on a fresh copy of the instance.
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    solvers = (optimal_standard, optimal_pay, optimal_terminate)
+    checked = 0
+    for inst in instances:
+        cold = {solver: solver(dataclasses.replace(inst)) for solver in solvers}
+        for order in itertools.permutations(solvers):
+            warm = dataclasses.replace(inst)
+            for solver in order:
+                assert solver(warm) == cold[solver], (solver.__name__, order, inst)
+                checked += 1
+    assert checked == (5 + 4 * 20 * 5) * 6 * 3
+
+
+def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, tmp_path):
+    handed = []
+    solve = contracts.solve_lp
+    monkeypatch.setattr(contracts, "solve_lp", lambda lp: handed.append(lp) or solve(lp))
+    cold = optimal_terminate(cost_ladder_instance(3, 3))
+    assert len(handed) == cold.programs_solved
+
+    calls = []
+    terminate = contracts.optimal_terminate
+
+    def counted(instance, **caps):
+        start = len(handed)
+        report = terminate(instance, **caps)
+        calls.append(len(handed) - start)
+        return report
+
+    monkeypatch.setattr(contracts, "optimal_terminate", counted)
+    path = tmp_path / "ladder.json"
+    path.write_text(instance_to_json(cost_ladder_instance(3, 3)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compare", str(path)]) == 0
+    terminate_doc = json.loads(out.getvalue())["results"]["terminate"]
+    (warm_calls,) = calls
+    assert 0 < warm_calls < cold.programs_solved
+    assert terminate_doc["programs_solved"] == cold.programs_solved
+    assert terminate_doc["infeasible_profiles"] == cold.infeasible_profiles
 
 
 def test_pay_to_standard_tree_checks_dimensions_like_best_response():

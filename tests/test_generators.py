@@ -12,6 +12,7 @@ from twostage import (
 )
 from twostage.generators import (
     FAMILIES,
+    _geometric_sum,
     cost_ladder_instance,
     interim_review_instance,
     midterm_instance,
@@ -111,6 +112,12 @@ def test_payment_gap_names_the_violated_inequality(p, q, c, x, message):
     with pytest.raises(ValueError, match=None) as err:
         payment_gap_instance(p, q, c, x)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("growth", [F(2), F(10), F(3, 2), F(10**30 + 1, 10**30)])
+def test_geometric_sum_equals_its_definition(growth):
+    for k in range(41):
+        assert _geometric_sum(growth, k) == sum((growth**i for i in range(1, k + 1)), F(0)), k
 
 
 def test_cost_ladder_shape():

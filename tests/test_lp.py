@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from twostage import (
     random_instance,
     solve_lp,
 )
+from twostage.model import scale
 
 from oracles import fraction_simplex, scipy_lp_min
 
@@ -213,6 +215,31 @@ def test_zero_rhs_inequalities():
     )
     result = solve_lp(lp)
     assert result.x == (F(3), F(0))
+
+
+def test_rows_shared_by_programs_are_scaled_once_and_never_written():
+    # A Constraint keeps its scaled integer row for every program it is in,
+    # so solve_lp must negate, split and pad copies of it, never the row.
+    def build():
+        flipped = Constraint((F(-1, 2), F(-1, 3)), "<=", F(-3, 4))  # negated on entry
+        equal = Constraint((F(2, 3), F(-1)), "==", F(-1, 6))  # split, then negated
+        programs = [
+            LinearProgram((F(1), F(1)), (flipped,)),
+            LinearProgram((F(2), F(1)), (flipped, equal)),
+            LinearProgram((F(1), F(3)), (equal,)),
+        ]
+        return (flipped, equal), programs
+
+    expected = [fraction_simplex(lp) for lp in build()[1]]
+    assert all(isinstance(result, LpOptimal) for result in expected)
+    for order in itertools.permutations(range(3)):
+        rows, programs = build()
+        for _ in range(2):
+            for k in order:
+                assert solve_lp(programs[k]) == expected[k], order
+        for row in rows:
+            values, denominator = row._scaled
+            assert (list(values), denominator) == scale((*row.coeffs, row.rhs))
 
 
 def test_determinism():
