@@ -7,6 +7,8 @@ constraints are checked up front and violations name the failed inequality.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,18 +27,6 @@ from .model import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FAMILIES = (
-    "midterm",
-    "interim_review",
-    "payment_gap",
-    "cost_ladder",
-    "state_markers",
-    "random_tree",
-    "random_stochastic",
-    "random_deterministic",
-    "random_general",
-)
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -54,6 +44,17 @@ def _checked(instance: Instance) -> Instance:
     if not report.ok:
         raise SolverInvariantError(f"generator produced an invalid instance: {report.violations}")
     return instance
+
+
+def _param(name: str, value, integer: bool):
+    """A parameter's value as an exact Fraction, refusing floats, or with
+    ``integer`` as an int, accepting any integral value (``2.0``, ``"1e1"``, ``"4/2"``)."""
+    if not integer:
+        return value if isinstance(value, Fraction) else parse_rational(value)
+    exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
+    if exact.denominator != 1:
+        raise ValueError(f"parameter {name!r} must be an integer, got {value}")
+    return int(exact)
 
 
 def midterm_instance() -> Instance:
@@ -165,15 +166,25 @@ def payment_gap_instance(p: Fraction, q: Fraction, c: Fraction, x: Fraction) -> 
     )
 
 
-def _geometric_sum(growth: Fraction, k: int) -> Fraction:
-    """growth + growth**2 + ... + growth**k, exactly; requires growth != 1."""
-    return growth * (growth ** k - 1) / (growth - 1)
+def _rung(growth: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """Cost and expected reward of ladder rung k: growth + growth**2 + ...
+    + growth**k exactly (requires growth != 1), and that plus k."""
+    cost = growth * (growth ** k - 1) / (growth - 1)
+    return cost, cost + k
 
 
-def _power_of_ten_at_least(bound: Fraction) -> Fraction:
-    r = _ONE
-    while r < bound:
-        r *= 10
+def _reward_scale(r: Fraction | None, bound: Fraction, requirement: str) -> Fraction:
+    """The success reward: ``r``, checked against ``bound``, or by default the
+    least power of ten at least ``bound``.  ``requirement`` is the message's
+    inequality with ``{}`` for the bound, formatted only on failure."""
+    if r is None:
+        r = _ONE
+        while r < bound:
+            r *= 10
+        return r
+    r = Fraction(r)
+    if not r >= bound:
+        raise ValueError(f"requires {requirement.format(bound)}; got r={r}")
     return r
 
 
@@ -190,20 +201,14 @@ def cost_ladder_instance(
     the largest bonus, so its welfare dwarfs what outcome-based incentives
     can extract from the ladder.
     """
-    n1, n2 = int(n1), int(n2)
+    n1, n2 = _param("n1", n1, integer=True), _param("n2", n2, integer=True)
     growth = Fraction(growth)
     if n1 < 1 or n2 < 1:
         raise ValueError(f"requires n1 >= 1 and n2 >= 1; got n1={n1}, n2={n2}")
     if not growth > 1:
         raise ValueError(f"requires growth > 1; got growth={growth}")
-    big_cost = _geometric_sum(growth, (n1 + 1) * n2 + 1)
-    big_reward = big_cost + (n1 + 1) * n2 + 1
-    if r is None:
-        r = _power_of_ten_at_least(big_reward)
-    else:
-        r = Fraction(r)
-        if not r >= big_reward:
-            raise ValueError(f"requires r >= {big_reward} so probabilities stay in [0,1]; got r={r}")
+    big_cost, big_reward = _rung(growth, (n1 + 1) * n2 + 1)
+    r = _reward_scale(r, big_reward, "r >= {} so probabilities stay in [0,1]")
 
     states = []
     initials = []
@@ -213,9 +218,7 @@ def cost_ladder_instance(
         initials.append(InitialAction(f"go{s}", _ZERO, tuple(unit)))
         finals = []
         for j in range(1, n2 + 1):
-            rung = s * n2 + j
-            cost = _geometric_sum(growth, rung)
-            reward = cost + rung
+            cost, reward = _rung(growth, s * n2 + j)
             finals.append(
                 FinalAction(f"rung{j}", cost, (1 - reward / r, reward / r))
             )
@@ -251,7 +254,7 @@ def state_markers_instance(
     to the marker outcomes with zero reward, so transfers on markers leak
     there unless those states are blocked.
     """
-    s, n2 = int(s), int(n2)
+    s, n2 = _param("s", s, integer=True), _param("n2", n2, integer=True)
     growth, epsilon = Fraction(growth), Fraction(epsilon)
     if s < 1 or n2 < 1:
         raise ValueError(f"requires s >= 1 and n2 >= 1; got s={s}, n2={n2}")
@@ -260,17 +263,8 @@ def state_markers_instance(
     if not 0 < epsilon < 1:
         raise ValueError(f"requires 0 < epsilon < 1; got epsilon={epsilon}")
     num_outcomes = s + 3
-    top_reward = _geometric_sum(growth, s * n2 + n2) + (s + 1) * n2
-    bound = top_reward / (1 - epsilon)
-    if r is None:
-        r = _power_of_ten_at_least(bound)
-    else:
-        r = Fraction(r)
-        if not r >= bound:
-            raise ValueError(
-                f"requires r >= R_max/(1-epsilon) = {bound} so outcome 1 keeps "
-                f"non-negative probability; got r={r}"
-            )
+    bound = _rung(growth, (s + 1) * n2)[1] / (1 - epsilon)
+    r = _reward_scale(r, bound, "r >= R_max/(1-epsilon) = {} so outcome 1 keeps non-negative probability")
 
     rewards = [_ZERO] * num_outcomes
     rewards[1] = r
@@ -283,9 +277,7 @@ def state_markers_instance(
     for t in range(1, s + 1):
         finals = []
         for j in range(1, n2 + 1):
-            rung = t * n2 + j
-            cost = _geometric_sum(growth, rung)
-            reward = cost + rung
+            cost, reward = _rung(growth, t * n2 + j)
             dist = [_ZERO] * num_outcomes
             dist[0] = 1 - epsilon - reward / r
             dist[1] = reward / r
@@ -340,15 +332,19 @@ def random_instance(
     "deterministic_first_stage" or "general".  Sizes are drawn uniformly up
     to the given caps, probabilities are small-denominator rationals, rewards
     are non-negative, and the required null actions are always present.
-    Identical seeds produce identical instances.  Every cap must be at least 1.
+    Identical seeds produce identical instances.  Every cap must be an
+    integer of at least 1.
     """
     kinds = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
     if kind not in kinds:
         raise ValueError(f"unknown process class {kind!r}; expected one of {kinds}")
-    for name, cap in (("max_states", max_states), ("max_initial_actions", max_initial_actions),
-                      ("max_final_actions", max_final_actions), ("max_outcomes", max_outcomes)):
-        if cap < 1:
+    caps = {"max_states": max_states, "max_initial_actions": max_initial_actions,
+            "max_final_actions": max_final_actions, "max_outcomes": max_outcomes}
+    for name, cap in caps.items():
+        caps[name] = _param(name, cap, integer=True)
+        if caps[name] < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
+    max_states, max_initial_actions, max_final_actions, max_outcomes = caps.values()
     rng = random.Random(f"{kind}:{seed}")
 
     num_states = rng.randint(1, max_states)
@@ -395,74 +391,41 @@ def random_instance(
 # --- dispatch -----------------------------------------------------------------
 
 
-def _rational_param(params: dict, name: str, default=None) -> Fraction:
-    if name in params:
-        value = params.pop(name)
-        return value if isinstance(value, Fraction) else parse_rational(value)
-    if default is None:
-        raise ValueError(f"missing required parameter {name!r}")
-    return Fraction(default)
+_FAMILIES = {
+    "midterm": midterm_instance,
+    "interim_review": interim_review_instance,
+    "payment_gap": payment_gap_instance,
+    "cost_ladder": cost_ladder_instance,
+    "state_markers": state_markers_instance,
+    "random_tree": functools.partial(random_instance, "tree"),
+    "random_stochastic": functools.partial(random_instance, "stochastic_first_stage"),
+    "random_deterministic": functools.partial(random_instance, "deterministic_first_stage"),
+    "random_general": functools.partial(random_instance, "general"),
+}
+FAMILIES = tuple(_FAMILIES)
 
-
-def _int_param(params: dict, name: str, default=None) -> int:
-    if name in params:
-        value = params.pop(name)
-        exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
-        if exact.denominator != 1:
-            raise ValueError(f"parameter {name!r} must be an integer, got {value}")
-        return int(exact)
-    if default is None:
-        raise ValueError(f"missing required parameter {name!r}")
-    return default
+# ``random_instance``'s size caps go by these shorter names in a parameter map.
+_CAP_NAMES = {"max_states": "s", "max_initial_actions": "n1", "max_final_actions": "n2", "max_outcomes": "m"}
 
 
 def generate(family_params: FamilyParams) -> Instance:
-    """Build the instance described by a family name and parameter map."""
+    """Build the instance described by a family name and parameter map.
+
+    A family's parameters, which of them are required, their defaults and
+    which are integers are those of its builder's signature."""
     family = family_params.family
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    builder = _FAMILIES[family]
     params = dict(family_params.params)
-
-    def done(instance: Instance) -> Instance:
-        if params:
-            raise ValueError(f"unknown parameters for family {family!r}: {sorted(params)}")
-        return instance
-
-    if family == "midterm":
-        return done(midterm_instance())
-    if family == "interim_review":
-        return done(interim_review_instance())
-    if family == "payment_gap":
-        p = _rational_param(params, "p")
-        q = _rational_param(params, "q")
-        c = _rational_param(params, "c")
-        x = _rational_param(params, "x")
-        return done(payment_gap_instance(p, q, c, x))
-    if family == "cost_ladder":
-        n1 = _int_param(params, "n1")
-        n2 = _int_param(params, "n2")
-        growth = _rational_param(params, "growth", Fraction(10))
-        r = _rational_param(params, "r") if "r" in params else None
-        return done(cost_ladder_instance(n1, n2, growth, r))
-    if family == "state_markers":
-        s = _int_param(params, "s")
-        n2 = _int_param(params, "n2")
-        growth = _rational_param(params, "growth", Fraction(10))
-        epsilon = _rational_param(params, "epsilon", Fraction(1, 1000))
-        r = _rational_param(params, "r") if "r" in params else None
-        return done(state_markers_instance(s, n2, growth, epsilon, r))
-    if family.startswith("random_"):
-        kind = {
-            "random_tree": "tree",
-            "random_stochastic": "stochastic_first_stage",
-            "random_deterministic": "deterministic_first_stage",
-            "random_general": "general",
-        }.get(family)
-        if kind is not None:
-            seed = _int_param(params, "seed")
-            sizes = {
-                "max_states": _int_param(params, "s", 3),
-                "max_initial_actions": _int_param(params, "n1", 3),
-                "max_final_actions": _int_param(params, "n2", 3),
-                "max_outcomes": _int_param(params, "m", 4),
-            }
-            return done(random_instance(kind, seed=seed, **sizes))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    arguments = {}
+    for name, parameter in inspect.signature(builder).parameters.items():
+        key = _CAP_NAMES.get(name, name)
+        if key in params:
+            arguments[name] = _param(key, params.pop(key), parameter.annotation in ("int", int))
+        elif parameter.default is parameter.empty:
+            raise ValueError(f"missing required parameter {key!r}")
+    instance = builder(**arguments)
+    if params:
+        raise ValueError(f"unknown parameters for family {family!r}: {sorted(params)}")
+    return instance

@@ -210,19 +210,21 @@ def test_results_longer_than_the_digit_limit_print(tmp_path, capsys, transfer):
     assert max(map(len, longest["exact"].split("/"))) > sys.get_int_max_str_digits()
 
 
+BROKEN = {
+    "rewards": ["0", "5"],
+    "initial_actions": [
+        {"name": "a", "cost": "1", "transition": ["9/10", "0"]},
+    ],
+    "states": [
+        {"name": "s0", "final_actions": [{"name": "n", "cost": "0", "outcome_dist": ["1", "0"]}]},
+        {"name": "s1", "final_actions": [{"name": "n", "cost": "0", "outcome_dist": ["1", "0"]}]},
+    ],
+}
+
+
 def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    doc = {
-        "rewards": ["0", "5"],
-        "initial_actions": [
-            {"name": "a", "cost": "1", "transition": ["9/10", "0"]},
-        ],
-        "states": [
-            {"name": "s0", "final_actions": [{"name": "n", "cost": "0", "outcome_dist": ["1", "0"]}]},
-            {"name": "s1", "final_actions": [{"name": "n", "cost": "0", "outcome_dist": ["1", "0"]}]},
-        ],
-    }
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BROKEN))
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 1
     report = json.loads(out)
@@ -245,6 +247,39 @@ def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
   ]
 }
 """
+
+
+def test_other_commands_refuse_an_invalid_instance_with_exit_one(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(BROKEN))
+    code, out, err = run_cli(capsys, "welfare", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "invalid instance: initial_actions[0].transition: distribution does not sum to 1\n"
+        "invalid instance: initial_actions: missing null initial action (zero cost)\n"
+    )
+
+
+def test_generate_parameter_without_a_value_exits_three(capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", "cost_ladder", "--param", "n1", "--param", "n2=2")
+    assert (code, out) == (3, "")
+    assert err == "twostage: parameters take the form name=value, got 'n1'\n"
+
+
+@pytest.mark.parametrize(
+    "contract, message",
+    [
+        ({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": ["0"]}, "terminate_set must contain state indices"),
+        ({"kind": "terminate_halfway", "terminate_set": [0]}, "malformed contract document: KeyError('t')"),
+        ({"kind": "standard"}, "malformed contract document: KeyError('t')"),
+    ],
+)
+def test_best_response_with_a_malformed_contract_exits_three(tmp_path, capsys, instance_file, contract, message):
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text(json.dumps(contract))
+    code, out, err = run_cli(capsys, "best-response", instance_file, "--contract-file", str(contract_path))
+    assert (code, out) == (3, "")
+    assert err == f"twostage: {message}\n"
 
 
 def test_parse_error_exits_three(tmp_path, capsys):

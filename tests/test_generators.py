@@ -1,4 +1,8 @@
+import hashlib
+import inspect
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +15,48 @@ from twostage import (
     validate,
 )
 from twostage.generators import (
+    _CAP_NAMES,
+    _FAMILIES,
     FAMILIES,
-    _geometric_sum,
+    _rung,
     cost_ladder_instance,
     interim_review_instance,
     midterm_instance,
     payment_gap_instance,
     state_markers_instance,
 )
+from twostage.model import instance_to_json
+
+# One SHA-256 of the instance JSON per family with every parameter given,
+# then three rows of defaults, so any change to a family's bytes shows here.
+CAPS = {"s": 4, "n1": 2, "n2": 3, "m": 6}
+PINNED = [
+    ("midterm", {}, "b34494ba3ac193e9bbed4a78828dd304734d5056c14dde2c7b1e7d4012fa1c71"),
+    ("interim_review", {}, "04539ff29c39ae15050736747ead3a859805168e737a184c42ff46d51be3df93"),
+    ("payment_gap", {"p": "9/10", "q": "1/2", "c": "1", "x": "20"},
+     "b7d70c46cce7c5fec1926176e589682f8e556f101682e3cd0de9b206e8364f1d"),
+    ("cost_ladder", {"n1": 2, "n2": 3, "growth": "3/2", "r": "1e4"},
+     "285df5d55817dd6c51b273984a097c06234adb91aa350b0ba4358c8c3f34a5b1"),
+    ("state_markers", {"s": 2, "n2": 2, "growth": 3, "epsilon": "1/100", "r": "1e5"},
+     "95d6fa2b727fe53fb5e3ca041055051c899053486a72b72c1fe03be2e6abcefb"),
+    ("random_tree", {"seed": 11, **CAPS}, "4682594fd692df1331e6b039577fbf3ad5e1f1aeb6779924cede21378d3b64fe"),
+    ("random_stochastic", {"seed": 11, **CAPS}, "840c079f38b967a0a526b2e1d2167119b3b9a60e8fc559337343b7fbc0bfbf87"),
+    ("random_deterministic", {"seed": 11, **CAPS}, "aec38f7ea226d0664f61f096214e78f4d70656693a8a33026fb31687935d61e2"),
+    ("random_general", {"seed": 11, **CAPS}, "8f2b32de7e0d9e085caabfd846b801669a467ba9e1b8cb612f9e71420b6c7963"),
+    ("cost_ladder", {"n1": 2, "n2": 2}, "a90aa54464132a76dabf98a031b11d63c7f0ab2c11257e8195a8cddadf019863"),
+    ("state_markers", {"s": 2, "n2": 1}, "bcd32ee215fe8dbb4434b785aac699552df6241c3f4db706f9482ebd35b7421f"),
+    ("random_general", {"seed": 5}, "1cc5259bae06cd4f90474411e86e30a8bed16b8beaf656d058a84b7d8d108625"),
+]
+
+
+@pytest.mark.parametrize("family, params, digest", PINNED)
+def test_every_family_is_pinned_byte_for_byte(family, params, digest):
+    text = instance_to_json(generate(FamilyParams(family, params)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_the_pinned_table_covers_every_family():
+    assert sorted({family for family, _, _ in PINNED}) == sorted(FAMILIES)
 
 
 def test_every_family_generates_a_valid_instance():
@@ -43,6 +81,36 @@ def test_unknown_family_and_extra_params_rejected():
         generate(FamilyParams("midterm", {"p": 1}))
     with pytest.raises(ValueError):
         generate(FamilyParams("cost_ladder", {"n1": 2}))  # n2 missing
+    with pytest.raises(ValueError, match="^missing required parameter 'p'$"):
+        generate(FamilyParams("payment_gap", {"q": "1/2", "c": 1, "x": 20}))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: cost_ladder_instance(F(5, 2), 2), "n1"),
+        (lambda: cost_ladder_instance(2, 2.5), "n2"),
+        (lambda: state_markers_instance(1.9, 2), "s"),
+        (lambda: state_markers_instance(1, "3/2"), "n2"),
+        *((lambda cap=cap: random_instance("tree", seed=1, **{cap: 2.5}), cap)
+          for cap in ("max_states", "max_initial_actions", "max_final_actions", "max_outcomes")),
+    ],
+)
+def test_builders_refuse_non_integral_sizes(build, name):
+    # These were truncated (or failed inside randrange) before.
+    with pytest.raises(ValueError, match=f"^parameter '{name}' must be an integer, got "):
+        build()
+
+
+def test_builders_accept_integral_sizes_of_any_type():
+    assert cost_ladder_instance(F(2), 2.0) == cost_ladder_instance("4/2", "2") == cost_ladder_instance(2, 2)
+    assert state_markers_instance(2.0, F(1)) == state_markers_instance(2, 1)
+    assert random_instance("tree", seed=1, max_states=2.0) == random_instance("tree", seed=1, max_states=2)
+
+
+def test_state_markers_needs_a_work_state():
+    with pytest.raises(ValueError, match=r"^requires s >= 1 and n2 >= 1; got s=0, n2=1$"):
+        state_markers_instance(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -51,11 +119,12 @@ def test_unknown_family_and_extra_params_rejected():
         ("cost_ladder", {"n1": F(5, 2), "n2": 2}, "'n1'"),
         ("state_markers", {"s": "1.9", "n2": 2}, "'s'"),
         ("random_tree", {"seed": "7/2"}, "'seed'"),
-        ("random_general", {"seed": 1, "m": 2.5}, "'m'"),
+        ("random_general", {"seed": 1, "m": 2.5}, "'m'"),  # a cap goes by its parameter name
+        ("random_tree", {"seed": 1, "s": F(5, 2)}, "'s'"),
     ],
 )
 def test_non_integer_integer_parameters_are_rejected(family, params, bad):
-    with pytest.raises(ValueError, match=f"parameter {bad} must be an integer, got "):
+    with pytest.raises(ValueError, match=f"^parameter {bad} must be an integer, got "):
         generate(FamilyParams(family, params))
 
 
@@ -117,7 +186,8 @@ def test_payment_gap_names_the_violated_inequality(p, q, c, x, message):
 @pytest.mark.parametrize("growth", [F(2), F(10), F(3, 2), F(10**30 + 1, 10**30)])
 def test_geometric_sum_equals_its_definition(growth):
     for k in range(41):
-        assert _geometric_sum(growth, k) == sum((growth**i for i in range(1, k + 1)), F(0)), k
+        cost = sum((growth**i for i in range(1, k + 1)), F(0))
+        assert _rung(growth, k) == (cost, cost + k), k
 
 
 def test_cost_ladder_shape():
@@ -205,3 +275,33 @@ def test_random_instance_accepts_caps_of_one():
         inst = random_instance(kind, seed=5, max_states=1, max_initial_actions=1, max_final_actions=1, max_outcomes=1)
         assert validate(inst).ok
         assert (inst.num_states, inst.num_initial_actions, inst.max_final_actions, inst.num_outcomes) == (1, 1, 1, 1)
+
+
+def _readme_generator_table():
+    """{family: {parameter: default text or None}} from README's generator table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Generator families", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        params = dict(re.findall(r"`(\w+)`(?: \(default ([^)]+)\))?", cells[1]))
+        for family in re.findall(r"`(\w+)`", cells[0]):
+            table[family] = {name: default or None for name, default in params.items()}
+    return table
+
+
+def test_readme_generator_table_matches_the_builders():
+    table = _readme_generator_table()
+    assert list(table) == list(FAMILIES)
+    for family, documented in table.items():
+        parameters = inspect.signature(_FAMILIES[family]).parameters.values()
+        accepted = {_CAP_NAMES.get(p.name, p.name): p.default for p in parameters}
+        assert set(documented) == set(accepted), family
+        for name, default in documented.items():
+            builder_default = accepted[name]
+            if builder_default in (inspect.Parameter.empty, None):
+                assert default is None, (family, name)
+            else:
+                assert default is not None and F(default) == builder_default, (family, name)

@@ -141,6 +141,31 @@ def test_validate_and_classify_match_fraction_references(kind):
     assert broken == 60 * 6  # every mutation but the zero cost breaks an invariant
 
 
+def structural_breaks(instance):
+    """Copies of the instance with no outcomes, no states, no initial actions
+    or a state without final actions."""
+    yield dataclasses.replace(instance, rewards=())
+    yield dataclasses.replace(instance, states=())
+    yield dataclasses.replace(instance, initial_actions=())
+    yield dataclasses.replace(instance, states=(State("empty", ()), *instance.states[1:]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_structural_violations_match_the_fraction_reference(kind):
+    rules = set()
+    for seed in range(10):
+        for broken in structural_breaks(random_instance(kind, seed=seed)):
+            report = validate(broken)
+            assert report == reference_validate(broken) and not report.ok
+            rules.update(str(v) for v in report.violations)
+    assert {
+        "rewards: at least one outcome is required",
+        "states: at least one intermediate state is required",
+        "initial_actions: at least one initial action is required",
+        "states[0]: state has no final actions",
+    } <= rules
+
+
 SIZED = state_markers_instance(3, 2, F(10), F(1, 1000))
 SIZED_VALUES = sorted(
     set(SIZED.rewards)

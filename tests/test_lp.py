@@ -34,6 +34,12 @@ def test_single_lower_bound():
     assert result.objective_value == F(3)
 
 
+@pytest.mark.parametrize("relation", ["<", "=", "=>", ""])
+def test_constraint_rejects_an_unknown_relation(relation):
+    with pytest.raises(ValueError, match=f"^unknown relation {relation!r}$"):
+        Constraint((F(1),), relation, F(0))
+
+
 def test_incentive_program_regression():
     # minimize 0.91 t subject to 0.81 t >= 1.8 and 0.7 t <= 2
     lp = LinearProgram(

@@ -20,6 +20,7 @@ from twostage import (
     classify,
     contract_from_json,
     contract_to_json,
+    best_response,
     expected_state_reward,
     instance_from_json,
     instance_to_json,
@@ -28,6 +29,7 @@ from twostage import (
     validate,
 )
 from twostage.generators import cost_ladder_instance, state_markers_instance
+from twostage.model import contract_to_dict
 
 
 def test_parse_rational_decimal_and_ratio():
@@ -285,3 +287,11 @@ def test_contract_invariants():
         LinearContract(F(3, 2))
     with pytest.raises(ValueError):
         PayHalfwayContract((F(-1),), (F(0),))
+
+
+@pytest.mark.parametrize("contract", [object(), None, {"kind": "standard", "t": ["0", "1"]}])
+def test_a_non_contract_is_a_type_error(midterm, contract):
+    with pytest.raises(TypeError, match="^not a contract: "):
+        contract_to_dict(contract)
+    with pytest.raises(TypeError, match="^not a contract: "):
+        best_response(midterm, contract)
