@@ -10,6 +10,18 @@ Each expected-value coefficient is one ``model.dot`` of the weights, scaled
 once per row, with the designated finals' outcome column or costs, scaled
 once per program.
 
+The objective's coefficients are expected transfers under the designated
+profile's probabilities, so on a validated instance none is negative and
+the searches value each candidate with ``lp._dual_value``, a dual simplex
+that starts from the slack basis without a phase 1.  It also gives the
+optimal ``x`` where that is certain to be ``solve_lp``'s: when the optimum
+is unique, and when it is x = 0.  Only a winner without it is solved again
+with ``solve_lp``, whose value must equal the searched one, so every
+contract chosen is the one ``solve_lp`` gives, as from the public
+``min_payment_*`` wrappers, which call it directly.  On an instance with a
+negative probability, possible only on unvalidated input, a program may
+have a negative cost, and every program goes to ``solve_lp`` as well.
+
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
 contracts), an initial action and one final action per surviving state;
@@ -28,8 +40,8 @@ candidate space, pruned or not.
 Each instance keeps one private ``_Compiled`` in its ``vars``, next to its
 welfare report and likewise outside equality, hashing, repr and JSON: each
 state's distinct finals, each (state, designated final, column count)'s
-final-stage rows, built once, and the solution of every program without
-state transfers that a search solved.  A terminate candidate that blocks no
+final-stage rows, built once, and the value of every program without state
+transfers that a search solved.  A terminate candidate that blocks no
 state is the standard program of the same initial action and finals, so
 ``compare``'s terminate search finds most of its programs already solved by
 its standard search.  A program taken from that memo still counts in
@@ -51,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import BestResponse, _check_profile, _contract_pieces, _profile_expectation, best_response
-from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, solve_lp
+from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, _dual_value, solve_lp
 from .model import (
     ActionProfile,
     Contract,
@@ -112,14 +124,21 @@ class _Compiled:
     ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
     column count) to that final's incentive rows, built on first use.
     ``programs`` maps a program without state transfers, named by (blocked
-    states, initial action, finals), to its solution or None when infeasible.
+    states, initial action, finals), to its ``(value, x)`` (see
+    ``lp._dual_value`` for when x is None), or to None when infeasible.
     Every entry is set once, and whoever sets it sets an equal value.
+    ``nonnegative`` says that no probability of the instance is negative, so
+    that no cost of any of its programs is either; it fails only on
+    unvalidated input.
     """
 
-    __slots__ = ("finals", "rows", "programs")
+    __slots__ = ("finals", "rows", "programs", "nonnegative")
 
     def __init__(self, instance):
         self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
+        probabilities = [p for act in instance.initial_actions for p in act.transition]
+        probabilities += [p for state in instance.states for act in state.final_actions for p in act.outcome_dist]
+        self.nonnegative = all(p >= 0 for p in probabilities)
         self.rows = {}
         self.programs = {}
 
@@ -153,8 +172,8 @@ def _compiled(instance) -> _Compiled:
 # --- minimal-payment programs -------------------------------------------------
 
 
-def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptimal | None:
-    """Optimal solution of the profile's minimal-payment program, or None.
+def _min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
+    """The profile's minimal-payment program.
 
     Variables are the outcome transfers, followed by one transfer per state
     when ``with_state_transfers``.  The rows are the final-stage incentive
@@ -186,23 +205,29 @@ def _min_payment(instance, profile, surviving, with_state_transfers) -> LpOptima
             coeffs, cost = value([p - q for p, q in zip(chosen.transition, other.transition)])
             rows.append(Constraint(coeffs, ">=", chosen.cost - other.cost + cost))
     objective, _ = value(chosen.transition)
-    result = solve_lp(LinearProgram(objective, tuple(rows)))
-    return result if isinstance(result, LpOptimal) else None
+    return LinearProgram(objective, tuple(rows))
+
+
+def _two_phase_value(program) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """``solve_lp``'s optimal value and ``x``, or None when the program is
+    infeasible or (with a negative cost, on unvalidated input) unbounded."""
+    result = solve_lp(program)
+    return (result.objective_value, result.x) if isinstance(result, LpOptimal) else None
 
 
 def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
     """Cheapest standard contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    solution = _min_payment(instance, profile, range(instance.num_states), False)
-    return None if solution is None else StandardContract(solution.x)
+    solution = _two_phase_value(_min_payment_program(instance, profile, range(instance.num_states), False))
+    return None if solution is None else StandardContract(solution[1])
 
 
 def min_payment_pay(instance: Instance, profile: ActionProfile) -> PayHalfwayContract | None:
     """Cheapest pay-halfway contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    solution = _min_payment(instance, profile, range(instance.num_states), True)
+    solution = _two_phase_value(_min_payment_program(instance, profile, range(instance.num_states), True))
     m = instance.num_outcomes
-    return None if solution is None else PayHalfwayContract(solution.x[m:], solution.x[:m])
+    return None if solution is None else PayHalfwayContract(solution[1][m:], solution[1][:m])
 
 
 def min_payment_terminate(
@@ -217,8 +242,8 @@ def min_payment_terminate(
         raise ValueError("terminate_set contains an out-of-range state index")
     surviving = [s for s in range(instance.num_states) if s not in terminate_set]
     _check_profile(instance, profile, set(surviving))
-    solution = _min_payment(instance, profile, surviving, False)
-    return None if solution is None else TerminateHalfwayContract(solution.x, terminate_set)
+    solution = _two_phase_value(_min_payment_program(instance, profile, surviving, False))
+    return None if solution is None else TerminateHalfwayContract(solution[1], terminate_set)
 
 
 # --- search -------------------------------------------------------------------
@@ -297,7 +322,9 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             top = sum((row[0][0] for row in options[i]), _ZERO)
             push(slack - act.cost + top, i, (0,) * len(states), 0)
 
-    best = None  # (profit, key, program solution)
+    # The dual simplex needs costs of one sign; the two-phase simplex takes any.
+    solve = _dual_value if compiled.nonnegative else _two_phase_value
+    best = None  # (profit, key, (value, x), profile, surviving)
     solved = infeasible = 0
     while heap:
         neg_bound, key, positions, last = heapq.heappop(heap)
@@ -318,7 +345,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         program = None if with_state_transfers else key[1:]
         solution = compiled.programs.get(program, _UNSOLVED)
         if solution is _UNSOLVED:
-            solution = _min_payment(instance, profile, surviving, with_state_transfers)
+            solution = solve(_min_payment_program(instance, profile, surviving, with_state_transfers))
             if program is not None:
                 compiled.programs[program] = solution
         solved += 1
@@ -326,14 +353,20 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             infeasible += 1
             continue
         profit = _profile_expectation(instance, profile, surviving, lambda s, j: reward[s][j])
-        profit -= solution.objective_value
+        profit -= solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
-            best = (profit, key, solution)
+            best = (profit, key, solution, profile, surviving)
 
     if best is None:
         raise SolverInvariantError("no candidate profile is incentivizable")
-    profit, key, solution = best
-    contract = make_contract(solution.x, frozenset(key[1]))
+    profit, key, (value, x), profile, surviving = best
+    if x is None:
+        # The winner's x may not be solve_lp's, the one every other caller gets.
+        solution = _two_phase_value(_min_payment_program(instance, profile, surviving, with_state_transfers))
+        if solution is None or solution[0] != value:
+            raise SolverInvariantError("the simplex and the dual simplex disagree on the winner's minimal payment")
+        x = solution[1]
+    contract = make_contract(x, frozenset(key[1]))
     response = best_response(instance, contract)
     if response.principal_profit != profit:
         raise SolverInvariantError("tie-broken best response does not realize the searched optimum")

@@ -3,6 +3,9 @@ families, and seeded random instances for property tests.
 
 Every builder returns an instance that passes ``validate``; parameter
 constraints are checked up front and violations name the failed inequality.
+A builder takes its parameters by ``generate``'s rules (``_param``), whether
+called directly or through ``generate``: a rational parameter refuses a float,
+and an integer one, the seed included, any non-integral value.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def payment_gap_instance(p: Fraction, q: Fraction, c: Fraction, x: Fraction) -> 
     with probability q < p and the costly state otherwise.  The costly
     state's paid action (cost c) secures the reward x for sure.
     """
-    p, q, c, x = Fraction(p), Fraction(q), Fraction(c), Fraction(x)
+    p, q, c, x = (_param(name, value, integer=False) for name, value in zip("pqcx", (p, q, c, x)))
     if not 0 < q < p < 1:
         raise ValueError(f"requires 0 < q < p < 1; got p={p}, q={q}")
     if not 0 < c < x:
@@ -182,7 +185,7 @@ def _reward_scale(r: Fraction | None, bound: Fraction, requirement: str) -> Frac
         while r < bound:
             r *= 10
         return r
-    r = Fraction(r)
+    r = _param("r", r, integer=False)
     if not r >= bound:
         raise ValueError(f"requires {requirement.format(bound)}; got r={r}")
     return r
@@ -202,7 +205,7 @@ def cost_ladder_instance(
     can extract from the ladder.
     """
     n1, n2 = _param("n1", n1, integer=True), _param("n2", n2, integer=True)
-    growth = Fraction(growth)
+    growth = _param("growth", growth, integer=False)
     if n1 < 1 or n2 < 1:
         raise ValueError(f"requires n1 >= 1 and n2 >= 1; got n1={n1}, n2={n2}")
     if not growth > 1:
@@ -255,7 +258,7 @@ def state_markers_instance(
     there unless those states are blocked.
     """
     s, n2 = _param("s", s, integer=True), _param("n2", n2, integer=True)
-    growth, epsilon = Fraction(growth), Fraction(epsilon)
+    growth, epsilon = _param("growth", growth, integer=False), _param("epsilon", epsilon, integer=False)
     if s < 1 or n2 < 1:
         raise ValueError(f"requires s >= 1 and n2 >= 1; got s={s}, n2={n2}")
     if not growth > 1:
@@ -332,8 +335,8 @@ def random_instance(
     "deterministic_first_stage" or "general".  Sizes are drawn uniformly up
     to the given caps, probabilities are small-denominator rationals, rewards
     are non-negative, and the required null actions are always present.
-    Identical seeds produce identical instances.  Every cap must be an
-    integer of at least 1.
+    Identical seeds produce identical instances.  The seed must be an
+    integer, and every cap an integer of at least 1.
     """
     kinds = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
     if kind not in kinds:
@@ -345,6 +348,7 @@ def random_instance(
         if caps[name] < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
     max_states, max_initial_actions, max_final_actions, max_outcomes = caps.values()
+    seed = _param("seed", seed, integer=True)
     rng = random.Random(f"{kind}:{seed}")
 
     num_states = rng.randint(1, max_states)

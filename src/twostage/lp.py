@@ -1,16 +1,32 @@
 """Self-contained exact-rational linear programming.
 
 Minimizes c.x subject to rows of the form a.x {<=, >=, ==} b with the
-implicit bound x >= 0.  The solver is a dense two-phase primal simplex with
-Bland's anti-cycling rule, so results are exact, deterministic and
-reproducible: the instances this package cares about contain coefficients
-like lambda**k that destroy floating-point conditioning.
+implicit bound x >= 0.  The instances this package cares about contain
+coefficients like lambda**k that destroy floating-point conditioning, so
+both entries are exact, deterministic and reproducible:
 
-Equality rows are handled as a <= / >= pair; phase 1 uses artificial
-variables for feasibility.  Rows with a negative right-hand side are negated
-first.
+- ``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
+  rule.  It takes any program and returns its status, the optimal basic
+  ``x`` and the duals.  Equality rows are handled as a <= / >= pair; rows
+  with a negative right-hand side are negated first, and phase 1 uses
+  artificial variables for feasibility.
+- ``_dual_value`` takes a program whose objective is non-negative and
+  returns its optimal value, or that it is infeasible.  Every row goes into
+  <= form (>= rows negated, == rows as both) with its slack basic.  With
+  c >= 0 that basis is dual feasible whatever the right-hand sides, so the
+  dual simplex (Lemke 1954) needs no phase 1 and no artificial columns.
+  Bland's rule in its dual form (Bland 1977) picks the pivots: the least
+  basic index with a negative right-hand side leaves, and among the columns
+  of least ratio of reduced cost to |entry| over that row's negative entries
+  the least index enters.  A leaving row without a negative entry proves
+  infeasibility.  It gives the optimal ``x`` too where that is certain to
+  be ``solve_lp``'s: when every non-basic reduced cost at the optimum is
+  positive, so that the optimum is unique, and when x = 0 is feasible,
+  where ``solve_lp`` stays, since no simplex step lowers an objective
+  already at its bound 0.  Otherwise a caller that needs ``x`` asks
+  ``solve_lp``.
 
-The tableau holds integers over one common denominator ``D``, the
+Both keep the tableau as integers over one common denominator ``D``, the
 determinant of the current basis.  ``model.scale``, the package's one
 common-denominator kernel, multiplies each row (coefficients and right-hand
 side), and the objective, by the least common multiple of its denominators.
@@ -19,8 +35,9 @@ several programs is scaled once.  The slack and artificial columns start as
 the identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every
 other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
 ``f`` is the row's entry in the pivot column and ``b`` the pivot row's
-entry; the division is exact.  Then ``D = p``.  The reduced costs are one
-more row of the tableau, priced once per phase and updated by the same rule.  Its right-hand side is minus ``D``
+entry; the division is exact.  Then ``D = p``, negated with the whole
+tableau when ``p`` is negative.  The reduced costs are one more row of the
+tableau (priced once per phase in ``solve_lp``), updated by the same rule.  Its right-hand side is minus ``D``
 times the scaled objective value, so the optimal value is read from there.
 
 Positive row scales leave the structural columns of the basis-inverse
@@ -295,3 +312,79 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for k, (_values, _rel, origin, signed_scale) in enumerate(rows):
         dual[origin] += Fraction(int(-reduced[init_col[k]] * signed_scale), dual_denom)
     return LpOptimal(tuple(x), Fraction(int(-reduced[-1]), dual_denom), tuple(dual))
+
+
+def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
+    """``(value, x)`` of a program with a non-negative objective, or None when
+    infeasible, by the dual simplex from the slack basis (see the module
+    docstring).
+
+    ``x`` is given where it is certain to equal ``solve_lp``'s: when x = 0
+    is feasible, and when every non-basic reduced cost at the optimum is
+    positive, so that the optimum is unique.  Otherwise it is None.  A
+    negative objective coefficient raises ``SolverInvariantError``: the
+    slack basis is then not dual feasible.
+    """
+    objective, obj_scale = scale(lp.objective)
+    if any(c < 0 for c in objective):
+        raise SolverInvariantError("the dual simplex needs a non-negative objective")
+    n = lp.num_variables
+    zero = Fraction(0)
+
+    # Every row in <= form, as its scaled row and a sign: >= rows negated,
+    # == rows as both.
+    rows = []
+    for c in lp.constraints:
+        values, _ = c._scaled
+        if c.relation != GREATER_EQUAL:
+            rows.append((values, 1))
+        if c.relation != LESS_EQUAL:
+            rows.append((values, -1))
+    if all(values[-1] * sign >= 0 for values, sign in rows):
+        # x = 0 is feasible, so optimal.  It is solve_lp's x too, optimum
+        # unique or not: no simplex step can lower an objective already at
+        # its bound 0, so every step solve_lp takes from x = 0 has length 0.
+        return zero, (zero,) * n
+    m = len(rows)
+    zeros = [_scalar(0)] * m
+    tableau = []
+    for k, (values, sign) in enumerate(rows):
+        values = values if sign > 0 else [-v for v in values]
+        trow = [*values[:-1], *zeros, values[-1]]
+        trow[n + k] = _scalar(1)  # slack
+        tableau.append(trow)
+    tableau.append([*map(_scalar, objective), *zeros, _scalar(0)])
+    basis = list(range(n, n + m))
+    denom = _scalar(1)
+
+    while True:
+        # Bland's rule for the dual: the least basic index with a negative
+        # right-hand side leaves, and the least index among the columns of
+        # least ratio (reduced cost) / |entry| over the row's negative entries
+        # enters, which keeps every reduced cost non-negative.
+        leaving = -1
+        for k, b in enumerate(basis):
+            if tableau[k][-1] < 0 and (leaving < 0 or b < basis[leaving]):
+                leaving = k
+        if leaving < 0:
+            break
+        trow, costs = tableau[leaving], tableau[-1]
+        entering = -1
+        for j in range(n + m):
+            a = trow[j]
+            if a < 0 and (entering < 0 or costs[j] * best_a > best_cost * a):
+                entering, best_cost, best_a = j, costs[j], a
+        if entering < 0:
+            return None  # the row is a sum of non-negative terms equal to a negative number
+        denom = _pivot(tableau, basis, leaving, entering, denom)
+
+    value = Fraction(int(-tableau[-1][-1]), int(denom * obj_scale))
+    # Basic columns have reduced cost exactly 0; so do the others exactly
+    # when another optimum may exist.
+    if tableau[-1][:-1].count(0) > m:
+        return value, None
+    x = [zero] * n
+    for k, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(int(tableau[k][-1]), int(denom))
+    return value, tuple(x)

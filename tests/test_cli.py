@@ -678,6 +678,12 @@ FORCED_FAILURES = {
         "lambda instance, contract: dataclasses.replace(real(instance, contract), profile=ActionProfile(0, {}))",
         "does not realize its segment",
     ),
+    "the winner's re-solve equals its searched value": (
+        ["compare", "{instance}"],
+        "twostage.contracts", "_dual_value",
+        "lambda lp: None if real(lp) is None else (real(lp)[0] + 1, None)",
+        "disagree on the winner's minimal payment",
+    ),
     "breakpoints are at most S*N1*N2": (
         ["breakpoints", "{instance}"],
         "twostage.linear", "_upper_envelope",

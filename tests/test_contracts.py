@@ -39,6 +39,7 @@ from twostage import (
     validate,
 )
 from twostage import contracts
+from twostage.lp import LpOptimal, SolverInvariantError, solve_lp
 from twostage.cli import main
 from twostage.generators import (
     cost_ladder_instance,
@@ -179,25 +180,24 @@ def _random_profile(rng, inst, surviving):
     )
 
 
-def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, midterm):
-    # Every program _min_payment hands to solve_lp, from the three searches
-    # and from the public wrappers under every blocked set, must equal the
-    # Fraction-summing builder's, coefficient for coefficient.
-    handed = []
-    solve = contracts.solve_lp
-    monkeypatch.setattr(contracts, "solve_lp", lambda lp: handed.append(lp) or solve(lp))
-    build = contracts._min_payment
+def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs, midterm):
+    # Every program handed to a solver entry -- the searches' candidates to
+    # _dual_value (to solve_lp on a negative objective), their winners'
+    # re-solves and the public wrappers under every blocked set to solve_lp --
+    # must equal the Fraction-summing builder's, coefficient for coefficient.
+    handed = record_programs("_dual_value", "solve_lp")
+    build = contracts._min_payment_program
+    built = []
     checked = []
 
-    def checked_min_payment(instance, profile, surviving, with_state_transfers):
-        start = len(handed)
-        result = build(instance, profile, surviving, with_state_transfers)
-        (lp,) = handed[start:]
+    def checked_program(instance, profile, surviving, with_state_transfers):
+        lp = build(instance, profile, surviving, with_state_transfers)
         assert lp == reference_min_payment_program(instance, profile, surviving, with_state_transfers)
+        built.append(lp)
         checked.append((with_state_transfers, len(surviving)))
-        return result
+        return lp
 
-    monkeypatch.setattr(contracts, "_min_payment", checked_min_payment)
+    monkeypatch.setattr(contracts, "_min_payment_program", checked_program)
     instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
     for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
         for seed in range(20):
@@ -226,6 +226,9 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, midte
                 surviving = [s for s in every_state if s not in blocked]
                 min_payment_terminate(inst, blocked, _random_profile(rng, inst, surviving))
     assert len(instances) == 5 + 4 * 20 * 5 + 1
+    # Each built program went to exactly one solver entry, once, in order.
+    assert len(handed) == len(built) and all(lp is program for (_, lp, _), program in zip(handed, built))
+    assert {name for name, _, _ in handed} == {"_dual_value", "solve_lp"}
     assert (False, 0) in checked  # every state blocked: m zero coefficients per row
     assert any(with_state_transfers for with_state_transfers, _ in checked)
 
@@ -251,10 +254,8 @@ def test_searches_report_the_same_after_other_searches_on_the_instance():
     assert checked == (5 + 4 * 20 * 5) * 6 * 3
 
 
-def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, tmp_path):
-    handed = []
-    solve = contracts.solve_lp
-    monkeypatch.setattr(contracts, "solve_lp", lambda lp: handed.append(lp) or solve(lp))
+def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, record_programs, tmp_path):
+    handed = record_programs("_dual_value")
     cold = optimal_terminate(cost_ladder_instance(3, 3))
     assert len(handed) == cold.programs_solved
 
@@ -278,6 +279,57 @@ def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, tmp
     assert 0 < warm_calls < cold.programs_solved
     assert terminate_doc["programs_solved"] == cold.programs_solved
     assert terminate_doc["infeasible_profiles"] == cold.infeasible_profiles
+
+
+def _with_a_negative_probability(inst):
+    """Unvalidated: at each state the final of largest expected reward moves
+    1/5 of probability from the least to the most rewarded outcome, which
+    leaves a negative probability wherever the former had less than 1/5."""
+    rewards = inst.rewards
+    lo = min(range(len(rewards)), key=rewards.__getitem__)
+    hi = max(range(len(rewards)), key=rewards.__getitem__)
+    states = []
+    for state in inst.states:
+        finals = list(state.final_actions)
+        j = max(range(len(finals)), key=lambda j: sum(p * r for p, r in zip(finals[j].outcome_dist, rewards)))
+        dist = list(finals[j].outcome_dist)
+        dist[lo] -= F(1, 5)
+        dist[hi] += F(1, 5)
+        finals[j] = FinalAction(finals[j].name, finals[j].cost, tuple(dist))
+        states.append(State(state.name, tuple(finals)))
+    return Instance(rewards, inst.initial_actions, tuple(states))
+
+
+def _outcome(solver, inst):
+    try:
+        return solver(inst)
+    except SolverInvariantError as exc:
+        return str(exc)
+
+
+def test_programs_with_a_negative_cost_are_solved_by_the_simplex_as_before(monkeypatch, record_programs):
+    # A negative outcome probability gives a program a negative cost, where
+    # x = 0 is not dual feasible; such a program goes to solve_lp, as every
+    # program did before the dual simplex, so the answers do not move.
+    instances = [
+        _with_a_negative_probability(random_instance(kind, seed=seed))
+        for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
+        for seed in range(30)
+    ]
+    solvers = (optimal_standard, optimal_pay, optimal_terminate)
+    handed = record_programs("_dual_value", "solve_lp")
+    searched = [_outcome(solver, dataclasses.replace(inst)) for inst in instances for solver in solvers]
+    negative = {name for name, lp, _ in handed if min(lp.objective) < 0}
+    assert negative == {"solve_lp"}
+    assert sum(min(lp.objective) < 0 for _, lp, _ in handed) > 100
+
+    def two_phase_only(program):
+        result = solve_lp(program)
+        return (result.objective_value, result.x) if isinstance(result, LpOptimal) else None
+
+    monkeypatch.setattr(contracts, "_dual_value", two_phase_only)
+    assert searched == [_outcome(solver, dataclasses.replace(inst)) for inst in instances for solver in solvers]
+    assert sum(isinstance(report, str) for report in searched) < len(searched) // 10
 
 
 def test_pay_to_standard_tree_checks_dimensions_like_best_response():

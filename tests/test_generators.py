@@ -94,6 +94,7 @@ def test_unknown_family_and_extra_params_rejected():
         (lambda: state_markers_instance(1, "3/2"), "n2"),
         *((lambda cap=cap: random_instance("tree", seed=1, **{cap: 2.5}), cap)
           for cap in ("max_states", "max_initial_actions", "max_final_actions", "max_outcomes")),
+        (lambda: random_instance("tree", seed="7/2"), "seed"),
     ],
 )
 def test_builders_refuse_non_integral_sizes(build, name):
@@ -106,6 +107,39 @@ def test_builders_accept_integral_sizes_of_any_type():
     assert cost_ladder_instance(F(2), 2.0) == cost_ladder_instance("4/2", "2") == cost_ladder_instance(2, 2)
     assert state_markers_instance(2.0, F(1)) == state_markers_instance(2, 1)
     assert random_instance("tree", seed=1, max_states=2.0) == random_instance("tree", seed=1, max_states=2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: payment_gap_instance(0.9, F(1, 2), 1, 20),
+        lambda: payment_gap_instance(F(9, 10), 0.5, 1, 20),
+        lambda: payment_gap_instance(F(9, 10), F(1, 2), 1.0, 20),
+        lambda: payment_gap_instance(F(9, 10), F(1, 2), 1, 20.0),
+        lambda: cost_ladder_instance(1, 1, growth=1.1),
+        lambda: cost_ladder_instance(1, 1, r=1e6),
+        lambda: state_markers_instance(1, 1, growth=10.0),
+        lambda: state_markers_instance(1, 1, epsilon=0.001),
+        lambda: state_markers_instance(1, 1, r=1e6),
+    ],
+)
+def test_builders_refuse_floats_for_rational_parameters(build):
+    # Fraction(1.1) would be the binary float, a 47-digit value; generate refuses floats too.
+    with pytest.raises(ValueError, match=r"^floating-point literal \S+ is not exact; write it as a string$"):
+        build()
+
+
+def test_builders_take_rational_parameters_as_generate_does():
+    assert payment_gap_instance("9/10", "0.5", 1, F(20)) == generate(
+        FamilyParams("payment_gap", {"p": "0.9", "q": "1/2", "c": "1", "x": "20"})
+    )
+    assert cost_ladder_instance(1, 1, growth="11/10", r=10**6) == generate(
+        FamilyParams("cost_ladder", {"n1": 1, "n2": 1, "growth": "1.1", "r": "1e6"})
+    )
+    assert state_markers_instance(1, 1, growth=F(10), epsilon="1e-3") == generate(
+        FamilyParams("state_markers", {"s": 1, "n2": 1, "epsilon": "1/1000"})
+    )
+    assert random_instance("tree", seed="7") == random_instance("tree", seed=7) == random_instance("tree", seed=F(7))
 
 
 def test_state_markers_needs_a_work_state():

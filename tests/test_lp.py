@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import subprocess
@@ -13,6 +14,7 @@ from twostage import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
+    SolverInvariantError,
     contracts,
     generate,
     lp as lp_module,
@@ -24,7 +26,7 @@ from twostage import (
 )
 from twostage.model import scale
 
-from oracles import fraction_simplex, scipy_lp_min
+from oracles import fraction_simplex, scipy_lp_min, tie_heavy_variants
 
 
 def test_single_lower_bound():
@@ -304,34 +306,127 @@ SEARCHED_FAMILIES = [
 ]
 
 
-def _assert_optimizer_programs_match(monkeypatch, instances):
-    programs = []
+def _assert_dual_value_agrees(lp, result, expected):
+    """``lp._dual_value``'s ``result`` against the two-phase simplex's: the
+    same feasibility and value, and the same x wherever it gives one."""
+    if result is None:
+        assert isinstance(expected, LpInfeasible), lp
+        return "infeasible"
+    value, x = result
+    assert isinstance(expected, LpOptimal) and value == expected.objective_value, lp
+    if x is None:
+        return "not unique"
+    assert x == expected.x, lp
+    return "unique"
 
-    def recording_solve_lp(lp):
-        result = solve_lp(lp)
-        programs.append((lp, result))
-        return result
 
-    monkeypatch.setattr(contracts, "solve_lp", recording_solve_lp)
+def _assert_optimizer_programs_match(record_programs, instances):
+    handed = record_programs("_dual_value", "solve_lp")
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
-    assert programs
-    for lp, result in programs:
-        assert result == fraction_simplex(lp), lp
+    assert any(name == "_dual_value" for name, _, _ in handed)
+    for name, lp, result in handed:
+        expected = fraction_simplex(lp)
+        if name == "solve_lp":
+            assert result == expected, lp
+        else:
+            _assert_dual_value_agrees(lp, result, expected)
 
 
 @pytest.mark.parametrize("family,params", SEARCHED_FAMILIES)
-def test_optimizer_programs_on_families_match_the_fraction_simplex(monkeypatch, family, params):
-    _assert_optimizer_programs_match(monkeypatch, [generate(FamilyParams(family, params))])
+def test_optimizer_programs_on_families_match_the_fraction_simplex(record_programs, family, params):
+    _assert_optimizer_programs_match(record_programs, [generate(FamilyParams(family, params))])
 
 
 @pytest.mark.parametrize(
     "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
 )
-def test_optimizer_programs_on_random_instances_match_the_fraction_simplex(monkeypatch, kind):
+def test_optimizer_programs_on_random_instances_match_the_fraction_simplex(record_programs, kind):
     instances = [random_instance(kind, seed=seed) for seed in range(10)]
-    _assert_optimizer_programs_match(monkeypatch, instances)
+    _assert_optimizer_programs_match(record_programs, instances)
+
+
+# --- the dual simplex against the two-phase simplex ----------------------------
+
+
+def _nonnegative_cost_lp(rng: random.Random) -> LinearProgram:
+    """A small program with rows of every relation, right-hand sides of both
+    signs, and a non-negative objective a third of whose costs are zero, so
+    that many optima are degenerate or not unique."""
+    n = rng.randint(1, 6)
+    objective = tuple(F(0) if rng.random() < 1 / 3 else F(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(n))
+    constraints = tuple(
+        Constraint(
+            tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)),
+            rng.choice(("<=", ">=", ">=", "==")),
+            F(rng.randint(-5, 5), rng.choice((1, 2))),
+        )
+        for _ in range(rng.randint(0, 8))
+    )
+    return LinearProgram(objective, constraints)
+
+
+def test_dual_value_matches_both_simplexes_on_random_programs():
+    rng = random.Random(16)
+    seen = collections.Counter()
+    for _ in range(1500):
+        lp = _nonnegative_cost_lp(rng)
+        expected = solve_lp(lp)
+        assert expected == fraction_simplex(lp), lp
+        seen[_assert_dual_value_agrees(lp, lp_module._dual_value(lp), expected)] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs):
+    handed = record_programs("_dual_value", "solve_lp")
+    instances = [generate(FamilyParams(family, params)) for family, params in SEARCHED_FAMILIES[:5]]
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    resolved = 0
+    for inst in instances:
+        for solver in (optimal_standard, optimal_pay, optimal_terminate):
+            start = len(handed)
+            solver(inst)
+            # solve_lp sees only the winner, and only when its optimum may not be unique.
+            resolves = [lp for name, lp, _ in handed[start:] if name == "solve_lp"]
+            assert len(resolves) <= 1
+            resolved += len(resolves)
+    valued = {lp: result for name, lp, result in handed if name == "_dual_value"}
+    seen = collections.Counter()
+    for lp, result in valued.items():
+        expected = solve_lp(lp)
+        assert expected == fraction_simplex(lp), lp
+        seen[_assert_dual_value_agrees(lp, result, expected)] += 1
+    assert all(valued[lp][1] is None for name, lp, _ in handed if name == "solve_lp")
+    assert len(instances) == 5 + 4 * 20 * 5
+    assert min(seen.values()) > 100 and resolved > 20, (seen, resolved)
+
+
+def test_dual_value_gives_x_zero_wherever_it_is_feasible(monkeypatch):
+    # x0 costs nothing, so the optimum x = 0 is not unique.  solve_lp's
+    # phase 1 still pivots x0 into the basis of the x0 - x1 >= 0 row, but at
+    # step length 0, so its x stays 0 too.
+    pivots = []
+    pivot = lp_module._pivot
+    monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args[2:4]) or pivot(*args))
+    lp = LinearProgram(
+        (F(0), F(1)),
+        (Constraint((F(1), F(-1)), ">=", F(0)), Constraint((F(1), F(1)), "<=", F(4)), Constraint((F(1), F(0)), ">=", F(-2))),
+    )
+    assert lp_module._dual_value(lp) == (F(0), (F(0), F(0)))
+    assert not pivots
+    assert solve_lp(lp).x == (F(0), F(0))
+    assert pivots
+
+
+def test_dual_value_refuses_a_negative_cost():
+    # x = 0 is dual feasible only when no cost is negative.
+    lp = LinearProgram((F(1), F(-1, 2)), (Constraint((F(1), F(1)), ">=", F(1)),))
+    with pytest.raises(SolverInvariantError, match="^the dual simplex needs a non-negative objective$"):
+        lp_module._dual_value(lp)
 
 
 def test_negative_drive_out_pivot_keeps_the_denominator_positive(monkeypatch):
