@@ -10,17 +10,11 @@ Each expected-value coefficient is one ``model.dot`` of the weights, scaled
 once per row, with the designated finals' outcome column or costs, scaled
 once per program.
 
-The objective's coefficients are expected transfers under the designated
-profile's probabilities, so on a validated instance none is negative and
-the searches value each candidate with ``lp._dual_value``, a dual simplex
-that starts from the slack basis without a phase 1.  It also gives the
-optimal ``x`` where that is certain to be ``solve_lp``'s: when the optimum
-is unique, and when it is x = 0.  Only a winner without it is solved again
-with ``solve_lp``, whose value must equal the searched one, so every
-contract chosen is the one ``solve_lp`` gives, as from the public
-``min_payment_*`` wrappers, which call it directly.  On an instance with a
-negative probability, possible only on unvalidated input, a program may
-have a negative cost, and every program goes to ``solve_lp`` as well.
+The searches value each candidate with ``lp._dual_value``: the objective's
+coefficients are expected transfers, none negative on a validated instance.
+A winner it gives no ``x`` is solved again by ``solve_lp``, which the public
+``min_payment_*`` wrappers call, and the two values must agree.  An
+instance with a negative probability (unvalidated) keeps ``solve_lp`` only.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway

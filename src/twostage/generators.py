@@ -3,9 +3,8 @@ families, and seeded random instances for property tests.
 
 Every builder returns an instance that passes ``validate``; parameter
 constraints are checked up front and violations name the failed inequality.
-A builder takes its parameters by ``generate``'s rules (``_param``), whether
-called directly or through ``generate``: a rational parameter refuses a float,
-and an integer one, the seed included, any non-integral value.
+Builders take parameters by ``generate``'s rules (``_param``): a rational
+one refuses a float, an integer one (the seed too) a non-integral value.
 """
 
 from __future__ import annotations

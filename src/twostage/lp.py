@@ -1,30 +1,23 @@
 """Self-contained exact-rational linear programming.
 
 Minimizes c.x subject to rows of the form a.x {<=, >=, ==} b with the
-implicit bound x >= 0.  The instances this package cares about contain
-coefficients like lambda**k that destroy floating-point conditioning, so
-both entries are exact, deterministic and reproducible:
+implicit bound x >= 0, exactly and deterministically: the instances this
+package cares about contain coefficients like lambda**k that destroy
+floating-point conditioning.  There are two entries.
 
-- ``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
-  rule.  It takes any program and returns its status, the optimal basic
-  ``x`` and the duals.  Equality rows are handled as a <= / >= pair; rows
-  with a negative right-hand side are negated first, and phase 1 uses
-  artificial variables for feasibility.
-- ``_dual_value`` takes a program whose objective is non-negative and
-  returns its optimal value, or that it is infeasible.  Every row goes into
-  <= form (>= rows negated, == rows as both) with its slack basic.  With
-  c >= 0 that basis is dual feasible whatever the right-hand sides, so the
-  dual simplex (Lemke 1954) needs no phase 1 and no artificial columns.
-  Bland's rule in its dual form (Bland 1977) picks the pivots: the least
-  basic index with a negative right-hand side leaves, and among the columns
-  of least ratio of reduced cost to |entry| over that row's negative entries
-  the least index enters.  A leaving row without a negative entry proves
-  infeasibility.  It gives the optimal ``x`` too where that is certain to
-  be ``solve_lp``'s: when every non-basic reduced cost at the optimum is
-  positive, so that the optimum is unique, and when x = 0 is feasible,
-  where ``solve_lp`` stays, since no simplex step lowers an objective
-  already at its bound 0.  Otherwise a caller that needs ``x`` asks
-  ``solve_lp``.
+``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
+rule; it gives any program's status, optimal basic ``x`` and duals.
+Equality rows are handled as a <= / >= pair; rows with a negative
+right-hand side are negated first, and phase 1 uses artificial variables.
+
+``_dual_value`` is a dual simplex (Lemke 1954) for programs with c >= 0.
+With every row in <= form and its slack basic, that basis is then dual
+feasible whatever the right-hand sides, so no phase 1 is needed.  Bland's
+rule in its dual form (Bland 1977) pivots until no right-hand side is
+negative, or until a row with none of its entries negative proves the
+program infeasible.  It gives ``x`` only where that is certain to be
+``solve_lp``'s: at a unique optimum, and at x = 0, from which no step of
+``solve_lp`` can lower the objective below its bound 0, so none moves.
 
 Both keep the tableau as integers over one common denominator ``D``, the
 determinant of the current basis.  ``model.scale``, the package's one
@@ -37,7 +30,7 @@ other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
 ``f`` is the row's entry in the pivot column and ``b`` the pivot row's
 entry; the division is exact.  Then ``D = p``, negated with the whole
 tableau when ``p`` is negative.  The reduced costs are one more row of the
-tableau (priced once per phase in ``solve_lp``), updated by the same rule.  Its right-hand side is minus ``D``
+tableau, updated by the same rule.  Its right-hand side is minus ``D``
 times the scaled objective value, so the optimal value is read from there.
 
 Positive row scales leave the structural columns of the basis-inverse
@@ -316,40 +309,28 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
 def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
     """``(value, x)`` of a program with a non-negative objective, or None when
-    infeasible, by the dual simplex from the slack basis (see the module
-    docstring).
-
-    ``x`` is given where it is certain to equal ``solve_lp``'s: when x = 0
-    is feasible, and when every non-basic reduced cost at the optimum is
-    positive, so that the optimum is unique.  Otherwise it is None.  A
-    negative objective coefficient raises ``SolverInvariantError``: the
-    slack basis is then not dual feasible.
-    """
+    infeasible (see the module docstring).  ``x`` is None where it might not
+    be ``solve_lp``'s: where a non-basic reduced cost is 0 at an optimum
+    other than x = 0.  A negative cost raises ``SolverInvariantError``."""
     objective, obj_scale = scale(lp.objective)
     if any(c < 0 for c in objective):
         raise SolverInvariantError("the dual simplex needs a non-negative objective")
     n = lp.num_variables
     zero = Fraction(0)
 
-    # Every row in <= form, as its scaled row and a sign: >= rows negated,
-    # == rows as both.
-    rows = []
+    rows = []  # scaled rows in <= form: >= rows negated, == rows as both
     for c in lp.constraints:
         values, _ = c._scaled
         if c.relation != GREATER_EQUAL:
-            rows.append((values, 1))
+            rows.append(values)
         if c.relation != LESS_EQUAL:
-            rows.append((values, -1))
-    if all(values[-1] * sign >= 0 for values, sign in rows):
-        # x = 0 is feasible, so optimal.  It is solve_lp's x too, optimum
-        # unique or not: no simplex step can lower an objective already at
-        # its bound 0, so every step solve_lp takes from x = 0 has length 0.
-        return zero, (zero,) * n
+            rows.append([-v for v in values])
+    if all(values[-1] >= 0 for values in rows):
+        return zero, (zero,) * n  # x = 0 is feasible, so optimal, and solve_lp's
     m = len(rows)
     zeros = [_scalar(0)] * m
     tableau = []
-    for k, (values, sign) in enumerate(rows):
-        values = values if sign > 0 else [-v for v in values]
+    for k, values in enumerate(rows):
         trow = [*values[:-1], *zeros, values[-1]]
         trow[n + k] = _scalar(1)  # slack
         tableau.append(trow)
@@ -358,10 +339,9 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
     denom = _scalar(1)
 
     while True:
-        # Bland's rule for the dual: the least basic index with a negative
-        # right-hand side leaves, and the least index among the columns of
-        # least ratio (reduced cost) / |entry| over the row's negative entries
-        # enters, which keeps every reduced cost non-negative.
+        # Dual Bland: the least basic index with a negative right-hand side
+        # leaves; of the row's negative entries, the least ratio (reduced
+        # cost) / |entry|, then the least index, enters.
         leaving = -1
         for k, b in enumerate(basis):
             if tableau[k][-1] < 0 and (leaving < 0 or b < basis[leaving]):
@@ -379,9 +359,7 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
         denom = _pivot(tableau, basis, leaving, entering, denom)
 
     value = Fraction(int(-tableau[-1][-1]), int(denom * obj_scale))
-    # Basic columns have reduced cost exactly 0; so do the others exactly
-    # when another optimum may exist.
-    if tableau[-1][:-1].count(0) > m:
+    if tableau[-1][:-1].count(0) > m:  # a non-basic reduced cost is 0 too
         return value, None
     x = [zero] * n
     for k, b in enumerate(basis):

@@ -22,7 +22,7 @@ are the former per-entry ``Fraction`` sums of ``agent.backward_induction``
 and ``agent._cdf_thresholds``, the references for their forms over
 ``model.scale``.  ``reference_min_payment_program``,
 ``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
-former ``Fraction`` sums of ``contracts._min_payment``'s program and of
+former ``Fraction`` sums of ``contracts._min_payment_program`` and of
 ``welfare.profile_reward``/``profile_cost``.
 """
 
@@ -687,7 +687,7 @@ def reference_cdf_thresholds(probabilities) -> list[int]:
 
 
 def reference_min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
-    """The program ``contracts._min_payment`` built before its sums went
+    """The program ``contracts._min_payment_program`` built before its sums went
     through ``model.expectation``, adding one ``Fraction`` product at a time.
 
     Same rows in the same order: final rows by surviving state, then
