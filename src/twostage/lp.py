@@ -147,8 +147,8 @@ def _pivot(tableau, basis, row, col, denom):
 
     Every row, the reduced-cost row included, carries its right-hand side as
     the last entry.  The new ``D`` is the pivot entry; when that is negative
-    (only when driving artificials out), the whole tableau is negated so that
-    ``D`` stays positive.
+    (driving artificials out, and every pivot of ``_dual_value``), the whole
+    tableau is negated so that ``D`` stays positive.
     """
     prow = tableau[row]
     p = prow[col]

@@ -39,7 +39,7 @@ from twostage import (
     validate,
 )
 from twostage import contracts
-from twostage.lp import LpOptimal, SolverInvariantError, solve_lp
+from twostage.lp import SolverInvariantError
 from twostage.cli import main
 from twostage.generators import (
     cost_ladder_instance,
@@ -182,9 +182,9 @@ def _random_profile(rng, inst, surviving):
 
 def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs, midterm):
     # Every program handed to a solver entry -- the searches' candidates to
-    # _dual_value (to solve_lp on a negative objective), their winners'
-    # re-solves and the public wrappers under every blocked set to solve_lp --
-    # must equal the Fraction-summing builder's, coefficient for coefficient.
+    # _dual_value, their winners' re-solves and the public wrappers under
+    # every blocked set to solve_lp -- must equal the Fraction-summing
+    # builder's, coefficient for coefficient.
     handed = record_programs("_dual_value", "solve_lp")
     build = contracts._min_payment_program
     built = []
@@ -308,9 +308,9 @@ def _outcome(solver, inst):
 
 
 def test_programs_with_a_negative_cost_are_solved_by_the_simplex_as_before(monkeypatch, record_programs):
-    # A negative outcome probability gives a program a negative cost, where
-    # x = 0 is not dual feasible; such a program goes to solve_lp, as every
-    # program did before the dual simplex, so the answers do not move.
+    # A negative outcome probability can give a program a negative cost, where
+    # x = 0 is not dual feasible; every program of such an instance goes to
+    # solve_lp, as before the dual simplex, so the answers do not move.
     instances = [
         _with_a_negative_probability(random_instance(kind, seed=seed))
         for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
@@ -322,12 +322,7 @@ def test_programs_with_a_negative_cost_are_solved_by_the_simplex_as_before(monke
     negative = {name for name, lp, _ in handed if min(lp.objective) < 0}
     assert negative == {"solve_lp"}
     assert sum(min(lp.objective) < 0 for _, lp, _ in handed) > 100
-
-    def two_phase_only(program):
-        result = solve_lp(program)
-        return (result.objective_value, result.x) if isinstance(result, LpOptimal) else None
-
-    monkeypatch.setattr(contracts, "_dual_value", two_phase_only)
+    monkeypatch.setattr(contracts, "_dual_value", contracts._two_phase_value)
     assert searched == [_outcome(solver, dataclasses.replace(inst)) for inst in instances for solver in solvers]
     assert sum(isinstance(report, str) for report in searched) < len(searched) // 10
 

@@ -315,9 +315,9 @@ def _assert_dual_value_agrees(lp, result, expected):
     value, x = result
     assert isinstance(expected, LpOptimal) and value == expected.objective_value, lp
     if x is None:
-        return "not unique"
+        return "no x"
     assert x == expected.x, lp
-    return "unique"
+    return "x given"
 
 
 def _assert_optimizer_programs_match(record_programs, instances):
@@ -390,7 +390,7 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             start = len(handed)
             solver(inst)
-            # solve_lp sees only the winner, and only when its optimum may not be unique.
+            # solve_lp sees only the winner, and only when the dual simplex gave it no x.
             resolves = [lp for name, lp, _ in handed[start:] if name == "solve_lp"]
             assert len(resolves) <= 1
             resolved += len(resolves)
