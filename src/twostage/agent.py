@@ -21,6 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -231,6 +232,19 @@ def _cdf_thresholds(probabilities) -> list[int]:
     return [-((-cum << 64) // denominator) for cum in accumulate(numerators)]
 
 
+def _float(value: Fraction, what: str, squared: bool = False) -> float:
+    """``value`` as a float; a ``ValueError`` names it if it, or its square, is past float range."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if math.isfinite(result * result if squared else result):
+        return result
+    past = "is" if math.isinf(result) else "has a square"
+    shown = Decimal(value.numerator) / Decimal(value.denominator)
+    raise ValueError(f"{what} is {shown:.6E}, which {past} past float range; simulate samples in floats")
+
+
 def simulate(
     instance: Instance, contract: Contract, episodes: int, seed: int
 ) -> SimulationResult:
@@ -238,7 +252,8 @@ def simulate(
 
     Episodes sample the intermediate state and then the outcome from the
     exact distributions of the agent's best-response profile.  The same seed
-    always produces the same result.
+    always produces the same result.  A profit, its square, a payment or a
+    sum past float range raises ``ValueError``.
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
@@ -256,9 +271,10 @@ def simulate(
             continue
         act = instance.states[s].final_actions[response.profile.finals[s]]
         outcomes = []
-        for r, t in zip(instance.rewards, transfers):
-            profit = float(r - t - state_transfer)
-            outcomes.append((profit, profit * profit, float(t + state_transfer)))
+        for k, (r, t) in enumerate(zip(instance.rewards, transfers)):
+            where = f"outcome {k} at state {s}"
+            profit = _float(r - t - state_transfer, f"the profit of {where}", squared=True)
+            outcomes.append((profit, profit * profit, _float(t + state_transfer, f"the payment of {where}")))
         tables.append((_cdf_thresholds(act.outcome_dist), outcomes))
 
     draw = random.Random(seed).getrandbits
@@ -276,6 +292,8 @@ def simulate(
         profit_sumsq += square
         payment_sum += payment
 
+    if not math.isfinite(profit_sumsq + abs(payment_sum)):
+        raise ValueError("the sums over the episodes are past float range; simulate samples in floats")
     n = episodes
     mean = profit_sum / n
     variance = max(0.0, (profit_sumsq - n * mean * mean) / (n - 1)) if n > 1 else 0.0

@@ -14,7 +14,7 @@ Exit codes are part of the contract:
      parameter constraints, among them an instance ``generate`` could not
      read back, and negative rewards for ``compare``,
      ``solve --contract linear`` and ``breakpoints``, since linear contracts
-     need non-negative rewards)
+     need non-negative rewards, and ``simulate`` values past float range)
   2  enumeration cap exceeded
   3  I/O, JSON or command-line parse error
   4  internal error: a solver self-check failed (a bug, reported on stderr)

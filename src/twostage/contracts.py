@@ -10,24 +10,24 @@ Each expected-value coefficient is one ``model.dot`` of the weights, scaled
 once per row, with the designated finals' outcome column or costs, scaled
 once per program.
 
-The searches value each candidate with ``lp._dual_value``: the objective's
-coefficients are expected transfers, none negative on a validated instance.
-A winner it gives no ``x`` is solved again by ``solve_lp``, which the public
-``min_payment_*`` wrappers call, and the two values must agree.  An
-instance with a negative probability (unvalidated) keeps ``solve_lp`` only.
+The searches and the ``min_payment_*`` wrappers refuse an instance that
+``model.validate`` does not pass, checked once per instance, with a
+``ValueError`` naming its first violation.  The searches value each candidate
+with ``lp._dual_value``: the objective's coefficients are expected transfers,
+none negative on a valid instance.  A winner it gives no ``x`` is solved
+again by ``solve_lp``, which the wrappers call, and the two values must agree.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
 contracts), an initial action and one final action per surviving state;
 duplicate final actions (identical cost and distribution) collapse to their
 lowest index, which preserves both the optimum and the tie-break.  Because
-transfers are non-negative, incentive compatibility leaves the agent at least
-minus the cost of the cheapest profile (``slack``, zero on validated
-instances), so a candidate's profit is at most its welfare plus ``slack``.
-Candidates are visited lazily in descending order of that bound, and the
-search stops at the first bound strictly below the best profit found.  Equal
-profits go to the candidate first in the order (termination-set size,
-termination set, initial action, finals by state), which is the one an
+transfers are non-negative and the null profile costs nothing, incentive
+compatibility leaves the agent at least zero, so a candidate's profit is at
+most its welfare.  Candidates are visited lazily in descending order of that
+bound, and the search stops at the first bound strictly below the best profit
+found.  Equal profits go to the candidate first in the order (termination-set
+size, termination set, initial action, finals by state), which is the one an
 exhaustive enumeration in that order keeps.  The caps count the whole
 candidate space, pruned or not.
 
@@ -70,8 +70,8 @@ from .model import (
     TerminateHalfwayContract,
     classify,
     dot,
-    expectation,
     scale,
+    validate,
 )
 from .welfare import max_welfare
 
@@ -121,18 +121,15 @@ class _Compiled:
     states, initial action, finals), to its ``(value, x)`` (see
     ``lp._dual_value`` for when x is None), or to None when infeasible.
     Every entry is set once, and whoever sets it sets an equal value.
-    ``nonnegative`` says that no probability of the instance is negative, so
-    that no cost of any of its programs is either; it fails only on
-    unvalidated input.
     """
 
-    __slots__ = ("finals", "rows", "programs", "nonnegative")
+    __slots__ = ("finals", "rows", "programs")
 
     def __init__(self, instance):
+        report = validate(instance)
+        if not report.ok:
+            raise ValueError(f"invalid instance: {report.violations[0]}")
         self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
-        probabilities = [p for act in instance.initial_actions for p in act.transition]
-        probabilities += [p for state in instance.states for act in state.final_actions for p in act.outcome_dist]
-        self.nonnegative = all(p >= 0 for p in probabilities)
         self.rows = {}
         self.programs = {}
 
@@ -203,8 +200,7 @@ def _min_payment_program(instance, profile, surviving, with_state_transfers) -> 
 
 
 def _two_phase_value(program) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """``solve_lp``'s optimal value and ``x``, or None when the program is
-    infeasible or (with a negative cost, on unvalidated input) unbounded."""
+    """``solve_lp``'s optimal value and ``x``, or None when the program is infeasible."""
     result = solve_lp(program)
     return (result.objective_value, result.x) if isinstance(result, LpOptimal) else None
 
@@ -250,17 +246,8 @@ def _distinct_final_indices(state) -> list[int]:
     """Lowest index of each (cost, distribution) group, in index order."""
     seen = {}
     for j, act in enumerate(state.final_actions):
-        key = (act.cost, act.outcome_dist)
-        if key not in seen:
-            seen[key] = j
-    return sorted(seen.values())
-
-
-def _check_profile_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"{count} profiles to enumerate exceeds the cap of {cap}"
-        )
+        seen.setdefault((act.cost, act.outcome_dist), j)
+    return list(seen.values())
 
 
 def _search(instance, profiles_cap, with_state_transfers, may_block, make_contract) -> SolveReport:
@@ -268,7 +255,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
 
     A candidate is an initial action ``i`` plus one option per state: a
     distinct final ``j`` or, when ``may_block``, termination.  Its bound is
-    separable: ``slack - c_i + sum_s F[i,s] * (R[s,j] - c[s,j])``, a blocked
+    separable: ``-c_i + sum_s F[i,s] * (R[s,j] - c[s,j])``, a blocked
     state adding zero.  With each state's options sorted by descending term,
     the k-best successor rule (increment only positions at or after the last
     one incremented) reaches every candidate exactly once and never before a
@@ -281,14 +268,10 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     space = instance.num_initial_actions
     for finals in reps:
         space *= len(finals) + may_block
-    _check_profile_cap(space, profiles_cap)
+    if space > profiles_cap:
+        raise EnumerationCapExceeded(f"{space} profiles to enumerate exceeds the cap of {profiles_cap}")
 
     reward = instance.final_rewards
-    # Non-negative transfers leave the agent no worse off than minus the cost
-    # of the cheapest profile.  Counting negative final costs (unvalidated
-    # input only) as zero makes one value cover every set of surviving states.
-    cheapest = scale([max(min((a.cost for a in s.final_actions), default=_ZERO), _ZERO) for s in states])
-    slack = min((a.cost + expectation(a.transition, cheapest) for a in instance.initial_actions), default=_ZERO)
     options = []  # options[i][s]: (bound term, final or _BLOCKED), largest term first
     for act in instance.initial_actions:
         rows = []
@@ -312,12 +295,9 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         heapq.heappush(heap, (-bound, (len(blocked), blocked, i, finals), positions, last))
 
     for i, act in enumerate(instance.initial_actions):
-        if all(options[i]):
-            top = sum((row[0][0] for row in options[i]), _ZERO)
-            push(slack - act.cost + top, i, (0,) * len(states), 0)
+        top = sum((row[0][0] for row in options[i]), _ZERO)
+        push(top - act.cost, i, (0,) * len(states), 0)
 
-    # The dual simplex needs costs of one sign; the two-phase simplex takes any.
-    solve = _dual_value if compiled.nonnegative else _two_phase_value
     best = None  # (profit, key, (value, x), profile, surviving)
     solved = infeasible = 0
     while heap:
@@ -339,7 +319,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         program = None if with_state_transfers else key[1:]
         solution = compiled.programs.get(program, _UNSOLVED)
         if solution is _UNSOLVED:
-            solution = solve(_min_payment_program(instance, profile, surviving, with_state_transfers))
+            solution = _dual_value(_min_payment_program(instance, profile, surviving, with_state_transfers))
             if program is not None:
                 compiled.programs[program] = solution
         solved += 1

@@ -50,11 +50,11 @@ def _checked(instance: Instance) -> Instance:
 
 def _param(name: str, value, integer: bool):
     """A parameter's value as an exact Fraction, refusing floats, or with
-    ``integer`` as an int, accepting any integral value (``2.0``, ``"1e1"``, ``"4/2"``)."""
+    ``integer`` as an int, accepting any integral value but a bool (``2.0``, ``"1e1"``, ``"4/2"``)."""
     if not integer:
         return value if isinstance(value, Fraction) else parse_rational(value)
     exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
-    if exact.denominator != 1:
+    if exact.denominator != 1 or isinstance(value, bool):
         raise ValueError(f"parameter {name!r} must be an integer, got {value}")
     return int(exact)
 
@@ -407,7 +407,8 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
-# ``random_instance``'s size caps go by these shorter names in a parameter map.
+# ``random_instance``'s size caps go by these shorter names in a parameter map;
+# messages name them by the keyword, as ``random_instance`` itself does.
 _CAP_NAMES = {"max_states": "s", "max_initial_actions": "n1", "max_final_actions": "n2", "max_outcomes": "m"}
 
 
@@ -425,7 +426,7 @@ def generate(family_params: FamilyParams) -> Instance:
     for name, parameter in inspect.signature(builder).parameters.items():
         key = _CAP_NAMES.get(name, name)
         if key in params:
-            arguments[name] = _param(key, params.pop(key), parameter.annotation in ("int", int))
+            arguments[name] = _param(name, params.pop(key), parameter.annotation in ("int", int))
         elif parameter.default is parameter.empty:
             raise ValueError(f"missing required parameter {key!r}")
     instance = builder(**arguments)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -188,3 +189,22 @@ def test_simulate_tracks_exact_profit(midterm):
 def test_simulate_rejects_bad_episode_count(midterm):
     with pytest.raises(ValueError):
         simulate(midterm, StandardContract((F(0), F(0))), episodes=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "rewards, transfers, message",
+    [
+        (None, ("0", "1e400"), "the profit of outcome 1 at state 0 is -1.000000E+400, which is past float range"),
+        (None, ("0", "1e200"), "the profit of outcome 1 at state 0 is -1.000000E+200, which has a square past float range"),
+        (("0", "1e400"), ("0", "0"), "the profit of outcome 1 at state 0 is 1.000000E+400, which is past float range"),
+        (None, ("0", "1e154"), "the sums over the episodes are past float range"),
+    ],
+    ids=["transfer-1e400", "transfer-1e200", "reward-1e400", "sums"],
+)
+def test_simulate_refuses_values_past_float_range(midterm, rewards, transfers, message):
+    # These raised OverflowError, or returned a std_error of 0.0 from an
+    # infinite sum of squares, before.
+    instance = midterm if rewards is None else dataclasses.replace(midterm, rewards=tuple(map(F, rewards)))
+    with pytest.raises(ValueError) as refused:
+        simulate(instance, StandardContract(tuple(map(F, transfers))), episodes=50, seed=1)
+    assert str(refused.value) == f"{message}; simulate samples in floats"

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import importlib.util
 import io
@@ -14,6 +15,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twostage import (
     FamilyParams,
@@ -128,6 +131,16 @@ def test_generate_random_cap_below_one_exits_one_naming_it(capsys, param, cap):
     code, out, err = run_cli(capsys, "generate", "--family", "random_general", "--param", "seed=1", "--param", f"{param}=0")
     assert (code, out) == (1, "")
     assert err == f"twostage: {cap} must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "param, cap", [("s", "max_states"), ("n1", "max_initial_actions"), ("n2", "max_final_actions"), ("m", "max_outcomes")]
+)
+def test_generate_random_non_integral_cap_exits_one_naming_it(capsys, param, cap):
+    # Named by the same keyword as a cap below one.
+    code, out, err = run_cli(capsys, "generate", "--family", "random_general", "--param", "seed=1", "--param", f"{param}=2.5")
+    assert (code, out) == (1, "")
+    assert err == f"twostage: parameter '{cap}' must be an integer, got 5/2\n"
 
 
 @pytest.mark.parametrize("to_file", [True, False])
@@ -551,6 +564,26 @@ def test_simulate_command(tmp_path, capsys, instance_file):
     assert out2 == out
 
 
+@pytest.mark.parametrize(
+    "reward, transfer, value",
+    [("5", "1e400", "-1.000000E+400"), ("5", "1e200", "-1.000000E+200"), ("1e400", "0", "1.000000E+400")],
+)
+def test_simulate_past_float_range_exits_one(tmp_path, capsys, child_env, reward, transfer, value):
+    # The first raised OverflowError and the second printed a std_error of 0.0.
+    instance = tmp_path / "midterm.json"
+    instance.write_text(instance_to_json(dataclasses.replace(midterm_instance(), rewards=(F(0), F(reward)))))
+    contract = tmp_path / "contract.json"
+    contract.write_text(json.dumps({"kind": "standard", "t": ["0", transfer]}))
+    argv = ["simulate", str(instance), "--contract-file", str(contract), "--episodes", "50", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"twostage: the profit of outcome 1 at state 0 is {value}, which ")
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "twostage", *argv], capture_output=True, text=True, env=child_env
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", err)
+
+
 def test_usage_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["solve"])  # missing required arguments
@@ -870,3 +903,87 @@ def test_benchmark_trace_hooks_see_every_required_layer(tmp_path):
     recorded = {span.name for span in tracer.spans}
     for workload, layers in spans.REQUIRED.items():
         assert set(layers) <= recorded, (workload, set(layers) - recorded)
+
+
+# --- a bounded fuzz of the command line ----------------------------------------
+
+# Leaves swapped into an instance or contract document, or _DROP to delete the
+# entry: numbers past float range or of the wrong sign, a division by zero, a
+# float and wrong types.  Hypothesis draws the earlier entries of a list more
+# often, so the numbers, and the commands that read a contract, come first.
+FUZZ_LEAVES = ["1e400", "1e200", "-1", "0", "7/3", 2, "1/0", 1.5, None, True, [], {}]
+_DROP = object()
+FUZZ_CONTRACTS = [
+    {"kind": "standard", "t": ["0", "41/5"]},
+    {"kind": "linear", "alpha": "1/2"},
+    {"kind": "pay_halfway", "s": ["1/2", "0"], "t": ["0", "3"]},
+    {"kind": "terminate_halfway", "t": ["0", "41/5"], "terminate_set": [0]},
+]
+FUZZ_COMMANDS = [
+    ["simulate", "--contract-file", "{contract}", "--episodes", "50", "--seed", "1"],
+    ["best-response", "--contract-file", "{contract}"],
+    ["compare"],
+    *(["solve", "--contract", kind] for kind in ("standard", "linear", "pay", "terminate")),
+    ["breakpoints"], ["welfare"], ["classify"], ["validate"],
+]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, each after its children's."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+    yield path
+
+
+@st.composite
+def _mutated(draw, document):
+    """``document`` after one to three swaps of a node for a leaf or deletions."""
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(document))))
+        leaf = draw(st.sampled_from(FUZZ_LEAVES + ([_DROP] if path else [])))
+        if not path:
+            document = leaf
+            continue
+        document = copy.deepcopy(document)
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if leaf is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = leaf
+    return document
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_documents_exit_with_a_documented_code(data, command):
+    # Each run mutates one document: the contract, if the command reads one
+    # and a coin says so, or else the instance.
+    instance = json.loads(instance_to_json(midterm_instance()))
+    contract = data.draw(st.sampled_from(FUZZ_CONTRACTS))
+    if "{contract}" in command and data.draw(st.booleans()):
+        contract = data.draw(_mutated(contract))
+    else:
+        instance = data.draw(_mutated(instance))
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {"instance": Path(scratch) / "instance.json", "contract": Path(scratch) / "contract.json"}
+        paths["instance"].write_text(json.dumps(instance))
+        paths["contract"].write_text(json.dumps(contract))
+        argv = [command[0], str(paths["instance"]), *(a.format(contract=paths["contract"]) for a in command[1:])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err.getvalue()
+    if code == 0 or command == ["validate"] and code == 1:
+        _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue()

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from twostage import (
     classify,
     evaluate_profile,
     max_welfare,
+    midterm_instance,
     min_payment_pay,
     min_payment_standard,
     min_payment_terminate,
@@ -39,7 +41,6 @@ from twostage import (
     validate,
 )
 from twostage import contracts
-from twostage.lp import SolverInvariantError
 from twostage.cli import main
 from twostage.generators import (
     cost_ladder_instance,
@@ -180,7 +181,7 @@ def _random_profile(rng, inst, surviving):
     )
 
 
-def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs, midterm):
+def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs):
     # Every program handed to a solver entry -- the searches' candidates to
     # _dual_value, their winners' re-solves and the public wrappers under
     # every blocked set to solve_lp -- must equal the Fraction-summing
@@ -203,17 +204,6 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
         for seed in range(20):
             inst = random_instance(kind, seed=seed)
             instances += [inst, *tie_heavy_variants(inst)]
-    # Unvalidated: every action costs something.
-    instances.append(
-        Instance(
-            midterm.rewards,
-            tuple(InitialAction(a.name, a.cost + 1, a.transition) for a in midterm.initial_actions),
-            tuple(
-                State(s.name, tuple(FinalAction(a.name, a.cost + F(1, 2), a.outcome_dist) for a in s.final_actions))
-                for s in midterm.states
-            ),
-        )
-    )
     rng = random.Random("min-payment-rows")
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
@@ -225,7 +215,7 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
             for blocked in itertools.combinations(every_state, size):
                 surviving = [s for s in every_state if s not in blocked]
                 min_payment_terminate(inst, blocked, _random_profile(rng, inst, surviving))
-    assert len(instances) == 5 + 4 * 20 * 5 + 1
+    assert len(instances) == 5 + 4 * 20 * 5
     # Each built program went to exactly one solver entry, once, in order.
     assert len(handed) == len(built) and all(lp is program for (_, lp, _), program in zip(handed, built))
     assert {name for name, _, _ in handed} == {"_dual_value", "solve_lp"}
@@ -281,50 +271,48 @@ def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, rec
     assert terminate_doc["infeasible_profiles"] == cold.infeasible_profiles
 
 
-def _with_a_negative_probability(inst):
-    """Unvalidated: at each state the final of largest expected reward moves
-    1/5 of probability from the least to the most rewarded outcome, which
-    leaves a negative probability wherever the former had less than 1/5."""
-    rewards = inst.rewards
-    lo = min(range(len(rewards)), key=rewards.__getitem__)
-    hi = max(range(len(rewards)), key=rewards.__getitem__)
-    states = []
-    for state in inst.states:
-        finals = list(state.final_actions)
-        j = max(range(len(finals)), key=lambda j: sum(p * r for p, r in zip(finals[j].outcome_dist, rewards)))
-        dist = list(finals[j].outcome_dist)
-        dist[lo] -= F(1, 5)
-        dist[hi] += F(1, 5)
-        finals[j] = FinalAction(finals[j].name, finals[j].cost, tuple(dist))
-        states.append(State(state.name, tuple(finals)))
-    return Instance(rewards, inst.initial_actions, tuple(states))
+def _midterm_with(initial_cost=F(0), fail_effort=(F(1, 5), F(4, 5))):
+    """midterm with ``initial_cost`` added to each initial action's cost and the
+    given outcome distribution for effort at the fail state."""
+    midterm = midterm_instance()
+    initial = tuple(InitialAction(a.name, a.cost + initial_cost, a.transition) for a in midterm.initial_actions)
+    fail, passed = midterm.states
+    effort, null = fail.final_actions
+    fail = State(fail.name, (FinalAction(effort.name, effort.cost, fail_effort), null))
+    return Instance(midterm.rewards, initial, (fail, passed))
 
 
-def _outcome(solver, inst):
-    try:
-        return solver(inst)
-    except SolverInvariantError as exc:
-        return str(exc)
+# Each invalid instance, and the violation it is refused for.
+INVALID_INSTANCES = {
+    "negative_probability": (
+        lambda: _midterm_with(fail_effort=(F(-1, 5), F(6, 5))),
+        "states[0].final_actions[0].outcome_dist: distribution entries must lie in [0, 1]",
+    ),
+    "no_null_action": (
+        lambda: _midterm_with(initial_cost=F(1)),
+        "initial_actions: missing null initial action (zero cost)",
+    ),
+}
+
+# Each entry that compiles an instance's programs, called with valid arguments.
+COMPILING_ENTRIES = {
+    "optimal_standard": optimal_standard,
+    "optimal_pay": optimal_pay,
+    "optimal_terminate": optimal_terminate,
+    "min_payment_standard": lambda inst: min_payment_standard(inst, ActionProfile(0, {0: 0, 1: 0})),
+    "min_payment_pay": lambda inst: min_payment_pay(inst, ActionProfile(0, {0: 0, 1: 0})),
+    "min_payment_terminate": lambda inst: min_payment_terminate(inst, {1}, ActionProfile(0, {0: 0})),
+}
 
 
-def test_programs_with_a_negative_cost_are_solved_by_the_simplex_as_before(monkeypatch, record_programs):
-    # A negative outcome probability can give a program a negative cost, where
-    # x = 0 is not dual feasible; every program of such an instance goes to
-    # solve_lp, as before the dual simplex, so the answers do not move.
-    instances = [
-        _with_a_negative_probability(random_instance(kind, seed=seed))
-        for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
-        for seed in range(30)
-    ]
-    solvers = (optimal_standard, optimal_pay, optimal_terminate)
-    handed = record_programs("_dual_value", "solve_lp")
-    searched = [_outcome(solver, dataclasses.replace(inst)) for inst in instances for solver in solvers]
-    negative = {name for name, lp, _ in handed if min(lp.objective) < 0}
-    assert negative == {"solve_lp"}
-    assert sum(min(lp.objective) < 0 for _, lp, _ in handed) > 100
-    monkeypatch.setattr(contracts, "_dual_value", contracts._two_phase_value)
-    assert searched == [_outcome(solver, dataclasses.replace(inst)) for inst in instances for solver in solvers]
-    assert sum(isinstance(report, str) for report in searched) < len(searched) // 10
+@pytest.mark.parametrize("instance", sorted(INVALID_INSTANCES))
+@pytest.mark.parametrize("entry", sorted(COMPILING_ENTRIES))
+def test_every_compiling_entry_refuses_an_invalid_instance(entry, instance):
+    build, violation = INVALID_INSTANCES[instance]
+    inst = build()
+    with pytest.raises(ValueError, match=f"^invalid instance: {re.escape(violation)}$"):
+        COMPILING_ENTRIES[entry](inst)
+    assert contracts._COMPILED not in vars(inst)
 
 
 def test_pay_to_standard_tree_checks_dimensions_like_best_response():
@@ -620,19 +608,47 @@ def test_search_matches_exhaustive_oracle_on_random_instances(kind):
                 assert_matches_exhaustive_search(variant)
 
 
-def test_search_bound_holds_without_free_actions(midterm):
-    # Unvalidated input where every action costs something: the agent's
-    # fallback costs more than zero, and the bound must allow for it.
-    costly = Instance(
-        midterm.rewards,
-        tuple(InitialAction(a.name, a.cost + 1, a.transition) for a in midterm.initial_actions),
+def _scaled_instance(inst, factor):
+    """``inst`` with every reward and every action cost multiplied by ``factor``."""
+    return Instance(
+        tuple(r * factor for r in inst.rewards),
+        tuple(InitialAction(a.name, a.cost * factor, a.transition) for a in inst.initial_actions),
         tuple(
-            State(s.name, tuple(FinalAction(a.name, a.cost + F(1, 2), a.outcome_dist) for a in s.final_actions))
-            for s in midterm.states
+            State(s.name, tuple(FinalAction(a.name, a.cost * factor, a.outcome_dist) for a in s.final_actions))
+            for s in inst.states
         ),
     )
-    assert not validate(costly).ok
-    assert_matches_exhaustive_search(costly)
+
+
+def _scaled_contract(contract, factor):
+    """``contract`` with every transfer multiplied by ``factor``, its terminate set kept."""
+    names = [f.name for f in dataclasses.fields(contract) if f.name != "terminate_set"]
+    return dataclasses.replace(contract, **{name: tuple(factor * t for t in getattr(contract, name)) for name in names})
+
+
+@pytest.mark.parametrize("factor", [F(7, 3), F(1, 1000)], ids=["7/3", "1/1000"])
+def test_scaling_rewards_and_costs_scales_every_optimum(factor):
+    # Every incentive row's right-hand side, every objective value and every
+    # term of the search's bound scales by the factor, and nothing else does:
+    # profits, welfare and transfers scale, while the profile, the terminate
+    # set, linear's alpha and the programs the search solves stay the same.
+    checked = 0
+    for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
+        for seed in range(15):
+            base = random_instance(kind, seed=seed)
+            for inst in [base, *tie_heavy_variants(base)]:
+                scaled = _scaled_instance(inst, factor)
+                for solver in (optimal_standard, optimal_pay, optimal_terminate):
+                    report, scaled_report = solver(inst), solver(scaled)
+                    assert scaled_report.best_contract == _scaled_contract(report.best_contract, factor)
+                    assert scaled_report.best_response.profile == report.best_response.profile
+                    assert (scaled_report.profit, scaled_report.welfare) == (factor * report.profit, factor * report.welfare)
+                    assert scaled_report.programs_solved == report.programs_solved
+                    assert scaled_report.infeasible_profiles == report.infeasible_profiles
+                    checked += 1
+                linear, scaled_linear = optimal_linear(inst), optimal_linear(scaled)
+                assert (scaled_linear.alpha, scaled_linear.profit) == (linear.alpha, factor * linear.profit)
+    assert checked == 4 * 15 * 5 * 3
 
 
 # --- reductions -----------------------------------------------------------------

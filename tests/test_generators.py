@@ -103,6 +103,21 @@ def test_builders_refuse_non_integral_sizes(build, name):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: random_instance("tree", seed=True), "seed"),
+        (lambda: cost_ladder_instance(True, 2), "n1"),
+        (lambda: generate(FamilyParams("random_tree", {"seed": True})), "seed"),
+    ],
+    ids=["seed", "n1", "generate-seed"],
+)
+def test_builders_refuse_booleans_for_integer_parameters(build, name):
+    # These built the instances of 1 before; the rational rule refuses True too.
+    with pytest.raises(ValueError, match=f"^parameter '{name}' must be an integer, got True$"):
+        build()
+
+
 def test_builders_accept_integral_sizes_of_any_type():
     assert cost_ladder_instance(F(2), 2.0) == cost_ladder_instance("4/2", "2") == cost_ladder_instance(2, 2)
     assert state_markers_instance(2.0, F(1)) == state_markers_instance(2, 1)
@@ -147,18 +162,25 @@ def test_state_markers_needs_a_work_state():
         state_markers_instance(0, 1)
 
 
+# ``random_instance``'s keyword for each size cap's name in a parameter map.
+CAP_KEYWORDS = {"s": "max_states", "n1": "max_initial_actions", "n2": "max_final_actions", "m": "max_outcomes"}
+
+
 @pytest.mark.parametrize(
     "family, params, bad",
     [
         ("cost_ladder", {"n1": F(5, 2), "n2": 2}, "'n1'"),
         ("state_markers", {"s": "1.9", "n2": 2}, "'s'"),
         ("random_tree", {"seed": "7/2"}, "'seed'"),
-        ("random_general", {"seed": 1, "m": 2.5}, "'m'"),  # a cap goes by its parameter name
+        ("random_general", {"seed": 1, "m": 2.5}, "'m'"),
         ("random_tree", {"seed": 1, "s": F(5, 2)}, "'s'"),
     ],
 )
 def test_non_integer_integer_parameters_are_rejected(family, params, bad):
-    with pytest.raises(ValueError, match=f"^parameter {bad} must be an integer, got "):
+    name = bad.strip("'")
+    if family.startswith("random_"):  # a size cap is named by random_instance's keyword
+        name = CAP_KEYWORDS.get(name, name)
+    with pytest.raises(ValueError, match=f"^parameter '{name}' must be an integer, got "):
         generate(FamilyParams(family, params))
 
 
@@ -293,9 +315,7 @@ def test_random_instance_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize("family", ["random_tree", "random_stochastic", "random_deterministic", "random_general"])
-@pytest.mark.parametrize(
-    "param, cap", [("s", "max_states"), ("n1", "max_initial_actions"), ("n2", "max_final_actions"), ("m", "max_outcomes")]
-)
+@pytest.mark.parametrize("param, cap", list(CAP_KEYWORDS.items()))
 @pytest.mark.parametrize("value", [0, -1])
 def test_random_families_reject_caps_below_one(family, param, cap, value):
     # random_tree with m=0 and random_stochastic with n1=0 draw nothing from
