@@ -9,7 +9,6 @@ terminate-halfway contracts, all in exact rational arithmetic.
 from .agent import BestResponse, ProfileEvaluation, SimulationResult, best_response, evaluate_profile, simulate
 from .contracts import (
     DEFAULT_PROFILES_CAP,
-    DEFAULT_SUBSETS_CAP,
     EnumerationCapExceeded,
     SolveReport,
     min_payment_pay,

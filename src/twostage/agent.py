@@ -12,7 +12,8 @@ what each action pays the agent; ``best_response`` feeds it a contract, and
 All computations are exact; ``simulate`` is the only place floats appear, as
 sample statistics over exactly-sampled episodes.  Every expected value and
 cumulative probability comes from ``model.scale`` and ``model.expectation``,
-a given profile's values through ``_profile_expectation``.
+a given profile's values through ``_profile_expectation``.  Each entry refuses
+an invalid instance when it first reads ``Instance.final_rewards``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ class SimulationResult:
     std_error: float
 
 
+def _check_linear_rewards(instance: Instance) -> None:
+    if any(r < 0 for r in instance.rewards):
+        raise ValueError("linear contracts require all rewards to be non-negative")
+
+
+def _check_terminate_set(instance: Instance, terminate_set) -> None:
+    if not all(0 <= s < instance.num_states for s in terminate_set):
+        raise ValueError("terminate_set contains an out-of-range state index")
+
+
 def _contract_pieces(
     instance: Instance, contract: Contract
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], frozenset[int]]:
@@ -79,8 +90,7 @@ def _contract_pieces(
     if isinstance(contract, StandardContract):
         transfers, state_transfers, terminated = contract.transfers, no_state_transfers, frozenset()
     elif isinstance(contract, LinearContract):
-        if any(r < 0 for r in instance.rewards):
-            raise ValueError("linear contracts require all rewards to be non-negative")
+        _check_linear_rewards(instance)
         transfers = tuple(contract.alpha * r for r in instance.rewards)
         state_transfers, terminated = no_state_transfers, frozenset()
     elif isinstance(contract, PayHalfwayContract):
@@ -90,8 +100,7 @@ def _contract_pieces(
             )
         transfers, state_transfers, terminated = contract.transfers, contract.state_transfers, frozenset()
     elif isinstance(contract, TerminateHalfwayContract):
-        if not all(0 <= t < s for t in contract.terminate_set):
-            raise ValueError("terminate_set contains an out-of-range state index")
+        _check_terminate_set(instance, contract.terminate_set)
         transfers, state_transfers, terminated = contract.transfers, no_state_transfers, contract.terminate_set
     else:
         raise TypeError(f"not a contract: {contract!r}")
@@ -252,8 +261,8 @@ def simulate(
 
     Episodes sample the intermediate state and then the outcome from the
     exact distributions of the agent's best-response profile.  The same seed
-    always produces the same result.  A profit, its square, a payment or a
-    sum past float range raises ``ValueError``.
+    always produces the same result.  A profit, its square or a payment that
+    an episode can draw, or a sum, past float range raises ``ValueError``.
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
@@ -263,15 +272,19 @@ def simulate(
 
     state_thresholds = _cdf_thresholds(init.transition)
     # Per state, None if terminated: the outcome thresholds of the chosen final
-    # and each outcome's (profit, profit squared, payment).
-    tables: list[tuple[list[int], list[tuple[float, float, float]]] | None] = []
-    for s, state_transfer in enumerate(state_transfers):
-        if s in terminated:
+    # and each outcome's (profit, profit squared, payment).  A category of
+    # probability 0 shares the previous threshold, is never drawn, and is None.
+    tables: list[tuple[list[int], list[tuple[float, float, float] | None]] | None] = []
+    for s, (reach, state_transfer) in enumerate(zip(init.transition, state_transfers)):
+        if s in terminated or not reach:
             tables.append(None)
             continue
         act = instance.states[s].final_actions[response.profile.finals[s]]
         outcomes = []
-        for k, (r, t) in enumerate(zip(instance.rewards, transfers)):
+        for k, (p, r, t) in enumerate(zip(act.outcome_dist, instance.rewards, transfers)):
+            if not p:
+                outcomes.append(None)
+                continue
             where = f"outcome {k} at state {s}"
             profit = _float(r - t - state_transfer, f"the profit of {where}", squared=True)
             outcomes.append((profit, profit * profit, _float(t + state_transfer, f"the payment of {where}")))

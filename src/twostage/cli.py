@@ -128,7 +128,9 @@ def _cmd_welfare(args, instance: Instance) -> dict:
     return _doc(max_welfare(instance))
 
 
-def _solver_result(report: solvers.SolveReport) -> tuple[solvers.SolveReport, dict]:
+def _solver_result(optimizer: str, instance: Instance, args) -> tuple[solvers.SolveReport, dict]:
+    # Looked up on the module at call time, so that wrappers installed there see every call.
+    report = getattr(solvers, optimizer)(instance, profiles_cap=args.profiles_cap)
     return report, {
         "contract": _contract_doc(report.best_contract),
         "profile": _doc(report.best_response.profile),
@@ -141,7 +143,7 @@ def _solver_result(report: solvers.SolveReport) -> tuple[solvers.SolveReport, di
     }
 
 
-def _linear_result(instance: Instance) -> tuple[LinearOptimum, dict]:
+def _linear_result(instance: Instance, args) -> tuple[LinearOptimum, dict]:
     analysis = analyze(instance)
     alpha = analysis.optimal.alpha
     segment = next(seg for seg in analysis.segments if seg.alpha_low == alpha)
@@ -156,22 +158,11 @@ def _linear_result(instance: Instance) -> tuple[LinearOptimum, dict]:
 
 # Contract kind -> (optimum, result document), in the order ``compare`` runs
 # them.  The optimum carries the exact ``profit``; the standard one also
-# carries the ``welfare`` that ``compare`` reports.  The optimizers are looked
-# up on the module at call time, so that wrappers installed there see every call.
-# Linear goes first: it rejects a negative reward before any search runs.
+# carries the ``welfare`` that ``compare`` reports.  Linear goes first: it
+# rejects a negative reward before any search runs.
 _KINDS = {
-    "linear": lambda instance, args: _linear_result(instance),
-    "standard": lambda instance, args: _solver_result(
-        solvers.optimal_standard(instance, profiles_cap=args.profiles_cap)
-    ),
-    "pay": lambda instance, args: _solver_result(
-        solvers.optimal_pay(instance, profiles_cap=args.profiles_cap)
-    ),
-    "terminate": lambda instance, args: _solver_result(
-        solvers.optimal_terminate(
-            instance, profiles_cap=args.profiles_cap, subsets_cap=args.subsets_cap
-        )
-    ),
+    "linear": _linear_result,
+    **{kind: functools.partial(_solver_result, f"optimal_{kind}") for kind in ("standard", "pay", "terminate")},
 }
 
 
@@ -303,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = add("compare", _cmd_compare, help="all four optima side by side")
     for p in (solve, compare):
         p.add_argument("--profiles-cap", type=int, default=solvers.DEFAULT_PROFILES_CAP)
-        p.add_argument("--subsets-cap", type=int, default=solvers.DEFAULT_SUBSETS_CAP)
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo cross-check of a contract file")
     p.add_argument("--contract-file", required=True)

@@ -10,12 +10,12 @@ Each expected-value coefficient is one ``model.dot`` of the weights, scaled
 once per row, with the designated finals' outcome column or costs, scaled
 once per program.
 
-The searches and the ``min_payment_*`` wrappers refuse an instance that
-``model.validate`` does not pass, checked once per instance, with a
-``ValueError`` naming its first violation.  The searches value each candidate
-with ``lp._dual_value``: the objective's coefficients are expected transfers,
-none negative on a valid instance.  A winner it gives no ``x`` is solved
-again by ``solve_lp``, which the wrappers call, and the two values must agree.
+Every entry here refuses an instance that ``model.validate`` does not pass
+with ``model.require_valid``'s ``ValueError``, read from the report the
+instance keeps.  The searches value each candidate with ``lp._dual_value``:
+the objective's coefficients are expected transfers, none negative on a valid
+instance.  A winner it gives no ``x`` is solved again by ``solve_lp``, which
+the wrappers call, and the two values must agree.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -28,11 +28,11 @@ most its welfare.  Candidates are visited lazily in descending order of that
 bound, and the search stops at the first bound strictly below the best profit
 found.  Equal profits go to the candidate first in the order (termination-set
 size, termination set, initial action, finals by state), which is the one an
-exhaustive enumeration in that order keeps.  The caps count the whole
-candidate space, pruned or not.
+exhaustive enumeration in that order keeps.  One cap, ``profiles_cap``,
+counts the whole candidate space, pruned or not, every termination set
+included.
 
-Each instance keeps one private ``_Compiled`` in its ``vars``, next to its
-welfare report and likewise outside equality, hashing, repr and JSON: each
+Each instance keeps one private ``_Compiled`` (``model.cached``): each
 state's distinct finals, each (state, designated final, column count)'s
 final-stage rows, built once, and the value of every program without state
 transfers that a search solved.  A terminate candidate that blocks no
@@ -56,7 +56,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import BestResponse, _check_profile, _contract_pieces, _profile_expectation, best_response
+from .agent import (
+    BestResponse, _check_profile, _check_terminate_set, _contract_pieces, _profile_expectation, best_response
+)
 from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, _dual_value, solve_lp
 from .model import (
     ActionProfile,
@@ -68,21 +70,21 @@ from .model import (
     StandardContract,
     State,
     TerminateHalfwayContract,
+    cached,
     classify,
     dot,
+    require_valid,
     scale,
-    validate,
 )
 from .welfare import max_welfare
 
 _ZERO = Fraction(0)
 
 DEFAULT_PROFILES_CAP = 200_000
-DEFAULT_SUBSETS_CAP = 2 ** 14
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The profile or termination-set enumeration would exceed its cap."""
+    """The candidate enumeration would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,7 @@ class _Compiled:
     __slots__ = ("finals", "rows", "programs")
 
     def __init__(self, instance):
-        report = validate(instance)
-        if not report.ok:
-            raise ValueError(f"invalid instance: {report.violations[0]}")
+        require_valid(instance)
         self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
         self.rows = {}
         self.programs = {}
@@ -148,16 +148,7 @@ class _Compiled:
         return rows
 
 
-# The instance attribute that holds its ``_Compiled``, kept where
-# ``welfare.max_welfare`` keeps its report and for the same reasons.
-_COMPILED = "_compiled_programs"
-
-
-def _compiled(instance) -> _Compiled:
-    compiled = vars(instance).get(_COMPILED)
-    if compiled is None:
-        compiled = vars(instance).setdefault(_COMPILED, _Compiled(instance))
-    return compiled
+_COMPILED = "_compiled_programs"  # the instance attribute that holds its ``_Compiled``
 
 
 # --- minimal-payment programs -------------------------------------------------
@@ -188,7 +179,7 @@ def _min_payment_program(instance, profile, surviving, with_state_transfers) -> 
             coeffs += weights
         return coeffs, dot(w, costs)
 
-    compiled = _compiled(instance)
+    compiled = cached(instance, _COMPILED, _Compiled)
     rows = [row for s in surviving for row in compiled.final_rows(instance, s, profile.finals[s], n)]
     chosen = instance.initial_actions[profile.initial]
     for k, other in enumerate(instance.initial_actions):
@@ -228,8 +219,7 @@ def min_payment_terminate(
     The profile must assign finals to exactly the surviving states.
     """
     terminate_set = frozenset(terminate_set)
-    if not all(0 <= s < instance.num_states for s in terminate_set):
-        raise ValueError("terminate_set contains an out-of-range state index")
+    _check_terminate_set(instance, terminate_set)
     surviving = [s for s in range(instance.num_states) if s not in terminate_set]
     _check_profile(instance, profile, set(surviving))
     solution = _two_phase_value(_min_payment_program(instance, profile, surviving, False))
@@ -263,7 +253,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     action's best candidate yields the space lazily in descending bound order.
     """
     states = instance.states
-    compiled = _compiled(instance)
+    compiled = cached(instance, _COMPILED, _Compiled)
     reps = compiled.finals
     space = instance.num_initial_actions
     for finals in reps:
@@ -356,40 +346,24 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     )
 
 
-def optimal_standard(
-    instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP
-) -> SolveReport:
+def optimal_standard(instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP) -> SolveReport:
     """Best standard contract."""
     return _search(instance, profiles_cap, False, False, lambda x, _: StandardContract(x))
 
 
-def optimal_pay(
-    instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP
-) -> SolveReport:
+def optimal_pay(instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP) -> SolveReport:
     """Best pay-halfway contract."""
     m = instance.num_outcomes
-    return _search(
-        instance, profiles_cap, True, False, lambda x, _: PayHalfwayContract(x[m:], x[:m])
-    )
+    return _search(instance, profiles_cap, True, False, lambda x, _: PayHalfwayContract(x[m:], x[:m]))
 
 
-def optimal_terminate(
-    instance: Instance,
-    *,
-    profiles_cap: int = DEFAULT_PROFILES_CAP,
-    subsets_cap: int = DEFAULT_SUBSETS_CAP,
-) -> SolveReport:
+def optimal_terminate(instance: Instance, *, profiles_cap: int = DEFAULT_PROFILES_CAP) -> SolveReport:
     """Best terminate-halfway contract over all termination sets and profiles.
 
     Equal-profit ties resolve to the smallest blocked set (then the
     lexicographically first), so the empty set makes the result dominate the
     optimal standard contract by construction.
     """
-    num_states = instance.num_states
-    if 2 ** num_states > subsets_cap:
-        raise EnumerationCapExceeded(
-            f"2**{num_states} termination sets exceeds the cap of {subsets_cap}"
-        )
     return _search(instance, profiles_cap, False, True, TerminateHalfwayContract)
 
 
@@ -404,6 +378,7 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     The best response under the result has the same profile, payment and
     profit (outcomes no state can reach keep their transfer unchanged).
     """
+    require_valid(instance)
     if not classify(instance).is_tree:
         raise ValueError("instance is not a tree process")
     _contract_pieces(instance, pay)
@@ -431,6 +406,7 @@ def reduce_deterministic(instance: Instance) -> Instance:
     ``optimal_standard`` of the reduction earns the original's optimal
     standard profit.
     """
+    require_valid(instance)
     if not classify(instance).is_deterministic_first_stage:
         raise ValueError("instance is not a deterministic first-stage process")
     composites = tuple(

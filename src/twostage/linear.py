@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import best_response
+from .agent import _check_linear_rewards, best_response
 from .lp import SolverInvariantError
 from .model import ActionProfile, Instance, LinearContract, expectation, scale
 
@@ -133,9 +133,7 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
     wins ties.  The winner is then checked against one backward-induction
     best response; a mismatch raises ``SolverInvariantError``.
     """
-    if any(r < 0 for r in instance.rewards):
-        raise ValueError("linear contracts require all rewards to be non-negative")
-
+    _check_linear_rewards(instance)
     num_states = instance.num_states
     state_lines = [_state_lines(instance, s) for s in range(num_states)]
     state_envelopes = []

@@ -8,10 +8,11 @@ are exact rationals; nothing in this package ever rounds.
 
 Everything here is immutable after construction and safe to share across
 threads.  Instances are plain containers: ``validate`` reports invariant
-violations as data instead of refusing to construct.  An instance caches the
-derived table ``final_rewards``, and the solvers keep what they derive from it
-in its ``vars`` (``welfare.max_welfare``'s report, ``contracts``' rows and
-solved programs), all outside equality, hashing, repr and JSON.
+violations as data instead of refusing to construct; ``require_valid`` is
+the ``ValueError`` every computing entry raises from that report.  What an
+instance derives is built once and kept on it by ``cached`` (the validation
+and welfare reports, ``contracts``' rows and solved programs) or as the table
+``final_rewards``, all outside equality, hashing, repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
 ``parse_rational`` reads a plain ``[-]digits[/digits]`` string with ``int``
@@ -207,7 +208,8 @@ class Instance:
 
     @functools.cached_property
     def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``final_rewards[s][j]``: expected reward of final j at state s, built on first use."""
+        """``final_rewards[s][j]``: expected reward of final j at state s; refuses an invalid instance."""
+        require_valid(self)
         rewards = scale(self.rewards)
         return tuple(
             tuple(expectation(act.outcome_dist, rewards) for act in state.final_actions)
@@ -325,8 +327,30 @@ def _check_distribution(row: Sequence[Fraction], location: str, out: list[Violat
         out.append(Violation(location, "distribution does not sum to 1"))
 
 
+def cached(instance: Instance, name: str, build):
+    """``build(instance)``, built on first use and kept in ``vars(instance)[name]``, where
+    ``final_rewards`` is: out of equality, hashing, repr and JSON, and not copied by
+    ``dataclasses.replace``.  Builds racing in two threads give equal values; the first stays."""
+    kept = vars(instance)
+    value = kept.get(name)
+    if value is None:
+        value = kept.setdefault(name, build(instance))
+    return value
+
+
 def validate(instance: Instance) -> ValidationReport:
-    """Check every model invariant; violations are data, not exceptions."""
+    """Check every model invariant; violations are data, not exceptions.  Kept on the instance."""
+    return cached(instance, "_validation", _validate)
+
+
+def require_valid(instance: Instance) -> None:
+    """Raise ``ValueError("invalid instance: <first violation>")`` unless ``validate`` passes."""
+    report = validate(instance)
+    if not report.ok:
+        raise ValueError(f"invalid instance: {report.violations[0]}")
+
+
+def _validate(instance: Instance) -> ValidationReport:
     v: list[Violation] = []
     m = instance.num_outcomes
     s = instance.num_states
@@ -520,16 +544,19 @@ def instance_from_dict(doc: object) -> Instance:
     return Instance(tuple(rewards), tuple(initials), tuple(states))
 
 
-def instance_to_json(instance: Instance, *, indent: int | None = 2) -> str:
-    return json.dumps(instance_to_dict(instance), indent=indent, sort_keys=True)
+def instance_to_json(instance: Instance) -> str:
+    return json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
+
+
+def _json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
 
 
 def instance_from_json(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
-        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    return instance_from_dict(_json(text))
 
 
 def contract_to_dict(contract: Contract) -> dict:
@@ -575,13 +602,9 @@ def contract_from_dict(doc: object) -> Contract:
     raise InstanceFormatError(f"unknown contract kind: {kind!r}")
 
 
-def contract_to_json(contract: Contract, *, indent: int | None = 2) -> str:
-    return json.dumps(contract_to_dict(contract), indent=indent, sort_keys=True)
+def contract_to_json(contract: Contract) -> str:
+    return json.dumps(contract_to_dict(contract), indent=2, sort_keys=True)
 
 
 def contract_from_json(text: str) -> Contract:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, or too deep
-        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return contract_from_dict(doc)
+    return contract_from_dict(_json(text))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import _profile_expectation, backward_induction
-from .model import ActionProfile, Instance
+from .model import ActionProfile, Instance, cached, require_valid
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,11 @@ def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
     _check_indices(instance, profile)
+    require_valid(instance)
     states = instance.states
     return instance.initial_actions[profile.initial].cost + _profile_expectation(
         instance, profile, range(len(states)), lambda s, j: states[s].final_actions[j].cost
     )
-
-
-# The instance attribute that holds its report: the per-object slot in which
-# ``functools.cached_property`` keeps ``final_rewards``, so the report stays
-# out of equality, hashing, repr and JSON, and ``dataclasses.replace`` starts
-# without one.
-_REPORT = "_max_welfare"
 
 
 def max_welfare(instance: Instance) -> WelfareReport:
@@ -74,10 +68,11 @@ def max_welfare(instance: Instance) -> WelfareReport:
     profiles (checked against a brute-force oracle in the test suite).
     The report is built on the first call for an instance and kept on it.
     """
-    report = vars(instance).get(_REPORT)
-    if report is None:
-        response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
-        finals = response.profile.finals
-        per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
-        report = vars(instance)[_REPORT] = WelfareReport(response.agent_utility, response.profile, per_state)
-    return report
+    return cached(instance, "_max_welfare", _max_welfare)
+
+
+def _max_welfare(instance: Instance) -> WelfareReport:
+    response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
+    finals = response.profile.finals
+    per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
+    return WelfareReport(response.agent_utility, response.profile, per_state)

@@ -6,9 +6,13 @@ import pytest
 
 from twostage import (
     ActionProfile,
+    FinalAction,
+    InitialAction,
+    Instance,
     LinearContract,
     PayHalfwayContract,
     StandardContract,
+    State,
     TerminateHalfwayContract,
     best_response,
     evaluate_profile,
@@ -208,3 +212,24 @@ def test_simulate_refuses_values_past_float_range(midterm, rewards, transfers, m
     with pytest.raises(ValueError) as refused:
         simulate(instance, StandardContract(tuple(map(F, transfers))), episodes=50, seed=1)
     assert str(refused.value) == f"{message}; simulate samples in floats"
+
+
+def _with_an_undrawn_outcome_and_state():
+    """One free initial action that reaches state 0 only, whose one final never gives outcome 2."""
+    final = FinalAction("null", F(0), (F(1, 2), F(1, 2), F(0)))
+    states = (State("reached", (final,)), State("unreached", (final,)))
+    return Instance((F(0), F(1), F(1)), (InitialAction("null", F(0), (F(1), F(0))),), states)
+
+
+@pytest.mark.parametrize(
+    "huge, small",
+    [
+        (StandardContract((F(0), F(1), F(10**200))), StandardContract((F(0), F(1), F(0)))),
+        (PayHalfwayContract((F(0), F(10**200)), (F(0), F(1), F(0))), PayHalfwayContract((F(0), F(0)), (F(0), F(1), F(0)))),
+    ],
+    ids=["outcome-of-probability-0", "unreached-state"],
+)
+def test_simulate_ignores_values_no_episode_can_draw(huge, small):
+    # Both raised ValueError when every outcome at every state was converted.
+    instance = _with_an_undrawn_outcome_and_state()
+    assert simulate(instance, huge, episodes=500, seed=3) == simulate(instance, small, episodes=500, seed=3)

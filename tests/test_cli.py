@@ -37,7 +37,7 @@ from twostage import (
     random_instance,
     reduce_deterministic,
 )
-from twostage import cli
+from twostage import cli, model
 from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
 
@@ -435,6 +435,45 @@ def test_solve_cap_exceeded_exits_two(capsys, instance_file):
     assert "exceeds the cap" in err
 
 
+def _one_final_per_state(num_states):
+    """One free initial action reaching each of ``num_states`` states, each with one free final."""
+    final = FinalAction("null", F(0), (F(1, 2), F(1, 2)))
+    states = tuple(State(f"s{k}", (final,)) for k in range(num_states))
+    return Instance((F(0), F(1)), (InitialAction("null", F(0), (F(1, num_states),) * num_states),), states)
+
+
+def test_terminate_on_fifteen_states_answers_within_the_one_cap(tmp_path, capsys):
+    # Exit 2 while a separate cap refused every termination-set space past 2**14.
+    path = tmp_path / "fifteen.json"
+    path.write_text(instance_to_json(_one_final_per_state(15)))
+    code, out, err = run_cli(capsys, "solve", str(path), "--contract", "terminate")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["contract"]["terminate_set"] == [] and result["profit"]["exact"] == "1/2"
+    assert (result["profiles_enumerated"], result["termination_sets_enumerated"]) == (2**15, 2**15)
+    assert result["programs_solved"] == 1
+    assert run_cli(capsys, "solve", str(path), "--contract", "terminate", "--profiles-cap", str(2**15 - 1))[0] == 2
+
+
+@pytest.mark.parametrize("command", [["solve", "--contract", "terminate"], ["compare"]])
+def test_the_removed_subsets_cap_option_exits_three(capsys, instance_file, command):
+    with pytest.raises(SystemExit) as usage:
+        main([command[0], instance_file, *command[1:], "--subsets-cap", "16384"])
+    assert usage.value.code == 3
+    assert "unrecognized arguments: --subsets-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--contract", kind] for kind in ("standard", "linear", "pay", "terminate")] + [["compare"]]
+)
+def test_each_command_builds_the_validation_report_once(capsys, monkeypatch, instance_file, command):
+    builds = []
+    build = model._validate
+    monkeypatch.setattr(model, "_validate", lambda instance: builds.append(1) or build(instance))
+    assert run_cli(capsys, command[0], instance_file, *command[1:])[0] == 0
+    assert len(builds) == 1
+
+
 def test_compare_report_is_deterministic_and_consistent(capsys, instance_file):
     code, first, _ = run_cli(capsys, "compare", instance_file)
     assert code == 0
@@ -582,6 +621,23 @@ def test_simulate_past_float_range_exits_one(tmp_path, capsys, child_env, reward
         [sys.executable, "-O", "-m", "twostage", *argv], capture_output=True, text=True, env=child_env
     )
     assert (child.returncode, child.stdout, child.stderr) == (1, "", err)
+
+
+def test_simulate_prints_the_estimate_when_the_large_value_is_never_drawn(tmp_path, capsys):
+    # Exited 1 while simulate converted outcomes of probability 0 too.
+    instance = tmp_path / "one_state.json"
+    final = FinalAction("null", F(0), (F(1, 2), F(1, 2), F(0)))
+    instance.write_text(instance_to_json(Instance((F(0), F(1), F(1)), (InitialAction("null", F(0), (F(1),)),), (State("s", (final,)),))))
+    outs = []
+    for transfer in ("1e200", "0"):
+        contract = tmp_path / f"contract-{transfer}.json"
+        contract.write_text(json.dumps({"kind": "standard", "t": ["0", "1", transfer]}))
+        argv = ["simulate", str(instance), "--contract-file", str(contract), "--episodes", "50", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        outs.append(json.loads(out))
+    huge, zero = outs
+    assert huge.pop("contract") != zero.pop("contract") and huge == zero
 
 
 def test_usage_errors_exit_three(capsys):

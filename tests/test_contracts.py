@@ -421,8 +421,6 @@ def test_terminate_beats_pay_when_reward_is_low():
 def test_enumeration_caps(midterm):
     with pytest.raises(EnumerationCapExceeded):
         optimal_standard(midterm, profiles_cap=1)
-    with pytest.raises(EnumerationCapExceeded):
-        optimal_terminate(midterm, subsets_cap=1)
 
 
 def test_dominance_and_bounds_on_random_instances():

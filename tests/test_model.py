@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twostage
 from twostage import (
+    ActionProfile,
     FinalAction,
     InitialAction,
     Instance,
@@ -29,6 +33,7 @@ from twostage import (
     validate,
 )
 from twostage.generators import cost_ladder_instance, state_markers_instance
+from twostage import model
 from twostage.model import contract_to_dict
 
 
@@ -295,3 +300,101 @@ def test_a_non_contract_is_a_type_error(midterm, contract):
         contract_to_dict(contract)
     with pytest.raises(TypeError, match="^not a contract: "):
         best_response(midterm, contract)
+
+
+# --- the library boundary -------------------------------------------------------
+
+
+def _one_entry_transition(midterm):
+    """``midterm`` whose costly initial action has a 1-entry transition for its
+    2 states.  Before every entry checked validity, ``zip`` dropped the missing
+    state: ``best_response`` under t = (0, 1) answered a profit of 2/5,
+    ``max_welfare`` 2 and ``optimal_linear`` 12/7."""
+    effort, null = midterm.initial_actions
+    return dataclasses.replace(midterm, initial_actions=(dataclasses.replace(effort, transition=(F(1, 10),)), null))
+
+
+_ONE_ENTRY_VIOLATION = "invalid instance: initial_actions[0].transition: expected 2 entries, got 1"
+_TOTAL = ActionProfile(0, {0: 0, 1: 0})
+_ZEROS = (F(0), F(0))
+
+# Each public entry that takes an instance first: the rest of its arguments, valid for midterm.
+BOUNDARY_ARGUMENTS = {
+    "analyze": (),
+    "best_response": (StandardContract((F(0), F(1))),),
+    "evaluate_profile": (StandardContract(_ZEROS), _TOTAL),
+    "expected_state_reward": (0, 0),
+    "max_welfare": (),
+    "min_payment_pay": (_TOTAL,),
+    "min_payment_standard": (_TOTAL,),
+    "min_payment_terminate": ({1}, ActionProfile(0, {0: 0})),
+    "optimal_linear": (),
+    "optimal_pay": (),
+    "optimal_standard": (),
+    "optimal_terminate": (),
+    "pay_to_standard_tree": (PayHalfwayContract(_ZEROS, _ZEROS),),
+    "profile_cost": (_TOTAL,),
+    "profile_reward": (_TOTAL,),
+    "reduce_deterministic": (),
+    "simulate": (StandardContract(_ZEROS), 10, 1),
+    "state_breakpoints": (0,),
+}
+# The entries that report on an instance rather than compute with it.
+REPORTING_ENTRIES = {"classify", "instance_to_json", "validate"}
+
+
+def _entries_taking_an_instance():
+    names = set()
+    for name in twostage.__all__:
+        entry = getattr(twostage, name)
+        if inspect.isfunction(entry):
+            first = next(iter(inspect.signature(entry).parameters.values()), None)
+            if first is not None and first.annotation in ("Instance", Instance):
+                names.add(name)
+    return names
+
+
+def test_every_public_entry_taking_an_instance_refuses_an_invalid_one(midterm, monkeypatch):
+    entries = _entries_taking_an_instance()
+    assert entries == set(BOUNDARY_ARGUMENTS) | REPORTING_ENTRIES, "a new entry needs its arguments listed"
+    builds = []
+    build = model._validate
+    monkeypatch.setattr(model, "_validate", lambda instance: builds.append(1) or build(instance))
+    instance = _one_entry_transition(midterm)
+    for name, arguments in BOUNDARY_ARGUMENTS.items():
+        with pytest.raises(ValueError) as refused:
+            getattr(twostage, name)(instance, *arguments)
+        assert str(refused.value) == _ONE_ENTRY_VIOLATION, name
+    assert len(builds) == 1  # every entry read the report the instance keeps
+    valid = dataclasses.replace(midterm)
+    for name, arguments in BOUNDARY_ARGUMENTS.items():
+        try:
+            getattr(twostage, name)(valid, *arguments)
+        except ValueError as refused:  # midterm is neither a tree nor of a deterministic first stage
+            assert name in ("pay_to_standard_tree", "reduce_deterministic"), (name, refused)
+    assert len(builds) == 2
+
+
+def test_an_invalid_instance_is_refused_under_python_o(midterm, child_env):
+    script = (
+        "import dataclasses, sys\n"
+        "from fractions import Fraction as F\n"
+        "import twostage as ts\n"
+        "m = ts.midterm_instance()\n"
+        "effort, null = m.initial_actions\n"
+        "bad = dataclasses.replace(m, initial_actions=(dataclasses.replace(effort, transition=(F(1, 10),)), null))\n"
+        "try:\n"
+        "    ts.best_response(bad, ts.StandardContract((F(0), F(1))))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    child = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env)
+    assert (child.returncode, child.stdout, child.stderr) == (0, _ONE_ENTRY_VIOLATION + "\n", "")
+
+
+def test_the_validation_report_is_kept_on_the_instance(midterm):
+    instance = dataclasses.replace(midterm)
+    report = validate(instance)
+    assert validate(instance) is report and report.ok
+    assert instance == midterm and repr(instance) == repr(midterm)
+    assert "_validation" not in vars(dataclasses.replace(instance))
