@@ -6,6 +6,8 @@ contract, maximal welfare, and the optimal standard, linear, pay-halfway and
 terminate-halfway contracts, all in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .agent import BestResponse, ProfileEvaluation, SimulationResult, best_response, evaluate_profile, simulate
 from .contracts import (
     DEFAULT_PROFILES_CAP,
@@ -69,4 +71,7 @@ from .model import (
 )
 from .welfare import StateBest, WelfareReport, max_welfare, profile_cost, profile_reward
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules their imports bind are not exported.
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

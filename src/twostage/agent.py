@@ -34,6 +34,7 @@ from .model import (
     PayHalfwayContract,
     StandardContract,
     TerminateHalfwayContract,
+    _check_final,
     expectation,
     scale,
 )
@@ -123,8 +124,7 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
     if not 0 <= profile.initial < instance.num_initial_actions:
         raise ValueError(f"initial action index {profile.initial} is out of range")
     for s, j in profile.finals.items():
-        if not 0 <= j < len(instance.states[s].final_actions):
-            raise ValueError(f"final action index {j} at state {s} is out of range")
+        _check_final(instance, s, j)
 
 
 def _transfer_of(instance: Instance, contract: Contract, transfers: tuple[Fraction, ...]):

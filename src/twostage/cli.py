@@ -92,18 +92,6 @@ def _ratio(numerator: Fraction, denominator: Fraction):
     return _doc(numerator / denominator) if denominator != 0 else None
 
 
-# Contract-file key -> the contract field it holds.
-_CONTRACT_KEYS = {"t": "transfers", "s": "state_transfers", "alpha": "alpha"}
-
-
-def _contract_doc(contract) -> dict:
-    doc = contract_to_dict(contract)
-    for key, field in _CONTRACT_KEYS.items():
-        if key in doc:
-            doc[key] = _doc(getattr(contract, field))
-    return doc
-
-
 def instance_digest(instance: Instance) -> str:
     canonical = json.dumps(instance_to_dict(instance), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -132,7 +120,7 @@ def _solver_result(optimizer: str, instance: Instance, args) -> tuple[solvers.So
     # Looked up on the module at call time, so that wrappers installed there see every call.
     report = getattr(solvers, optimizer)(instance, profiles_cap=args.profiles_cap)
     return report, {
-        "contract": _contract_doc(report.best_contract),
+        "contract": contract_to_dict(report.best_contract, _doc),
         "profile": _doc(report.best_response.profile),
         "payment": _doc(report.best_response.expected_payment),
         "profit": _doc(report.profit),
@@ -148,7 +136,7 @@ def _linear_result(instance: Instance, args) -> tuple[LinearOptimum, dict]:
     alpha = analysis.optimal.alpha
     segment = next(seg for seg in analysis.segments if seg.alpha_low == alpha)
     return analysis.optimal, {
-        "contract": _contract_doc(LinearContract(alpha)),
+        "contract": contract_to_dict(LinearContract(alpha), _doc),
         "profile": _doc(segment.profile),
         "payment": _doc(alpha * segment.reward),
         "profit": _doc(analysis.optimal.profit),
@@ -199,7 +187,7 @@ def _cmd_compare(args, instance: Instance) -> dict:
 
 def _cmd_best_response(args, instance: Instance) -> dict:
     contract = contract_from_json(_read(args.contract_file))
-    return {**_doc(best_response(instance, contract)), "contract": _contract_doc(contract)}
+    return {**_doc(best_response(instance, contract)), "contract": contract_to_dict(contract, _doc)}
 
 
 def _cmd_breakpoints(args, instance: Instance) -> dict:
@@ -224,7 +212,7 @@ def _cmd_breakpoints(args, instance: Instance) -> dict:
 def _cmd_simulate(args, instance: Instance) -> dict:
     contract = contract_from_json(_read(args.contract_file))
     result = simulate(instance, contract, args.episodes, args.seed)
-    return {**_doc(result), "contract": _contract_doc(contract), "episodes": args.episodes, "seed": args.seed}
+    return {**_doc(result), "contract": contract_to_dict(contract, _doc), "episodes": args.episodes, "seed": args.seed}
 
 
 def _parse_param(text: str) -> tuple[str, object]:

@@ -34,15 +34,16 @@ included.
 
 Each instance keeps one private ``_Compiled`` (``model.cached``): each
 state's distinct finals, each (state, designated final, column count)'s
-final-stage rows, built once, and the value of every program without state
-transfers that a search solved.  A terminate candidate that blocks no
-state is the standard program of the same initial action and finals, so
-``compare``'s terminate search finds most of its programs already solved by
-its standard search.  A program taken from that memo still counts in
+final-stage rows, built once, and the value of every program a search
+solved.  A program is named by its profile, whose finals name the surviving
+states, and whether it has state transfers.  A terminate candidate that
+blocks no state is the standard program of the same initial action and
+finals, so ``compare``'s terminate search finds most of its programs already
+solved by its standard search.  A program taken from that memo still counts in
 ``programs_solved`` and ``infeasible_profiles``, so a report, counters
 included, does not depend on what ran before on the instance.  The memo holds
-at most the programs without state transfers solved on that instance, and it
-goes with the instance (with each command, in the CLI).
+at most the programs solved on that instance, and it goes with the instance
+(with each command, in the CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -119,7 +120,7 @@ class _Compiled:
     ``finals[s]`` lists state ``s``'s distinct final indices (see
     ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
     column count) to that final's incentive rows, built on first use.
-    ``programs`` maps a program without state transfers, named by (blocked
+    ``programs`` maps a program, named by (with state transfers, blocked
     states, initial action, finals), to its ``(value, x)`` (see
     ``lp._dual_value`` for when x is None), or to None when infeasible.
     Every entry is set once, and whoever sets it sets an equal value.
@@ -154,15 +155,17 @@ _COMPILED = "_compiled_programs"  # the instance attribute that holds its ``_Com
 # --- minimal-payment programs -------------------------------------------------
 
 
-def _min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
+def _min_payment_program(instance, profile, with_state_transfers) -> LinearProgram:
     """The profile's minimal-payment program.
 
-    Variables are the outcome transfers, followed by one transfer per state
-    when ``with_state_transfers``.  The rows are the final-stage incentive
-    rows by surviving state, then alternative final; then the initial-stage
-    rows by alternative initial action.  The objective value is the expected
-    transfer of the profile.
+    The states the profile gives a final are the surviving ones.  Variables
+    are the outcome transfers, followed by one transfer per state when
+    ``with_state_transfers``.  The rows are the final-stage incentive rows by
+    surviving state, then alternative final; then the initial-stage rows by
+    alternative initial action.  The objective value is the expected transfer
+    of the profile.
     """
+    surviving = sorted(profile.finals)
     m = instance.num_outcomes
     n = m + (instance.num_states if with_state_transfers else 0)
     designated = [instance.states[s].final_actions[profile.finals[s]] for s in surviving]
@@ -190,25 +193,19 @@ def _min_payment_program(instance, profile, surviving, with_state_transfers) -> 
     return LinearProgram(objective, tuple(rows))
 
 
-def _two_phase_value(program) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """``solve_lp``'s optimal value and ``x``, or None when the program is infeasible."""
-    result = solve_lp(program)
-    return (result.objective_value, result.x) if isinstance(result, LpOptimal) else None
-
-
 def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
     """Cheapest standard contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    solution = _two_phase_value(_min_payment_program(instance, profile, range(instance.num_states), False))
-    return None if solution is None else StandardContract(solution[1])
+    result = solve_lp(_min_payment_program(instance, profile, False))
+    return StandardContract(result.x) if isinstance(result, LpOptimal) else None
 
 
 def min_payment_pay(instance: Instance, profile: ActionProfile) -> PayHalfwayContract | None:
     """Cheapest pay-halfway contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    solution = _two_phase_value(_min_payment_program(instance, profile, range(instance.num_states), True))
+    result = solve_lp(_min_payment_program(instance, profile, True))
     m = instance.num_outcomes
-    return None if solution is None else PayHalfwayContract(solution[1][m:], solution[1][:m])
+    return PayHalfwayContract(result.x[m:], result.x[:m]) if isinstance(result, LpOptimal) else None
 
 
 def min_payment_terminate(
@@ -220,10 +217,9 @@ def min_payment_terminate(
     """
     terminate_set = frozenset(terminate_set)
     _check_terminate_set(instance, terminate_set)
-    surviving = [s for s in range(instance.num_states) if s not in terminate_set]
-    _check_profile(instance, profile, set(surviving))
-    solution = _two_phase_value(_min_payment_program(instance, profile, surviving, False))
-    return None if solution is None else TerminateHalfwayContract(solution[1], terminate_set)
+    _check_profile(instance, profile, set(range(instance.num_states)) - terminate_set)
+    result = solve_lp(_min_payment_program(instance, profile, False))
+    return TerminateHalfwayContract(result.x, terminate_set) if isinstance(result, LpOptimal) else None
 
 
 # --- search -------------------------------------------------------------------
@@ -288,7 +284,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         top = sum((row[0][0] for row in options[i]), _ZERO)
         push(top - act.cost, i, (0,) * len(states), 0)
 
-    best = None  # (profit, key, (value, x), profile, surviving)
+    best = None  # (profit, key, (value, x), profile)
     solved = infeasible = 0
     while heap:
         neg_bound, key, positions, last = heapq.heappop(heap)
@@ -306,12 +302,11 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             continue  # it can at best tie, and ties keep the earlier candidate
         surviving = [s for s in range(len(states)) if s not in blocked]
         profile = ActionProfile(i, dict(zip(surviving, finals)))
-        program = None if with_state_transfers else key[1:]
+        program = (with_state_transfers, *key[1:])
         solution = compiled.programs.get(program, _UNSOLVED)
         if solution is _UNSOLVED:
-            solution = _dual_value(_min_payment_program(instance, profile, surviving, with_state_transfers))
-            if program is not None:
-                compiled.programs[program] = solution
+            solution = _dual_value(_min_payment_program(instance, profile, with_state_transfers))
+            compiled.programs[program] = solution
         solved += 1
         if solution is None:
             infeasible += 1
@@ -319,17 +314,17 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         profit = _profile_expectation(instance, profile, surviving, lambda s, j: reward[s][j])
         profit -= solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
-            best = (profit, key, solution, profile, surviving)
+            best = (profit, key, solution, profile)
 
     if best is None:
         raise SolverInvariantError("no candidate profile is incentivizable")
-    profit, key, (value, x), profile, surviving = best
+    profit, key, (value, x), profile = best
     if x is None:
         # The winner's x may not be solve_lp's, the one every other caller gets.
-        solution = _two_phase_value(_min_payment_program(instance, profile, surviving, with_state_transfers))
-        if solution is None or solution[0] != value:
+        result = solve_lp(_min_payment_program(instance, profile, with_state_transfers))
+        if not isinstance(result, LpOptimal) or result.objective_value != value:
             raise SolverInvariantError("the simplex and the dual simplex disagree on the winner's minimal payment")
-        x = solution[1]
+        x = result.x
     contract = make_contract(x, frozenset(key[1]))
     response = best_response(instance, contract)
     if response.principal_profit != profit:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .agent import _check_linear_rewards, best_response
 from .lp import SolverInvariantError
-from .model import ActionProfile, Instance, LinearContract, expectation, scale
+from .model import ActionProfile, Instance, LinearContract, _check_state, expectation, scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,6 +119,7 @@ def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
     Dominated actions contribute none; a state whose actions share one
     envelope line has no breakpoints.
     """
+    _check_state(instance, state)
     knees, _ = _upper_envelope(_state_lines(instance, state))
     return knees
 

@@ -462,8 +462,22 @@ def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]
     return dot(scale(probabilities), scaled)
 
 
+def _check_state(instance: Instance, state: int) -> None:
+    """Raise ``ValueError`` for a state index outside the instance; indexing would wrap a negative one."""
+    if not 0 <= state < instance.num_states:
+        raise ValueError(f"state index {state} is out of range")
+
+
+def _check_final(instance: Instance, state: int, final: int) -> None:
+    """Raise ``ValueError`` for a final action index outside the finals of the (in-range) state."""
+    if not 0 <= final < len(instance.states[state].final_actions):
+        raise ValueError(f"final action index {final} at state {state} is out of range")
+
+
 def expected_state_reward(instance: Instance, state: int, final: int) -> Fraction:
     """Expected reward of taking the given final action at the given state."""
+    _check_state(instance, state)
+    _check_final(instance, state, final)
     return instance.final_rewards[state][final]
 
 
@@ -559,21 +573,22 @@ def instance_from_json(text: str) -> Instance:
     return instance_from_dict(_json(text))
 
 
-def contract_to_dict(contract: Contract) -> dict:
+def contract_to_dict(contract: Contract, rational=format_rational) -> dict:
+    """The contract-file document, each rational written by ``rational``."""
     if isinstance(contract, StandardContract):
-        return {"kind": "standard", "t": [format_rational(t) for t in contract.transfers]}
+        return {"kind": "standard", "t": [rational(t) for t in contract.transfers]}
     if isinstance(contract, LinearContract):
-        return {"kind": "linear", "alpha": format_rational(contract.alpha)}
+        return {"kind": "linear", "alpha": rational(contract.alpha)}
     if isinstance(contract, PayHalfwayContract):
         return {
             "kind": "pay_halfway",
-            "s": [format_rational(t) for t in contract.state_transfers],
-            "t": [format_rational(t) for t in contract.transfers],
+            "s": [rational(t) for t in contract.state_transfers],
+            "t": [rational(t) for t in contract.transfers],
         }
     if isinstance(contract, TerminateHalfwayContract):
         return {
             "kind": "terminate_halfway",
-            "t": [format_rational(t) for t in contract.transfers],
+            "t": [rational(t) for t in contract.transfers],
             "terminate_set": sorted(contract.terminate_set),
         }
     raise TypeError(f"not a contract: {contract!r}")

@@ -1,6 +1,9 @@
 """Expected reward, expected cost and maximal welfare of action profiles.
 
-A profile's reward and cost are each one ``agent._profile_expectation``.
+A profile's reward and cost are each one ``agent._profile_expectation``,
+after ``agent._check_profile`` has refused, with a ``ValueError``, an initial
+action, state or final index outside the instance.  A profile may leave out
+the states its initial action never reaches.
 
 Maximal welfare needs no search of its own: it is the agent's backward
 induction (``agent.backward_induction``) when every final action pays the
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import _profile_expectation, backward_induction
+from .agent import _check_profile, _profile_expectation, backward_induction
 from .model import ActionProfile, Instance, cached, require_valid
 
 
@@ -31,26 +34,16 @@ class WelfareReport:
     per_state_best: tuple[StateBest, ...]
 
 
-def _check_indices(instance: Instance, profile: ActionProfile) -> None:
-    """Raise ``IndexError`` for an action index outside the instance, which
-    Python's indexing would wrap if it is negative."""
-    sizes = [len(state.final_actions) for state in instance.states]
-    if not 0 <= profile.initial < instance.num_initial_actions or not all(
-        0 <= j < sizes[s] for s, j in profile.finals.items() if 0 <= s < len(sizes)
-    ):
-        raise IndexError(f"action index out of range in {profile}")
-
-
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
-    _check_indices(instance, profile)
+    _check_profile(instance, profile, set(profile.finals))
     rewards = instance.final_rewards
     return _profile_expectation(instance, profile, range(len(rewards)), lambda s, j: rewards[s][j])
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
-    _check_indices(instance, profile)
+    _check_profile(instance, profile, set(profile.finals))
     require_valid(instance)
     states = instance.states
     return instance.initial_actions[profile.initial].cost + _profile_expectation(

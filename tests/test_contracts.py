@@ -191,8 +191,9 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     built = []
     checked = []
 
-    def checked_program(instance, profile, surviving, with_state_transfers):
-        lp = build(instance, profile, surviving, with_state_transfers)
+    def checked_program(instance, profile, with_state_transfers):
+        lp = build(instance, profile, with_state_transfers)
+        surviving = sorted(profile.finals)
         assert lp == reference_min_payment_program(instance, profile, surviving, with_state_transfers)
         built.append(lp)
         checked.append((with_state_transfers, len(surviving)))
@@ -424,21 +425,22 @@ def test_enumeration_caps(midterm):
 
 
 def test_dominance_and_bounds_on_random_instances():
-    for seed in range(40):
-        inst = random_instance("general", seed=seed)
+    kinds = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
+    for kind, seed in itertools.product(kinds, range(40)):
+        inst = random_instance(kind, seed=seed)
         standard = optimal_standard(inst)
         pay = optimal_pay(inst)
         terminate = optimal_terminate(inst)
         linear = optimal_linear(inst)
         welfare = standard.welfare
-        assert pay.profit >= standard.profit >= linear.profit
-        assert terminate.profit >= standard.profit
-        assert max(pay.profit, terminate.profit) <= welfare
-        assert standard.profit == standard.best_response.principal_profit
+        assert pay.profit >= standard.profit >= linear.profit, (kind, seed)
+        assert terminate.profit >= standard.profit, (kind, seed)
+        assert max(pay.profit, terminate.profit) <= welfare, (kind, seed)
+        assert standard.profit == standard.best_response.principal_profit, (kind, seed)
         # welfare-to-profit ratio bound with constant 1: the telescoping path
         # has at most S*N1*N2 steps, each worth at most the standard optimum
         bound = inst.num_states * inst.num_initial_actions * inst.max_final_actions
-        assert welfare <= bound * standard.profit
+        assert welfare <= bound * standard.profit, (kind, seed)
 
 
 def test_tree_processes_gain_nothing_from_either_contract():

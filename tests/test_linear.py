@@ -47,6 +47,12 @@ def test_state_breakpoints_worked_example(midterm):
     assert state_breakpoints(midterm, 1) == []  # effort dominated: same reward, higher cost
 
 
+@pytest.mark.parametrize("state", [-1, 2, 5])  # -1 would read state 1's knees
+def test_state_breakpoints_refuses_a_state_outside_the_instance(midterm, state):
+    with pytest.raises(ValueError, match=f"^state index {state} is out of range$"):
+        state_breakpoints(midterm, state)
+
+
 def test_analyze_worked_example(midterm):
     analysis = analyze(midterm)
     assert [bp.alpha for bp in analysis.breakpoints] == [F(4, 9), F(4, 7)]

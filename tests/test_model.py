@@ -161,8 +161,22 @@ def test_classify_stable_under_final_action_permutation(midterm):
 def test_expected_state_reward_worked_example(midterm):
     assert expected_state_reward(midterm, 0, 0) == F(4)  # fail, effort
     assert expected_state_reward(midterm, 1, 1) == F(5)  # pass, null
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^state index 5 is out of range$"):
         expected_state_reward(midterm, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "state, final, message",
+    [
+        (2, 0, "state index 2 is out of range"),
+        (-1, 0, "state index -1 is out of range"),  # indexing would read state 1
+        (0, -1, "final action index -1 at state 0 is out of range"),  # state 0's last final
+        (0, 2, "final action index 2 at state 0 is out of range"),
+    ],
+)
+def test_expected_state_reward_refuses_an_index_outside_the_instance(midterm, state, final, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expected_state_reward(midterm, state, final)
 
 
 def test_expected_state_reward_zero_reward_mass():
@@ -292,6 +306,8 @@ def test_contract_invariants():
         LinearContract(F(3, 2))
     with pytest.raises(ValueError):
         PayHalfwayContract((F(-1),), (F(0),))
+    with pytest.raises(ValueError):
+        TerminateHalfwayContract((F(0), F(-1)), frozenset())
 
 
 @pytest.mark.parametrize("contract", [object(), None, {"kind": "standard", "t": ["0", "1"]}])
@@ -341,6 +357,11 @@ BOUNDARY_ARGUMENTS = {
 }
 # The entries that report on an instance rather than compute with it.
 REPORTING_ENTRIES = {"classify", "instance_to_json", "validate"}
+
+
+def test_the_package_exports_no_submodule():
+    # ``from twostage import *`` binds only the public names, not agent, lp, ...
+    assert twostage.__all__ and not [name for name in twostage.__all__ if inspect.ismodule(getattr(twostage, name))]
 
 
 def _entries_taking_an_instance():

@@ -99,14 +99,21 @@ def test_profit_never_exceeds_welfare():
 
 
 def test_profile_reward_index_errors(midterm):
-    with pytest.raises(IndexError):
-        profile_reward(midterm, ActionProfile(5, {0: 0, 1: 0}))
     with pytest.raises(KeyError):
         profile_reward(midterm, ActionProfile(0, {0: 0}))  # missing a state
-    # Negative indices would wrap to the last action; both functions refuse them.
-    for profile in (ActionProfile(-1, {0: 0, 1: 0}), ActionProfile(0, {0: -1, 1: 0}), ActionProfile(0, {0: 0, 1: 2})):
+    # Both functions refuse what evaluate_profile refuses, with its message.
+    # Negative indices would wrap to the last action or state.
+    cases = [
+        (ActionProfile(5, {0: 0, 1: 0}), "initial action index 5 is out of range"),
+        (ActionProfile(-1, {0: 0, 1: 0}), "initial action index -1 is out of range"),
+        (ActionProfile(0, {0: -1, 1: 0}), "final action index -1 at state 0 is out of range"),
+        (ActionProfile(0, {0: 0, 1: 2}), "final action index 2 at state 1 is out of range"),
+        (ActionProfile(0, {0: 0, 1: 0, 5: 0}), r"profile assigns finals to states \[5\], instance has 2 states"),
+        (ActionProfile(0, {-1: 0, 0: 0, 1: 0}), r"profile assigns finals to states \[-1\], instance has 2 states"),
+    ]
+    for profile, message in cases:
         for function in (profile_reward, profile_cost):
-            with pytest.raises(IndexError):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 function(midterm, profile)
 
 
