@@ -110,9 +110,14 @@ def _contract_pieces(
     return transfers, state_transfers, terminated
 
 
-def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int]) -> None:
-    """Raise ``ValueError`` unless the profile gives an in-range final to exactly the surviving states."""
+def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int] | None = None) -> None:
+    """Raise ``ValueError`` unless the profile gives an in-range final to exactly the surviving states,
+    by default the states it names and every state its initial action reaches."""
+    if not 0 <= profile.initial < instance.num_initial_actions:
+        raise ValueError(f"initial action index {profile.initial} is out of range")
     assigned = set(profile.finals)
+    if surviving is None:
+        surviving = assigned | {s for s, p in enumerate(instance.initial_actions[profile.initial].transition) if p}
     num_states = instance.num_states
     outside = sorted(s for s in assigned if not 0 <= s < num_states)
     if outside:
@@ -121,8 +126,6 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
         raise ValueError(f"profile assigns finals to terminated states {sorted(assigned - surviving)}")
     if surviving - assigned:
         raise ValueError(f"profile is missing finals for states {sorted(surviving - assigned)}")
-    if not 0 <= profile.initial < instance.num_initial_actions:
-        raise ValueError(f"initial action index {profile.initial} is out of range")
     for s, j in profile.finals.items():
         _check_final(instance, s, j)
 

@@ -49,7 +49,6 @@ from .model import (
     instance_from_json,
     instance_to_dict,
     instance_to_json,
-    parse_rational,
     validate,
 )
 from .welfare import max_welfare
@@ -215,14 +214,11 @@ def _cmd_simulate(args, instance: Instance) -> dict:
     return {**_doc(result), "contract": contract_to_dict(contract, _doc), "episodes": args.episodes, "seed": args.seed}
 
 
-def _parse_param(text: str) -> tuple[str, object]:
-    if "=" not in text:
+def _parse_param(text: str) -> tuple[str, str]:
+    name, equals, value = text.partition("=")
+    if not equals:
         raise InstanceFormatError(f"parameters take the form name=value, got {text!r}")
-    name, raw = text.split("=", 1)
-    try:
-        return name, int(raw)
-    except ValueError:
-        return name, parse_rational(raw)
+    return name, value  # as text: the family's builder reads it
 
 
 def _cmd_generate(args) -> int:

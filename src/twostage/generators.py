@@ -3,8 +3,8 @@ families, and seeded random instances for property tests.
 
 Every builder returns an instance that passes ``validate``; parameter
 constraints are checked up front and violations name the failed inequality.
-Builders take parameters by ``generate``'s rules (``_param``): a rational
-one refuses a float, an integer one (the seed too) a non-integral value.
+Each builder alone reads its parameters, by ``_param``: a rational one
+refuses a float, an integer one (the seed too) a non-integral value.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _param(name: str, value, integer: bool):
         return value if isinstance(value, Fraction) else parse_rational(value)
     exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
     if exact.denominator != 1 or isinstance(value, bool):
-        raise ValueError(f"parameter {name!r} must be an integer, got {value}")
+        raise ValueError(f"parameter {name!r} must be an integer, got {value if exact.denominator == 1 else exact}")
     return int(exact)
 
 
@@ -345,7 +345,7 @@ def random_instance(
     for name, cap in caps.items():
         caps[name] = _param(name, cap, integer=True)
         if caps[name] < 1:
-            raise ValueError(f"{name} must be at least 1, got {cap}")
+            raise ValueError(f"{name} must be at least 1, got {caps[name]}")
     max_states, max_initial_actions, max_final_actions, max_outcomes = caps.values()
     seed = _param("seed", seed, integer=True)
     rng = random.Random(f"{kind}:{seed}")
@@ -415,8 +415,8 @@ _CAP_NAMES = {"max_states": "s", "max_initial_actions": "n1", "max_final_actions
 def generate(family_params: FamilyParams) -> Instance:
     """Build the instance described by a family name and parameter map.
 
-    A family's parameters, which of them are required, their defaults and
-    which are integers are those of its builder's signature."""
+    A family's parameters, which of them are required and their defaults
+    are those of its builder's signature; the builder reads each value as given."""
     family = family_params.family
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -426,7 +426,7 @@ def generate(family_params: FamilyParams) -> Instance:
     for name, parameter in inspect.signature(builder).parameters.items():
         key = _CAP_NAMES.get(name, name)
         if key in params:
-            arguments[name] = _param(name, params.pop(key), parameter.annotation in ("int", int))
+            arguments[name] = params.pop(key)
         elif parameter.default is parameter.empty:
             raise ValueError(f"missing required parameter {key!r}")
     instance = builder(**arguments)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -290,7 +290,10 @@ class TerminateHalfwayContract:
 
     def __post_init__(self):
         object.__setattr__(self, "transfers", _rational_tuple(self.transfers))
-        object.__setattr__(self, "terminate_set", frozenset(int(s) for s in self.terminate_set))
+        blocked = tuple(self.terminate_set)  # an int or a numpy integer, which ``index`` makes an int
+        if not all(hasattr(type(s), "__index__") and not isinstance(s, bool) for s in blocked):
+            raise ValueError("terminate_set must contain state indices")
+        object.__setattr__(self, "terminate_set", frozenset(map(index, blocked)))
         if any(t < 0 for t in self.transfers):
             raise ValueError("transfers must be non-negative")
 
@@ -606,10 +609,7 @@ def contract_from_dict(doc: object) -> Contract:
         if kind == "pay_halfway":
             return PayHalfwayContract(_rationals(doc, "s"), _rationals(doc, "t"))
         if kind == "terminate_halfway":
-            terminate = _array(doc, "terminate_set")
-            if not all(isinstance(s, int) and not isinstance(s, bool) for s in terminate):
-                raise InstanceFormatError("terminate_set must contain state indices")
-            return TerminateHalfwayContract(_rationals(doc, "t"), frozenset(terminate))
+            return TerminateHalfwayContract(_rationals(doc, "t"), _array(doc, "terminate_set"))
     except (KeyError, TypeError, AttributeError) as exc:
         raise InstanceFormatError(f"malformed contract document: {exc!r}") from exc
     except ValueError as exc:

@@ -2,8 +2,8 @@
 
 A profile's reward and cost are each one ``agent._profile_expectation``,
 after ``agent._check_profile`` has refused, with a ``ValueError``, an initial
-action, state or final index outside the instance.  A profile may leave out
-the states its initial action never reaches.
+action, state or final index outside the instance, or a state left out that
+the initial action reaches.  The states it never reaches may be left out.
 
 Maximal welfare needs no search of its own: it is the agent's backward
 induction (``agent.backward_induction``) when every final action pays the
@@ -36,14 +36,14 @@ class WelfareReport:
 
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
-    _check_profile(instance, profile, set(profile.finals))
+    _check_profile(instance, profile)
     rewards = instance.final_rewards
     return _profile_expectation(instance, profile, range(len(rewards)), lambda s, j: rewards[s][j])
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
-    _check_profile(instance, profile, set(profile.finals))
+    _check_profile(instance, profile)
     require_valid(instance)
     states = instance.states
     return instance.initial_actions[profile.initial].cost + _profile_expectation(

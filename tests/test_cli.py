@@ -31,6 +31,7 @@ from twostage import (
     generate,
     instance_from_json,
     instance_to_json,
+    interim_review_instance,
     max_welfare,
     midterm_instance,
     optimal_standard,
@@ -42,6 +43,7 @@ from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
 
 from oracles import tie_heavy_variants
+from test_generators import PINNED
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +275,28 @@ def test_other_commands_refuse_an_invalid_instance_with_exit_one(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("family, params", [(family, params) for family, params, _ in PINNED])
+def test_generate_prints_what_the_library_builds(capsys, family, params):
+    # The command line hands each value on as text; the builder reads it.
+    code, out, err = run_cli(capsys, "generate", "--family", family, *_param_args(params))
+    assert (code, out, err) == (0, instance_to_json(generate(FamilyParams(family, params))) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "family, params, spelled",
+    [
+        ("cost_ladder", {"n1": 2, "n2": 10}, {"n2": "1e1"}),
+        ("cost_ladder", {"n1": 2, "n2": 2}, {"n1": "2.0"}),
+        ("random_general", {"seed": 10}, {"seed": "1_0"}),
+        ("random_general", {"seed": 7}, {"seed": " 7"}),
+    ],
+)
+def test_generate_reads_an_integer_in_any_spelling_of_parse_rational(capsys, family, params, spelled):
+    plain = run_cli(capsys, "generate", "--family", family, *_param_args(params))
+    assert plain[0] == 0
+    assert run_cli(capsys, "generate", "--family", family, *_param_args({**params, **spelled})) == plain
+
+
 def test_generate_parameter_without_a_value_exits_three(capsys):
     code, out, err = run_cli(capsys, "generate", "--family", "cost_ladder", "--param", "n1", "--param", "n2=2")
     assert (code, out) == (3, "")
@@ -285,6 +309,9 @@ def test_generate_parameter_without_a_value_exits_three(capsys):
         ({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": ["0"]}, "terminate_set must contain state indices"),
         ({"kind": "terminate_halfway", "terminate_set": [0]}, "malformed contract document: KeyError('t')"),
         ({"kind": "standard"}, "malformed contract document: KeyError('t')"),
+        ({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": [1.5]}, "terminate_set must contain state indices"),
+        ({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": [True]}, "terminate_set must contain state indices"),
+        ({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": [[0]]}, "terminate_set must contain state indices"),
     ],
 )
 def test_best_response_with_a_malformed_contract_exits_three(tmp_path, capsys, instance_file, contract, message):
@@ -293,6 +320,14 @@ def test_best_response_with_a_malformed_contract_exits_three(tmp_path, capsys, i
     code, out, err = run_cli(capsys, "best-response", instance_file, "--contract-file", str(contract_path))
     assert (code, out) == (3, "")
     assert err == f"twostage: {message}\n"
+
+
+def test_a_terminate_set_entry_is_refused_under_python_o(tmp_path, instance_file, child_env):
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text(json.dumps({"kind": "terminate_halfway", "t": ["0", "1"], "terminate_set": [1.5]}))
+    argv = ["best-response", instance_file, "--contract-file", str(contract_path)]
+    child = subprocess.run([sys.executable, "-O", "-m", "twostage", *argv], capture_output=True, text=True, env=child_env)
+    assert (child.returncode, child.stdout, child.stderr) == (3, "", "twostage: terminate_set must contain state indices\n")
 
 
 def test_parse_error_exits_three(tmp_path, capsys):
@@ -856,6 +891,10 @@ GOLDEN_COMMANDS = {
 }
 
 
+def _param_args(params) -> list[str]:
+    return [arg for name, value in params.items() for arg in ("--param", f"{name}={value}")]
+
+
 def golden_commands(directory: str, scratch: Path) -> tuple[list[tuple[str, list[str]]], Path]:
     """(golden file name, argv) of every command on the directory's instance,
     and the breakpoints CSV they write.  The instance is written to scratch."""
@@ -869,7 +908,7 @@ def golden_commands(directory: str, scratch: Path) -> tuple[list[tuple[str, list
         "family": family,
     }
     paths["instance"].write_text(instance_to_json(generate(FamilyParams(family, params))))
-    param_args = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
+    param_args = _param_args(params)
     commands = [
         (
             str(Path(directory) / f"{name}.out"),
@@ -1019,12 +1058,12 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), command=st.sampled_from(FUZZ_COMMANDS))
-def test_mutated_documents_exit_with_a_documented_code(data, command):
+def _check_a_mutated_run(data, command, base: Instance) -> None:
+    """Run ``command`` on ``base`` and a ``FUZZ_CONTRACTS`` file after mutating
+    one of the two, and check that it exits with a documented code."""
     # Each run mutates one document: the contract, if the command reads one
     # and a coin says so, or else the instance.
-    instance = json.loads(instance_to_json(midterm_instance()))
+    instance = json.loads(instance_to_json(base))
     contract = data.draw(st.sampled_from(FUZZ_CONTRACTS))
     if "{contract}" in command and data.draw(st.booleans()):
         contract = data.draw(_mutated(contract))
@@ -1043,3 +1082,16 @@ def test_mutated_documents_exit_with_a_documented_code(data, command):
         _strict_json(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_documents_exit_with_a_documented_code(data, command):
+    _check_a_mutated_run(data, command, midterm_instance())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_interim_review_documents_exit_with_a_documented_code(data, command):
+    # FUZZ_CONTRACTS fit interim_review too: 2 outcomes and 2 states.
+    _check_a_mutated_run(data, command, interim_review_instance())

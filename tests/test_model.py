@@ -310,6 +310,21 @@ def test_contract_invariants():
         TerminateHalfwayContract((F(0), F(-1)), frozenset())
 
 
+@pytest.mark.parametrize("blocked", [{1.7}, {True}, {"1"}, [[0]]], ids=["float", "bool", "string", "unhashable"])
+def test_a_terminate_set_refuses_what_is_not_a_state_index(blocked):
+    # The first three were truncated to {1} by int(s).
+    with pytest.raises(ValueError, match="^terminate_set must contain state indices$"):
+        TerminateHalfwayContract((F(0), F(1)), blocked)
+
+
+def test_a_terminate_set_keeps_state_indices_as_python_ints():
+    numpy = pytest.importorskip("numpy")
+    assert TerminateHalfwayContract((F(0), F(1)), {1}).terminate_set == frozenset({1})
+    assert TerminateHalfwayContract((F(0), F(1)), frozenset()).terminate_set == frozenset()
+    (entry,) = TerminateHalfwayContract((F(0), F(1)), {numpy.int64(1)}).terminate_set
+    assert type(entry) is int and entry == 1
+
+
 @pytest.mark.parametrize("contract", [object(), None, {"kind": "standard", "t": ["0", "1"]}])
 def test_a_non_contract_is_a_type_error(midterm, contract):
     with pytest.raises(TypeError, match="^not a contract: "):

@@ -24,8 +24,11 @@ from oracles import brute_force_max_welfare, reference_max_welfare, tie_heavy_va
 
 def test_profile_reward_worked_example(midterm):
     assert profile_reward(midterm, ActionProfile(0, {0: 0, 1: 1})) == F(49, 10)
-    # the null initial action goes to the fail state for sure
+    # the null initial action goes to the fail state for sure, so the pass
+    # state, which it never reaches, may be left out
     assert profile_reward(midterm, ActionProfile(1, {0: 1, 1: 1})) == F(1, 2)
+    assert profile_reward(midterm, ActionProfile(1, {0: 1})) == F(1, 2)
+    assert profile_cost(midterm, ActionProfile(1, {0: 0})) == 2
 
 
 def test_profile_reward_zero_rewards():
@@ -99,11 +102,10 @@ def test_profit_never_exceeds_welfare():
 
 
 def test_profile_reward_index_errors(midterm):
-    with pytest.raises(KeyError):
-        profile_reward(midterm, ActionProfile(0, {0: 0}))  # missing a state
     # Both functions refuse what evaluate_profile refuses, with its message.
     # Negative indices would wrap to the last action or state.
     cases = [
+        (ActionProfile(0, {0: 0}), r"profile is missing finals for states \[1\]"),  # a reached state
         (ActionProfile(5, {0: 0, 1: 0}), "initial action index 5 is out of range"),
         (ActionProfile(-1, {0: 0, 1: 0}), "initial action index -1 is out of range"),
         (ActionProfile(0, {0: -1, 1: 0}), "final action index -1 at state 0 is out of range"),
