@@ -6,13 +6,16 @@ values, any state transfers, and the risk of termination.  Ties are broken in
 the principal's favor (the principal can steer an indifferent agent via
 recommendations), and remaining ties go to the lowest action index so results
 are deterministic.  ``backward_induction`` is that induction once, over
-what each action pays the agent; ``best_response`` feeds it a contract, and
-``welfare.max_welfare`` feeds it full-reward transfers.
+what each final action pays the agent.  ``_contract_pieces`` is the one
+reader of a contract against an instance, and its table of expected final
+transfers is what ``best_response`` and ``simulate`` hand the induction;
+``welfare.max_welfare`` hands it full-reward transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
 sample statistics over exactly-sampled episodes.  Every expected value and
 cumulative probability comes from ``model.scale`` and ``model.expectation``,
-a given profile's values through ``_profile_expectation``.  Each entry refuses
+a given profile's values through ``_profile_expectation``, and each state's
+choice of final compares integers over one denominator.  Each entry refuses
 an invalid instance when it first reads ``Instance.final_rewards``.
 """
 
@@ -82,32 +85,42 @@ def _check_terminate_set(instance: Instance, terminate_set) -> None:
         raise ValueError("terminate_set contains an out-of-range state index")
 
 
-def _contract_pieces(
-    instance: Instance, contract: Contract
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], frozenset[int]]:
-    """Normalize any contract to (outcome transfers, state transfers, terminated)."""
+def _contract_pieces(instance: Instance, contract: Contract):
+    """(outcome transfers, state transfers, terminated states, final transfers)
+    of any contract; a ``ValueError`` refuses one that does not fit the instance.
+
+    ``final_transfers[s][j]`` is final j's expected outcome transfer at state
+    s, None at a terminated state: the table ``backward_induction`` takes.
+    """
     m, s = instance.num_outcomes, instance.num_states
-    no_state_transfers = (_ZERO,) * s
+    state_transfers, terminated, final_transfers = (_ZERO,) * s, frozenset(), None
     if isinstance(contract, StandardContract):
-        transfers, state_transfers, terminated = contract.transfers, no_state_transfers, frozenset()
+        transfers = contract.transfers
     elif isinstance(contract, LinearContract):
         _check_linear_rewards(instance)
-        transfers = tuple(contract.alpha * r for r in instance.rewards)
-        state_transfers, terminated = no_state_transfers, frozenset()
+        alpha = contract.alpha
+        transfers = tuple(alpha * r for r in instance.rewards)
+        final_transfers = [[alpha * r for r in row] for row in instance.final_rewards]
     elif isinstance(contract, PayHalfwayContract):
         if len(contract.state_transfers) != s:
             raise ValueError(
                 f"contract has {len(contract.state_transfers)} state transfers, instance has {s} states"
             )
-        transfers, state_transfers, terminated = contract.transfers, contract.state_transfers, frozenset()
+        transfers, state_transfers = contract.transfers, contract.state_transfers
     elif isinstance(contract, TerminateHalfwayContract):
         _check_terminate_set(instance, contract.terminate_set)
-        transfers, state_transfers, terminated = contract.transfers, no_state_transfers, contract.terminate_set
+        transfers, terminated = contract.transfers, contract.terminate_set
     else:
         raise TypeError(f"not a contract: {contract!r}")
     if len(transfers) != m:
         raise ValueError(f"contract has {len(transfers)} transfers, instance has {m} outcomes")
-    return transfers, state_transfers, terminated
+    if final_transfers is None:
+        scaled = scale(transfers)
+        final_transfers = [
+            None if s in terminated else [expectation(act.outcome_dist, scaled) for act in state.final_actions]
+            for s, state in enumerate(instance.states)
+        ]
+    return transfers, state_transfers, terminated, final_transfers
 
 
 def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int] | None = None) -> None:
@@ -130,27 +143,9 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
         _check_final(instance, s, j)
 
 
-def _transfer_of(instance: Instance, contract: Contract, transfers: tuple[Fraction, ...]):
-    """``(s, j) ->`` the expected outcome transfer of final j at state s.
-
-    A linear contract pays alpha times the final's expected reward, read from
-    the instance's table; any other contract's transfers are scaled once.
-    """
-    if isinstance(contract, LinearContract):
-        alpha, rewards = contract.alpha, instance.final_rewards
-        return lambda s, j: alpha * rewards[s][j]
-    scaled, states = scale(transfers), instance.states
-    return lambda s, j: expectation(states[s].final_actions[j].outcome_dist, scaled)
-
-
 def best_response(instance: Instance, contract: Contract) -> BestResponse:
     """Agent-optimal profile under the contract, ties favoring the principal."""
-    transfers, state_transfers, terminated = _contract_pieces(instance, contract)
-    transfer = _transfer_of(instance, contract, transfers)
-    final_transfers = [
-        None if s in terminated else [transfer(s, j) for j in range(len(state.final_actions))]
-        for s, state in enumerate(instance.states)
-    ]
+    _, state_transfers, _, final_transfers = _contract_pieces(instance, contract)
     return backward_induction(instance, final_transfers, state_transfers)
 
 
@@ -160,7 +155,8 @@ def backward_induction(instance: Instance, final_transfers, state_transfers) -> 
     ``final_transfers[s]`` is None at a terminated state, which is worth zero
     to both parties and so must have a zero state transfer.  Per state the
     agent maximizes expected transfer minus cost; within that argmax the
-    principal's conditional profit decides, then the lowest index.  The
+    principal's conditional profit decides, then the lowest index, all
+    compared as integers over the state's one denominator.  The
     initial action maximizes expected continuation value (plus state
     transfers) minus its cost, with the same two-level tie-breaking.  Greedy
     per-state selection is globally correct because tying final actions have
@@ -175,14 +171,13 @@ def backward_induction(instance: Instance, final_transfers, state_transfers) -> 
     for s, (state, row, rewards) in enumerate(zip(instance.states, final_transfers, instance.final_rewards)):
         if row is None:
             continue
-        best = None
-        for j, (act, transfer, reward) in enumerate(zip(state.final_actions, row, rewards)):
-            candidate = (transfer - act.cost, reward - transfer)
-            if best is None or candidate > best:
-                best = candidate
-                finals[s] = j
-                state_payment[s] = transfer
-        state_utility[s], state_profit[s] = best
+        n = len(row)
+        numerators, denominator = scale([*row, *(act.cost for act in state.final_actions), *rewards])
+        t, c, r = numerators[:n], numerators[n : 2 * n], numerators[2 * n :]
+        utility, profit, minus_j = max((t[j] - c[j], r[j] - t[j], -j) for j in range(n))
+        finals[s] = -minus_j
+        state_utility[s], state_profit[s] = Fraction(utility, denominator), Fraction(profit, denominator)
+        state_payment[s] = row[-minus_j]
 
     agent_values = scale([u + st for u, st in zip(state_utility, state_transfers)])
     principal_values = scale([v - st for v, st in zip(state_profit, state_transfers)])
@@ -212,24 +207,22 @@ def evaluate_profile(
     For terminate-halfway contracts the profile must assign finals to exactly
     the surviving states; for every other contract it must be total.
     """
-    transfers, state_transfers, terminated = _contract_pieces(instance, contract)
-    surviving = set(range(instance.num_states)) - terminated
-    _check_profile(instance, profile, surviving)
+    _, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)
+    _check_profile(instance, profile, set(range(instance.num_states)) - terminated)
 
-    transfer = _transfer_of(instance, contract, transfers)
     rewards, states = instance.final_rewards, instance.states
-    payment = _profile_expectation(instance, profile, surviving, lambda s, j: transfer(s, j) + state_transfers[s])
-    reward = _profile_expectation(instance, profile, surviving, lambda s, j: rewards[s][j])
-    cost = _profile_expectation(instance, profile, surviving, lambda s, j: states[s].final_actions[j].cost)
+    payment = _profile_expectation(instance, profile, lambda s, j: final_transfers[s][j] + state_transfers[s])
+    reward = _profile_expectation(instance, profile, lambda s, j: rewards[s][j])
+    cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
     cost += instance.initial_actions[profile.initial].cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
 
 
-def _profile_expectation(instance: Instance, profile: ActionProfile, states, value) -> Fraction:
-    """Expected ``value(s, profile.finals[s])`` over the given states that the
-    profile's initial action reaches; no final is read at the others."""
+def _profile_expectation(instance: Instance, profile: ActionProfile, value) -> Fraction:
+    """Expected ``value(s, profile.finals[s])`` over the states the profile
+    names that its initial action reaches; no final is read at the others."""
     transition = instance.initial_actions[profile.initial].transition
-    reached = [s for s in states if transition[s]]
+    reached = [s for s in profile.finals if transition[s]]
     return expectation([transition[s] for s in reached], scale([value(s, profile.finals[s]) for s in reached]))
 
 
@@ -269,8 +262,8 @@ def simulate(
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
-    transfers, state_transfers, terminated = _contract_pieces(instance, contract)
-    response = best_response(instance, contract)
+    transfers, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)
+    response = backward_induction(instance, final_transfers, state_transfers)
     init = instance.initial_actions[response.profile.initial]
 
     state_thresholds = _cdf_thresholds(init.transition)

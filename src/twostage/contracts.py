@@ -71,6 +71,7 @@ from .model import (
     StandardContract,
     State,
     TerminateHalfwayContract,
+    _terminate_set,
     cached,
     classify,
     dot,
@@ -215,7 +216,7 @@ def min_payment_terminate(
 
     The profile must assign finals to exactly the surviving states.
     """
-    terminate_set = frozenset(terminate_set)
+    terminate_set = _terminate_set(terminate_set)
     _check_terminate_set(instance, terminate_set)
     _check_profile(instance, profile, set(range(instance.num_states)) - terminate_set)
     result = solve_lp(_min_payment_program(instance, profile, False))
@@ -311,7 +312,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         if solution is None:
             infeasible += 1
             continue
-        profit = _profile_expectation(instance, profile, surviving, lambda s, j: reward[s][j])
+        profit = _profile_expectation(instance, profile, lambda s, j: reward[s][j])
         profit -= solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
             best = (profit, key, solution, profile)
@@ -376,17 +377,16 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     require_valid(instance)
     if not classify(instance).is_tree:
         raise ValueError("instance is not a tree process")
-    _contract_pieces(instance, pay)
+    transfers, state_transfers, _, _ = _contract_pieces(instance, pay)
+    if not isinstance(pay, PayHalfwayContract):
+        raise TypeError(f"pay_to_standard_tree folds a PayHalfwayContract, not a {type(pay).__name__}")
     pred: dict[int, int] = {}
     for s, state in enumerate(instance.states):
         for act in state.final_actions:
             for m, p in enumerate(act.outcome_dist):
                 if p > 0:
                     pred[m] = s
-    merged = tuple(
-        t + (pay.state_transfers[pred[m]] if m in pred else _ZERO)
-        for m, t in enumerate(pay.transfers)
-    )
+    merged = tuple(t + (state_transfers[pred[m]] if m in pred else _ZERO) for m, t in enumerate(transfers))
     return StandardContract(merged)
 
 

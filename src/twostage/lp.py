@@ -28,10 +28,11 @@ several programs is scaled once.  The slack and artificial columns start as
 the identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every
 other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
 ``f`` is the row's entry in the pivot column and ``b`` the pivot row's
-entry; the division is exact.  Then ``D = p``, negated with the whole
-tableau when ``p`` is negative.  The reduced costs are one more row of the
-tableau, updated by the same rule.  Its right-hand side is minus ``D``
-times the scaled objective value, so the optimal value is read from there.
+entry; the division is exact.  Then ``D = p``; when ``p`` is negative, the
+pivot row is negated first so that ``D`` stays positive.  The reduced costs
+are one more row of the tableau, updated by the same rule.  Its right-hand
+side is minus ``D`` times the scaled objective value, so the optimal value
+is read from there.
 
 Positive row scales leave the structural columns of the basis-inverse
 tableau unchanged and multiply each slack, surplus and artificial variable
@@ -147,11 +148,14 @@ def _pivot(tableau, basis, row, col, denom):
 
     Every row, the reduced-cost row included, carries its right-hand side as
     the last entry.  The new ``D`` is the pivot entry; when that is negative
-    (driving artificials out, and every pivot of ``_dual_value``), the whole
-    tableau is negated so that ``D`` stays positive.
+    (driving artificials out, and every pivot of ``_dual_value``), the pivot
+    row is negated first so that ``D`` stays positive.
     """
     prow = tableau[row]
     p = prow[col]
+    if p < 0:
+        prow = tableau[row] = [-a for a in prow]
+        p = -p
     for k, trow in enumerate(tableau):
         if k == row:
             continue
@@ -161,10 +165,6 @@ def _pivot(tableau, basis, row, col, denom):
         elif p != denom:
             tableau[k] = [a * p // denom for a in trow]
     basis[row] = col
-    if p < 0:
-        for k, trow in enumerate(tableau):
-            tableau[k] = [-a for a in trow]
-        p = -p
     return p
 
 

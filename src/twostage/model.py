@@ -290,15 +290,20 @@ class TerminateHalfwayContract:
 
     def __post_init__(self):
         object.__setattr__(self, "transfers", _rational_tuple(self.transfers))
-        blocked = tuple(self.terminate_set)  # an int or a numpy integer, which ``index`` makes an int
-        if not all(hasattr(type(s), "__index__") and not isinstance(s, bool) for s in blocked):
-            raise ValueError("terminate_set must contain state indices")
-        object.__setattr__(self, "terminate_set", frozenset(map(index, blocked)))
+        object.__setattr__(self, "terminate_set", _terminate_set(self.terminate_set))
         if any(t < 0 for t in self.transfers):
             raise ValueError("transfers must be non-negative")
 
 
 Contract = Union[StandardContract, LinearContract, PayHalfwayContract, TerminateHalfwayContract]
+
+
+def _terminate_set(entries: Iterable[object]) -> frozenset[int]:
+    """The entries as ints; ``ValueError`` unless each is an int or a numpy integer, not a bool."""
+    entries = tuple(entries)
+    if not all(hasattr(type(s), "__index__") and not isinstance(s, bool) for s in entries):
+        raise ValueError("terminate_set must contain state indices")
+    return frozenset(map(index, entries))
 
 
 # --- validation ---------------------------------------------------------------

@@ -38,7 +38,7 @@ def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
     _check_profile(instance, profile)
     rewards = instance.final_rewards
-    return _profile_expectation(instance, profile, range(len(rewards)), lambda s, j: rewards[s][j])
+    return _profile_expectation(instance, profile, lambda s, j: rewards[s][j])
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
@@ -46,9 +46,8 @@ def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     _check_profile(instance, profile)
     require_valid(instance)
     states = instance.states
-    return instance.initial_actions[profile.initial].cost + _profile_expectation(
-        instance, profile, range(len(states)), lambda s, j: states[s].final_actions[j].cost
-    )
+    cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
+    return instance.initial_actions[profile.initial].cost + cost
 
 
 def max_welfare(instance: Instance) -> WelfareReport:

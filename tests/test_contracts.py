@@ -17,6 +17,7 @@ from twostage import (
     FinalAction,
     InitialAction,
     Instance,
+    LinearContract,
     PayHalfwayContract,
     StandardContract,
     TerminateHalfwayContract,
@@ -158,6 +159,14 @@ def test_min_payment_standard_and_pay_reject_malformed_profiles(midterm, profile
         ({0}, ActionProfile(-2, {1: -1}), "initial action index -2 is out of range"),
         ({0}, ActionProfile(0, {1: 2}), "final action index 2 at state 1 is out of range"),
         ({0}, ActionProfile(0, {0: 0, 1: 1, 5: 0}), r"profile assigns finals to states \[5\], instance has 2 states"),
+        # Entries are read by the contract's rule before anything else, so
+        # whether the program is feasible (initial action 0 or 1) cannot
+        # decide between an answer and an error.
+        *(
+            (blocked, ActionProfile(initial, {0: 0}), "terminate_set must contain state indices")
+            for blocked in ({1.0}, {True}, {"1"})
+            for initial in (0, 1)
+        ),
     ],
 )
 def test_min_payment_terminate_rejects_malformed_input(midterm, terminate_set, profile, message):
@@ -328,6 +337,20 @@ def test_pay_to_standard_tree_checks_dimensions_like_best_response():
             pay_to_standard_tree(inst, pay)
         with pytest.raises(ValueError, match=f"^{message}$"):
             best_response(inst, pay)
+
+
+def test_pay_to_standard_tree_refuses_every_other_contract_kind():
+    inst = random_instance("tree", seed=1)
+    m = inst.num_outcomes
+    others = [
+        StandardContract((F(0),) * m),
+        LinearContract(F(1, 2)),
+        TerminateHalfwayContract((F(0),) * m, frozenset({0})),
+    ]
+    for contract in others:
+        name = type(contract).__name__
+        with pytest.raises(TypeError, match=f"^pay_to_standard_tree folds a PayHalfwayContract, not a {name}$"):
+            pay_to_standard_tree(inst, contract)
 
 
 def test_state_marker_contract_extracts_full_welfare():
