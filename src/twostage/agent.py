@@ -38,6 +38,7 @@ from .model import (
     StandardContract,
     TerminateHalfwayContract,
     _check_final,
+    _is_index,
     expectation,
     scale,
 )
@@ -125,7 +126,14 @@ def _contract_pieces(instance: Instance, contract: Contract):
 
 def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int] | None = None) -> None:
     """Raise ``ValueError`` unless the profile gives an in-range final to exactly the surviving states,
-    by default the states it names and every state its initial action reaches."""
+    by default the states it names and every state its initial action reaches.  Every index must
+    pass ``model._is_index`` before any range is checked."""
+    named = [("initial action", profile.initial)]
+    for s, j in profile.finals.items():
+        named += [("state", s), ("final action", j)]
+    for what, value in named:
+        if not _is_index(value):
+            raise ValueError(f"{what} index must be an integer, not {value!r}")
     if not 0 <= profile.initial < instance.num_initial_actions:
         raise ValueError(f"initial action index {profile.initial} is out of range")
     assigned = set(profile.finals)

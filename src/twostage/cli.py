@@ -31,7 +31,7 @@ import hashlib
 import json
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from . import contracts as solvers
@@ -60,10 +60,13 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _decimal_str(value: Fraction, digits: int = 12) -> str:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+# Decimal strings come from this context alone, never the caller's global one.
+_DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
+def _decimal_str(value: Fraction) -> str:
+    """``value`` to 12 significant digits, rounded half to even."""
+    return _DECIMAL.to_sci_string(_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _doc(value):

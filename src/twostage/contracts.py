@@ -12,10 +12,12 @@ once per program.
 
 Every entry here refuses an instance that ``model.validate`` does not pass
 with ``model.require_valid``'s ``ValueError``, read from the report the
-instance keeps.  The searches value each candidate with ``lp._dual_value``:
-the objective's coefficients are expected transfers, none negative on a valid
-instance.  A winner it gives no ``x`` is solved again by ``solve_lp``, which
-the wrappers call, and the two values must agree.
+instance keeps.  Every program, a search's candidate or a ``min_payment_*``
+wrapper's, is valued by ``_minimal_payment``, through ``lp._dual_value``: the
+objective's coefficients are expected transfers, none negative on a valid
+instance.  A program it gives no ``x`` is solved again by ``solve_lp``, once
+per instance, and the two values must agree; so every caller reports
+``solve_lp``'s ``x``.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -34,16 +36,16 @@ included.
 
 Each instance keeps one private ``_Compiled`` (``model.cached``): each
 state's distinct finals, each (state, designated final, column count)'s
-final-stage rows, built once, and the value of every program a search
-solved.  A program is named by its profile, whose finals name the surviving
-states, and whether it has state transfers.  A terminate candidate that
-blocks no state is the standard program of the same initial action and
-finals, so ``compare``'s terminate search finds most of its programs already
-solved by its standard search.  A program taken from that memo still counts in
-``programs_solved`` and ``infeasible_profiles``, so a report, counters
-included, does not depend on what ran before on the instance.  The memo holds
-at most the programs solved on that instance, and it goes with the instance
-(with each command, in the CLI).
+final-stage rows, built once, and the value of every program solved on it,
+by a search or a wrapper.  A program is named by its profile, whose finals
+name the surviving states, and whether it has state transfers.  A terminate
+candidate that blocks no state is the standard program of the same initial
+action and finals, so ``compare``'s terminate search finds most of its
+programs already solved by its standard search.  A program taken from that
+memo still counts in ``programs_solved`` and ``infeasible_profiles``, so a
+report, counters included, does not depend on what ran before on the
+instance.  The memo holds at most the programs solved on that instance, and
+it goes with the instance (with each command, in the CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -121,10 +123,10 @@ class _Compiled:
     ``finals[s]`` lists state ``s``'s distinct final indices (see
     ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
     column count) to that final's incentive rows, built on first use.
-    ``programs`` maps a program, named by (with state transfers, blocked
-    states, initial action, finals), to its ``(value, x)`` (see
-    ``lp._dual_value`` for when x is None), or to None when infeasible.
-    Every entry is set once, and whoever sets it sets an equal value.
+    ``programs`` maps a program, named by (with state transfers, initial
+    action, sorted (state, final) pairs), to ``_minimal_payment``'s
+    ``(value, x)``, or to None when infeasible.  Every entry is set once, and
+    whoever sets it sets an equal value.
     """
 
     __slots__ = ("finals", "rows", "programs")
@@ -194,19 +196,41 @@ def _min_payment_program(instance, profile, with_state_transfers) -> LinearProgr
     return LinearProgram(objective, tuple(rows))
 
 
+def _minimal_payment(instance, profile, with_state_transfers):
+    """``(value, x)`` of the profile's program, ``x`` the transfers every
+    caller reports, or None when it is infeasible; kept in the instance's memo.
+
+    ``lp._dual_value`` values the program.  Only where it gives no ``x`` does
+    ``solve_lp`` solve the same program, and the two values must agree.
+    """
+    programs = cached(instance, _COMPILED, _Compiled).programs
+    name = (with_state_transfers, profile.initial, tuple(sorted(profile.finals.items())))
+    if name in programs:
+        return programs[name]
+    program = _min_payment_program(instance, profile, with_state_transfers)
+    solution = _dual_value(program)
+    if solution is not None and solution[1] is None:
+        result = solve_lp(program)
+        if not isinstance(result, LpOptimal) or result.objective_value != solution[0]:
+            raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
+        solution = (solution[0], result.x)
+    programs[name] = solution
+    return solution
+
+
 def min_payment_standard(instance: Instance, profile: ActionProfile) -> StandardContract | None:
     """Cheapest standard contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    result = solve_lp(_min_payment_program(instance, profile, False))
-    return StandardContract(result.x) if isinstance(result, LpOptimal) else None
+    solution = _minimal_payment(instance, profile, False)
+    return None if solution is None else StandardContract(solution[1])
 
 
 def min_payment_pay(instance: Instance, profile: ActionProfile) -> PayHalfwayContract | None:
     """Cheapest pay-halfway contract incentivizing the total profile, or None."""
     _check_profile(instance, profile, set(range(instance.num_states)))
-    result = solve_lp(_min_payment_program(instance, profile, True))
+    solution = _minimal_payment(instance, profile, True)
     m = instance.num_outcomes
-    return PayHalfwayContract(result.x[m:], result.x[:m]) if isinstance(result, LpOptimal) else None
+    return None if solution is None else PayHalfwayContract(solution[1][m:], solution[1][:m])
 
 
 def min_payment_terminate(
@@ -219,14 +243,13 @@ def min_payment_terminate(
     terminate_set = _terminate_set(terminate_set)
     _check_terminate_set(instance, terminate_set)
     _check_profile(instance, profile, set(range(instance.num_states)) - terminate_set)
-    result = solve_lp(_min_payment_program(instance, profile, False))
-    return TerminateHalfwayContract(result.x, terminate_set) if isinstance(result, LpOptimal) else None
+    solution = _minimal_payment(instance, profile, False)
+    return None if solution is None else TerminateHalfwayContract(solution[1], terminate_set)
 
 
 # --- search -------------------------------------------------------------------
 
 _BLOCKED = -1  # the option of terminating at a state instead of picking a final
-_UNSOLVED = object()  # a program the instance's memo does not hold yet
 
 
 def _distinct_final_indices(state) -> list[int]:
@@ -285,7 +308,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         top = sum((row[0][0] for row in options[i]), _ZERO)
         push(top - act.cost, i, (0,) * len(states), 0)
 
-    best = None  # (profit, key, (value, x), profile)
+    best = None  # (profit, key, x)
     solved = infeasible = 0
     while heap:
         neg_bound, key, positions, last = heapq.heappop(heap)
@@ -303,29 +326,18 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             continue  # it can at best tie, and ties keep the earlier candidate
         surviving = [s for s in range(len(states)) if s not in blocked]
         profile = ActionProfile(i, dict(zip(surviving, finals)))
-        program = (with_state_transfers, *key[1:])
-        solution = compiled.programs.get(program, _UNSOLVED)
-        if solution is _UNSOLVED:
-            solution = _dual_value(_min_payment_program(instance, profile, with_state_transfers))
-            compiled.programs[program] = solution
+        solution = _minimal_payment(instance, profile, with_state_transfers)
         solved += 1
         if solution is None:
             infeasible += 1
             continue
-        profit = _profile_expectation(instance, profile, lambda s, j: reward[s][j])
-        profit -= solution[0]
+        profit = _profile_expectation(instance, profile, lambda s, j: reward[s][j]) - solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
-            best = (profit, key, solution, profile)
+            best = (profit, key, solution[1])
 
     if best is None:
         raise SolverInvariantError("no candidate profile is incentivizable")
-    profit, key, (value, x), profile = best
-    if x is None:
-        # The winner's x may not be solve_lp's, the one every other caller gets.
-        result = solve_lp(_min_payment_program(instance, profile, with_state_transfers))
-        if not isinstance(result, LpOptimal) or result.objective_value != value:
-            raise SolverInvariantError("the simplex and the dual simplex disagree on the winner's minimal payment")
-        x = result.x
+    profit, key, x = best
     contract = make_contract(x, frozenset(key[1]))
     response = best_response(instance, contract)
     if response.principal_profit != profit:

@@ -18,6 +18,9 @@ negative, or until a row with none of its entries negative proves the
 program infeasible.  It gives ``x`` only where that is certain to be
 ``solve_lp``'s: at a unique optimum, and at x = 0, from which no step of
 ``solve_lp`` can lower the objective below its bound 0, so none moves.
+``contracts._minimal_payment`` is the one caller of each: it values a
+program with ``_dual_value`` and hands it to ``solve_lp`` only where that
+gives no ``x``.  Both read the basic ``x`` with ``_basic_x``.
 
 Both keep the tableau as integers over one common denominator ``D``, the
 determinant of the current basis.  ``model.scale``, the package's one
@@ -63,6 +66,7 @@ GREATER_EQUAL = ">="
 EQUAL = "=="
 _RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
 _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL}
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,16 @@ def _pivot(tableau, basis, row, col, denom):
     return p
 
 
+def _basic_x(tableau, basis, n, denom) -> tuple[Fraction, ...]:
+    """The first ``n`` entries of the basic solution: each basic one is its
+    row's right-hand side over ``D``, every other one 0."""
+    x = [_ZERO] * n
+    for k, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(int(tableau[k][-1]), int(denom))
+    return tuple(x)
+
+
 def _bland(tableau, basis, num_priced, denom):
     """Run Bland's rule in place until optimal or unbounded.
 
@@ -219,7 +233,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     Deterministic: identical programs produce identical basic solutions.
     """
     n = lp.num_variables
-    zero = Fraction(0)
 
     # Expand equalities into a <= / >= pair, scale each constraint to
     # integers, and negate rows with a negative right-hand side.
@@ -289,11 +302,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if status == "unbounded":
         return LpUnbounded()
 
-    x = [zero] * n
-    for k, b in enumerate(basis):
-        if b < n:
-            x[b] = Fraction(int(tableau[k][-1]), int(denom))
-
     # The reduced-cost row's right-hand side is minus D times the scaled
     # objective value.  Row k's slack or artificial started as the identity
     # column e_k and costs nothing in phase 2, so its reduced cost is minus
@@ -301,10 +309,10 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # objective scale.
     reduced = tableau[-1]
     dual_denom = int(denom * obj_scale)
-    dual = [zero] * len(lp.constraints)
+    dual = [_ZERO] * len(lp.constraints)
     for k, (_values, _rel, origin, signed_scale) in enumerate(rows):
         dual[origin] += Fraction(int(-reduced[init_col[k]] * signed_scale), dual_denom)
-    return LpOptimal(tuple(x), Fraction(int(-reduced[-1]), dual_denom), tuple(dual))
+    return LpOptimal(_basic_x(tableau, basis, n, denom), Fraction(int(-reduced[-1]), dual_denom), tuple(dual))
 
 
 def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
@@ -316,7 +324,6 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
     if any(c < 0 for c in objective):
         raise SolverInvariantError("the dual simplex needs a non-negative objective")
     n = lp.num_variables
-    zero = Fraction(0)
 
     rows = []  # scaled rows in <= form: >= rows negated, == rows as both
     for c in lp.constraints:
@@ -326,7 +333,7 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
         if c.relation != LESS_EQUAL:
             rows.append([-v for v in values])
     if all(values[-1] >= 0 for values in rows):
-        return zero, (zero,) * n  # x = 0 is feasible, so optimal, and solve_lp's
+        return _ZERO, (_ZERO,) * n  # x = 0 is feasible, so optimal, and solve_lp's
     m = len(rows)
     zeros = [_scalar(0)] * m
     tableau = []
@@ -359,10 +366,5 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
         denom = _pivot(tableau, basis, leaving, entering, denom)
 
     value = Fraction(int(-tableau[-1][-1]), int(denom * obj_scale))
-    if tableau[-1][:-1].count(0) > m:  # a non-basic reduced cost is 0 too
-        return value, None
-    x = [zero] * n
-    for k, b in enumerate(basis):
-        if b < n:
-            x[b] = Fraction(int(tableau[k][-1]), int(denom))
-    return value, tuple(x)
+    unique = tableau[-1][:-1].count(0) == m  # no non-basic reduced cost is 0
+    return value, _basic_x(tableau, basis, n, denom) if unique else None

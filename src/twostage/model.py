@@ -298,10 +298,16 @@ class TerminateHalfwayContract:
 Contract = Union[StandardContract, LinearContract, PayHalfwayContract, TerminateHalfwayContract]
 
 
+def _is_index(value: object) -> bool:
+    """The rule for every index a caller supplies: an int or a numpy integer,
+    which ``operator.index`` reads, and not a bool."""
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
 def _terminate_set(entries: Iterable[object]) -> frozenset[int]:
-    """The entries as ints; ``ValueError`` unless each is an int or a numpy integer, not a bool."""
+    """The entries as ints; ``ValueError`` unless each passes ``_is_index``."""
     entries = tuple(entries)
-    if not all(hasattr(type(s), "__index__") and not isinstance(s, bool) for s in entries):
+    if not all(map(_is_index, entries)):
         raise ValueError("terminate_set must contain state indices")
     return frozenset(map(index, entries))
 
@@ -471,13 +477,19 @@ def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]
 
 
 def _check_state(instance: Instance, state: int) -> None:
-    """Raise ``ValueError`` for a state index outside the instance; indexing would wrap a negative one."""
+    """Raise ``ValueError`` for a state index that fails ``_is_index`` or lies
+    outside the instance; indexing would wrap a negative one."""
+    if not _is_index(state):
+        raise ValueError(f"state index must be an integer, not {state!r}")
     if not 0 <= state < instance.num_states:
         raise ValueError(f"state index {state} is out of range")
 
 
 def _check_final(instance: Instance, state: int, final: int) -> None:
-    """Raise ``ValueError`` for a final action index outside the finals of the (in-range) state."""
+    """Raise ``ValueError`` for a final action index that fails ``_is_index``
+    or lies outside the finals of the (in-range) state."""
+    if not _is_index(final):
+        raise ValueError(f"final action index must be an integer, not {final!r}")
     if not 0 <= final < len(instance.states[state].final_actions):
         raise ValueError(f"final action index {final} at state {state} is out of range")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,8 +17,15 @@ from twostage import (
     TerminateHalfwayContract,
     best_response,
     evaluate_profile,
+    expected_state_reward,
+    min_payment_pay,
+    min_payment_standard,
+    min_payment_terminate,
+    profile_cost,
+    profile_reward,
     random_instance,
     simulate,
+    state_breakpoints,
 )
 
 from oracles import brute_force_best_response, profile_value
@@ -95,6 +103,59 @@ def test_evaluate_profile_rejects_out_of_range_indices(midterm, profile, named):
     for contract in (StandardContract((F(0), F(1))), LinearContract(F(1, 2))):
         with pytest.raises(ValueError, match=named):
             evaluate_profile(midterm, contract, profile)
+
+
+# Each entry that reads a caller's index, with the index at each of its
+# positions; ``bad`` is what stands there.  A float or a string used to fail
+# deep inside with a TypeError, and a bool was read as 0 or 1.
+INDEX_POSITIONS = {
+    "initial action": lambda bad: ActionProfile(bad, {0: 1, 1: 1}),
+    "state": lambda bad: ActionProfile(0, {0: 1, bad: 1}),
+    "final action": lambda bad: ActionProfile(0, {0: bad, 1: 1}),
+}
+PROFILE_ENTRIES = {
+    "min_payment_standard": min_payment_standard,
+    "min_payment_pay": min_payment_pay,
+    "min_payment_terminate": lambda instance, profile: min_payment_terminate(instance, frozenset(), profile),
+    "profile_reward": profile_reward,
+    "profile_cost": profile_cost,
+    "evaluate_profile": lambda instance, profile: evaluate_profile(instance, StandardContract((F(0), F(1))), profile),
+}
+NOT_INDICES = {"float": 1.0, "bool": True, "string": "1"}
+
+
+@pytest.mark.parametrize("entry", sorted(PROFILE_ENTRIES))
+@pytest.mark.parametrize("position", sorted(INDEX_POSITIONS))
+@pytest.mark.parametrize("kind", sorted(NOT_INDICES))
+def test_a_profile_index_that_is_not_an_integer_is_refused(midterm, entry, position, kind):
+    bad = NOT_INDICES[kind]
+    message = re.escape(f"{position} index must be an integer, not {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PROFILE_ENTRIES[entry](midterm, INDEX_POSITIONS[position](bad))
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INDICES))
+def test_a_state_or_final_index_that_is_not_an_integer_is_refused(midterm, kind):
+    bad = NOT_INDICES[kind]
+    for position, call in [
+        ("state", lambda: expected_state_reward(midterm, bad, 0)),
+        ("final action", lambda: expected_state_reward(midterm, 0, bad)),
+        ("state", lambda: state_breakpoints(midterm, bad)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{position} index must be an integer, not {bad!r}')}$"):
+            call()
+
+
+def test_numpy_integer_indices_are_read_as_indices(midterm):
+    numpy = pytest.importorskip("numpy")
+    one = numpy.int64(1)
+    profile = ActionProfile(0, {0: 1, 1: 1})
+    assert profile_reward(midterm, ActionProfile(numpy.int64(0), {0: one, one: one})) == profile_reward(midterm, profile)
+    assert min_payment_standard(midterm, ActionProfile(0, {numpy.int64(0): one, 1: one})) == min_payment_standard(
+        midterm, profile
+    )
+    assert expected_state_reward(midterm, one, one) == expected_state_reward(midterm, 1, 1)
+    assert state_breakpoints(midterm, one) == state_breakpoints(midterm, 1)
 
 
 def test_dimension_mismatch_raises(midterm):

@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import dataclasses
+import decimal
 import importlib.util
 import io
 import json
+import operator
 import random
 import re
 import subprocess
@@ -43,6 +45,7 @@ from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
 
 from oracles import tie_heavy_variants
+from test_contracts import SEPARATION_FAMILIES
 from test_generators import PINNED
 
 
@@ -535,6 +538,18 @@ def test_compare_report_is_deterministic_and_consistent(capsys, instance_file):
     assert F(doc["ratios"]["profit_over_welfare"]["exact"]) <= 1
 
 
+def test_decimal_strings_do_not_follow_the_callers_decimal_context(instance_file):
+    values = [F(2, 3), F(-2, 3), F(1, 8), F(10**20, 3), F(1, 3 * 10**20), F(0), F(5)]
+    expected = ["0.666666666667", "-0.666666666667", "0.125", "3.33333333333E+19", "3.33333333333E-21", "0", "5"]
+    assert [_decimal_str(v) for v in values] == expected
+    first = run_golden(["compare", instance_file])
+    with decimal.localcontext() as context:
+        context.prec, context.rounding, context.capitals = 3, decimal.ROUND_DOWN, 0
+        context.traps[decimal.Inexact] = True
+        assert [_decimal_str(v) for v in values] == expected
+        assert run_golden(["compare", instance_file]) == first
+
+
 def test_best_response_command(tmp_path, capsys, instance_file):
     contract_path = tmp_path / "terminate.json"
     contract_path.write_text(
@@ -806,7 +821,7 @@ FORCED_FAILURES = {
         ["compare", "{instance}"],
         "twostage.contracts", "_dual_value",
         "lambda lp: None if real(lp) is None else (real(lp)[0] + 1, None)",
-        "disagree on the winner's minimal payment",
+        "disagree on a minimal payment",
     ),
     "breakpoints are at most S*N1*N2": (
         ["breakpoints", "{instance}"],
@@ -975,26 +990,37 @@ def test_golden_commands_give_the_same_output_twice_when_interleaved(tmp_path):
 def test_benchmark_trace_hooks_see_every_required_layer(tmp_path):
     # bench/run.py --trace 1 wraps names looked up on twostage modules at call
     # time; a refactor that moves one lookup leaves its layer without spans.
+    # The commands are those of the benchmark's workloads: compare on the
+    # separation families, and the evaluate commands on midterm.
     path = Path(__file__).parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    instance = tmp_path / "midterm.json"
-    instance.write_text(instance_to_json(midterm_instance()))
+    files = []
+    for family, params in SEPARATION_FAMILIES:
+        files.append(tmp_path / f"{family}.json")
+        files[-1].write_text(instance_to_json(generate(FamilyParams(family, params))))
+    instance = str(tmp_path / "midterm.json")
     contract = str(GOLDEN / "contract.json")
+
+    def hooked():
+        return [getattr(importlib.import_module(module), attribute) for module, attribute, _, _ in spans.HOOKS]
+
+    originals = hooked()
     tracer = spans.Tracer()
     tracer.install()
     try:
         for argv in (
-            ["compare", str(instance)],
-            ["best-response", str(instance), "--contract-file", contract],
-            ["welfare", str(instance)],
-            ["breakpoints", str(instance)],
-            ["simulate", str(instance), "--contract-file", contract, "--episodes", "50", "--seed", "1"],
+            *(["compare", str(file)] for file in files),
+            ["best-response", instance, "--contract-file", contract],
+            ["welfare", instance],
+            ["breakpoints", instance],
+            ["simulate", instance, "--contract-file", contract, "--episodes", "50", "--seed", "1"],
         ):
             assert cli.main(argv) == 0, argv
     finally:
         tracer.uninstall()
+    assert all(map(operator.is_, hooked(), originals))  # uninstall put every name back
     recorded = {span.name for span in tracer.spans}
     for workload, layers in spans.REQUIRED.items():
         assert set(layers) <= recorded, (workload, set(layers) - recorded)

@@ -18,6 +18,7 @@ from twostage import (
     InitialAction,
     Instance,
     LinearContract,
+    LpOptimal,
     PayHalfwayContract,
     StandardContract,
     TerminateHalfwayContract,
@@ -51,6 +52,7 @@ from twostage.generators import (
 
 from oracles import (
     exhaustive_optimum,
+    fraction_simplex,
     incentive_program,
     iter_profiles,
     lattice_min_payment_standard,
@@ -191,10 +193,13 @@ def _random_profile(rng, inst, surviving):
 
 
 def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs):
-    # Every program handed to a solver entry -- the searches' candidates to
-    # _dual_value, their winners' re-solves and the public wrappers under
-    # every blocked set to solve_lp -- must equal the Fraction-summing
-    # builder's, coefficient for coefficient.
+    # Every program built for a solver -- the searches' candidates and the
+    # public wrappers' profiles under every blocked set -- must equal the
+    # Fraction-summing builder's, coefficient for coefficient.  Each goes to
+    # _dual_value once, and to solve_lp right after it only where the dual
+    # simplex gave no x.  Every contract a wrapper returns carries the
+    # reference simplex's x for the reference program, so the wrappers keep
+    # that simplex's tie rule although the dual simplex values them first.
     handed = record_programs("_dual_value", "solve_lp")
     build = contracts._min_payment_program
     built = []
@@ -208,6 +213,11 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
         checked.append((with_state_transfers, len(surviving)))
         return lp
 
+    def reference_x(instance, profile, with_state_transfers):
+        program = reference_min_payment_program(instance, profile, sorted(profile.finals), with_state_transfers)
+        result = fraction_simplex(program)
+        return result.x if isinstance(result, LpOptimal) else None
+
     monkeypatch.setattr(contracts, "_min_payment_program", checked_program)
     instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
     for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
@@ -215,34 +225,55 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
             inst = random_instance(kind, seed=seed)
             instances += [inst, *tie_heavy_variants(inst)]
     rng = random.Random("min-payment-rows")
+    wrapped = 0
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
         every_state = range(inst.num_states)
-        min_payment_standard(inst, _random_profile(rng, inst, every_state))
-        min_payment_pay(inst, _random_profile(rng, inst, every_state))
+        profile = _random_profile(rng, inst, every_state)
+        contract = min_payment_standard(inst, profile)
+        assert (contract and contract.transfers) == reference_x(inst, profile, False)
+        profile = _random_profile(rng, inst, every_state)
+        contract = min_payment_pay(inst, profile)
+        assert (contract and contract.transfers + contract.state_transfers) == reference_x(inst, profile, True)
+        wrapped += 2
         for size in range(inst.num_states + 1):
             for blocked in itertools.combinations(every_state, size):
                 surviving = [s for s in every_state if s not in blocked]
-                min_payment_terminate(inst, blocked, _random_profile(rng, inst, surviving))
+                profile = _random_profile(rng, inst, surviving)
+                contract = min_payment_terminate(inst, blocked, profile)
+                assert (contract and contract.transfers) == reference_x(inst, profile, False)
+                assert contract is None or contract.terminate_set == frozenset(blocked)
+                wrapped += 1
     assert len(instances) == 5 + 4 * 20 * 5
-    # Each built program went to exactly one solver entry, once, in order.
-    assert len(handed) == len(built) and all(lp is program for (_, lp, _), program in zip(handed, built))
-    assert {name for name, _, _ in handed} == {"_dual_value", "solve_lp"}
+    # Each built program went to _dual_value once, in order, and then to
+    # solve_lp exactly when _dual_value gave it a value but no x.
+    duals = [(lp, result) for name, lp, result in handed if name == "_dual_value"]
+    assert len(duals) == len(built) and all(lp is program for (lp, _), program in zip(duals, built))
+    expected = []
+    for lp, result in duals:
+        expected.append(("_dual_value", id(lp)))
+        if result is not None and result[1] is None:
+            expected.append(("solve_lp", id(lp)))
+    assert [(name, id(lp)) for name, lp, _ in handed] == expected
+    assert len(expected) > len(built)
     assert (False, 0) in checked  # every state blocked: m zero coefficients per row
     assert any(with_state_transfers for with_state_transfers, _ in checked)
+    assert wrapped > 1000
 
 
 def test_searches_report_the_same_after_other_searches_on_the_instance():
-    # An instance keeps the rows and the programs its searches built, so a
-    # search that runs after others reuses them.  What it reports, counters
-    # included, must equal what it reports on a fresh copy of the instance.
+    # An instance keeps the rows and the programs its searches and the
+    # min_payment_* wrappers built, so a search that runs after others reuses
+    # them.  What it reports, counters included, must equal what it reports
+    # on a fresh copy of the instance.
     instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
     for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
         for seed in range(20):
             inst = random_instance(kind, seed=seed)
             instances += [inst, *tie_heavy_variants(inst)]
     solvers = (optimal_standard, optimal_pay, optimal_terminate)
+    rng = random.Random("earlier-wrappers")
     checked = 0
     for inst in instances:
         cold = {solver: solver(dataclasses.replace(inst)) for solver in solvers}
@@ -251,7 +282,18 @@ def test_searches_report_the_same_after_other_searches_on_the_instance():
             for solver in order:
                 assert solver(warm) == cold[solver], (solver.__name__, order, inst)
                 checked += 1
-    assert checked == (5 + 4 * 20 * 5) * 6 * 3
+        warm = dataclasses.replace(inst)
+        every_state = range(inst.num_states)
+        for _ in range(4):
+            min_payment_standard(warm, _random_profile(rng, warm, every_state))
+            min_payment_pay(warm, _random_profile(rng, warm, every_state))
+            blocked = [s for s in every_state if rng.random() < 0.5]
+            surviving = [s for s in every_state if s not in blocked]
+            min_payment_terminate(warm, blocked, _random_profile(rng, warm, surviving))
+        for solver in solvers:
+            assert solver(warm) == cold[solver], (solver.__name__, "after min_payment_*", inst)
+            checked += 1
+    assert checked == (5 + 4 * 20 * 5) * 7 * 3
 
 
 def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, record_programs, tmp_path):

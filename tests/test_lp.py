@@ -385,22 +385,20 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
         for seed in range(20):
             inst = random_instance(kind, seed=seed)
             instances += [inst, *tie_heavy_variants(inst)]
-    resolved = 0
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
-            start = len(handed)
             solver(inst)
-            # solve_lp sees only the winner, and only when the dual simplex gave it no x.
-            resolves = [lp for name, lp, _ in handed[start:] if name == "solve_lp"]
-            assert len(resolves) <= 1
-            resolved += len(resolves)
+    # solve_lp sees exactly the programs the dual simplex valued without an x, each once.
+    resolves = [lp for name, lp, _ in handed if name == "solve_lp"]
+    without_x = [lp for name, lp, result in handed if name == "_dual_value" and result and result[1] is None]
+    assert len(resolves) == len(without_x) and all(a is b for a, b in zip(resolves, without_x))
+    resolved = len(resolves)
     valued = {lp: result for name, lp, result in handed if name == "_dual_value"}
     seen = collections.Counter()
     for lp, result in valued.items():
         expected = solve_lp(lp)
         assert expected == fraction_simplex(lp), lp
         seen[_assert_dual_value_agrees(lp, result, expected)] += 1
-    assert all(valued[lp][1] is None for name, lp, _ in handed if name == "solve_lp")
     assert len(instances) == 5 + 4 * 20 * 5
     assert min(seen.values()) > 100 and resolved > 20, (seen, resolved)
 
