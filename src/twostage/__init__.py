@@ -54,7 +54,6 @@ from .model import (
     LinearContract,
     PayHalfwayContract,
     ProcessClass,
-    Rational,
     StandardContract,
     State,
     TerminateHalfwayContract,

@@ -38,7 +38,7 @@ from .model import (
     StandardContract,
     TerminateHalfwayContract,
     _check_final,
-    _is_index,
+    _integer,
     expectation,
     scale,
 )
@@ -132,8 +132,7 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
     for s, j in profile.finals.items():
         named += [("state", s), ("final action", j)]
     for what, value in named:
-        if not _is_index(value):
-            raise ValueError(f"{what} index must be an integer, not {value!r}")
+        _integer(f"{what} index", value)
     if not 0 <= profile.initial < instance.num_initial_actions:
         raise ValueError(f"initial action index {profile.initial} is out of range")
     assigned = set(profile.finals)
@@ -265,9 +264,11 @@ def simulate(
 
     Episodes sample the intermediate state and then the outcome from the
     exact distributions of the agent's best-response profile.  The same seed
-    always produces the same result.  A profit, its square or a payment that
-    an episode can draw, or a sum, past float range raises ``ValueError``.
+    always produces the same result.  ``episodes`` and ``seed`` must pass
+    ``model._is_index``.  A profit, its square or a payment that an episode
+    can draw, or a sum, past float range raises ``ValueError``.
     """
+    episodes, seed = _integer("episodes", episodes), _integer("seed", seed)
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
     transfers, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)

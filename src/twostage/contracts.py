@@ -73,6 +73,7 @@ from .model import (
     StandardContract,
     State,
     TerminateHalfwayContract,
+    _integer,
     _terminate_set,
     cached,
     classify,
@@ -272,6 +273,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     candidate with a larger bound, so one heap seeded with each initial
     action's best candidate yields the space lazily in descending bound order.
     """
+    profiles_cap = _integer("profiles_cap", profiles_cap)
     states = instance.states
     compiled = cached(instance, _COMPILED, _Compiled)
     reps = compiled.finals

@@ -3,8 +3,9 @@ families, and seeded random instances for property tests.
 
 Every builder returns an instance that passes ``validate``; parameter
 constraints are checked up front and violations name the failed inequality.
-Each builder alone reads its parameters, by ``_param``: a rational one
-refuses a float, an integer one (the seed too) a non-integral value.
+Each builder alone reads its parameters, by ``_param``: a rational one by
+``parse_rational``'s rule, as every constructor does, so a float is refused;
+an integer one (the seed too) refuses a non-integral value.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import (
     InitialAction,
     Instance,
     State,
+    _rational,
     parse_rational,
     validate,
 )
@@ -49,10 +51,10 @@ def _checked(instance: Instance) -> Instance:
 
 
 def _param(name: str, value, integer: bool):
-    """A parameter's value as an exact Fraction, refusing floats, or with
+    """A parameter's value as a Fraction by ``parse_rational``'s rule (``_rational``), or with
     ``integer`` as an int, accepting any integral value but a bool (``2.0``, ``"1e1"``, ``"4/2"``)."""
     if not integer:
-        return value if isinstance(value, Fraction) else parse_rational(value)
+        return _rational(value)
     exact = Fraction(value) if isinstance(value, (int, float, Fraction)) else parse_rational(value)
     if exact.denominator != 1 or isinstance(value, bool):
         raise ValueError(f"parameter {name!r} must be an integer, got {value if exact.denominator == 1 else exact}")

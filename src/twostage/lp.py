@@ -3,7 +3,9 @@
 Minimizes c.x subject to rows of the form a.x {<=, >=, ==} b with the
 implicit bound x >= 0, exactly and deterministically: the instances this
 package cares about contain coefficients like lambda**k that destroy
-floating-point conditioning.  There are two entries.
+floating-point conditioning.  A ``Constraint`` and a ``LinearProgram``
+read their numbers by ``model.parse_rational``'s rule, as every constructor
+does.  There are two entries.
 
 ``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
 rule; it gives any program's status, optimal basic ``x`` and duals.
@@ -22,7 +24,7 @@ program infeasible.  It gives ``x`` only where that is certain to be
 program with ``_dual_value`` and hands it to ``solve_lp`` only where that
 gives no ``x``.  Both read the basic ``x`` with ``_basic_x``.
 
-Both keep the tableau as integers over one common denominator ``D``, the
+Both keep the tableau as Python ints over one common denominator ``D``, the
 determinant of the current basis.  ``model.scale``, the package's one
 common-denominator kernel, multiplies each row (coefficients and right-hand
 side), and the objective, by the least common multiple of its denominators.
@@ -43,8 +45,8 @@ by a positive factor; phase 1 weights each artificial by the reciprocal of
 its row's scale to match.  So every reduced cost keeps its sign, every ratio
 test its minimum and every tie-break its order, and Bland's rule takes
 exactly the pivots of the unscaled rational tableau: the same basis, ``x``
-and duals.  The integers are gmpy2.mpz when available and Python ints
-otherwise.
+and duals.  The integers are Python ints, and the answers ``Fraction``s of
+them.
 """
 
 from __future__ import annotations
@@ -56,10 +58,7 @@ from math import lcm
 
 from .model import _rational, _rational_tuple, scale
 
-try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
-    from gmpy2 import mpz as _scalar
-except ImportError:  # pragma: no cover
-    _scalar = int
+_scalar = int  # the tableau's one integer type; bench/run.py records it
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -88,7 +87,7 @@ class Constraint:
         equality, hashing and repr, so a row shared by many programs is scaled
         once; a tuple, so no program can write into it."""
         numerators, denominator = scale((*self.coeffs, self.rhs))
-        return tuple(map(_scalar, numerators)), denominator
+        return tuple(numerators), denominator
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def _basic_x(tableau, basis, n, denom) -> tuple[Fraction, ...]:
     x = [_ZERO] * n
     for k, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(int(tableau[k][-1]), int(denom))
+            x[b] = Fraction(tableau[k][-1], denom)
     return tuple(x)
 
 
@@ -247,7 +246,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
     m = len(rows)
     num_cols = n + m + sum(row[1] == GREATER_EQUAL for row in rows)
-    zeros = [_scalar(0)] * (num_cols - n)
+    zeros = [0] * (num_cols - n)
 
     # One row per constraint: coefficients, then slack or surplus, then
     # artificials, then the right-hand side.  The initial basis is the slack
@@ -258,25 +257,25 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for k, (values, rel, _origin, signed_scale) in enumerate(rows):
         trow = [*values[:-1], *zeros, values[-1]]
         if rel == LESS_EQUAL:
-            trow[n + k] = _scalar(1)  # slack
+            trow[n + k] = 1  # slack
             basis.append(n + k)
         else:
-            trow[n + k] = _scalar(-1)  # surplus
+            trow[n + k] = -1  # surplus
             art = n + m + len(art_scales)
-            trow[art] = _scalar(1)
+            trow[art] = 1
             basis.append(art)
             art_scales[art] = abs(signed_scale)
         tableau.append(trow)
     init_col = list(basis)
     tableau.append(None)  # the reduced-cost row, set by _price
-    denom = _scalar(1)
+    denom = 1
 
     if art_scales:
         # Weight each artificial by 1 / (its row's scale), times their LCM.
         common = lcm(*art_scales.values())
-        costs1 = [_scalar(0)] * num_cols
+        costs1 = [0] * num_cols
         for j, row_scale in art_scales.items():
-            costs1[j] = _scalar(common // row_scale)
+            costs1[j] = common // row_scale
         _price(tableau, basis, costs1, denom)
         status, denom = _bland(tableau, basis, num_cols, denom)
         if status != "optimal":
@@ -297,7 +296,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                         break
 
     objective, obj_scale = scale(lp.objective)
-    _price(tableau, basis, [*map(_scalar, objective), *zeros], denom)
+    _price(tableau, basis, [*objective, *zeros], denom)
     status, denom = _bland(tableau, basis, n + m, denom)
     if status == "unbounded":
         return LpUnbounded()
@@ -308,11 +307,11 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # the scaled dual of row k.  Undo the row scale, the sign flip and the
     # objective scale.
     reduced = tableau[-1]
-    dual_denom = int(denom * obj_scale)
+    dual_denom = denom * obj_scale
     dual = [_ZERO] * len(lp.constraints)
     for k, (_values, _rel, origin, signed_scale) in enumerate(rows):
-        dual[origin] += Fraction(int(-reduced[init_col[k]] * signed_scale), dual_denom)
-    return LpOptimal(_basic_x(tableau, basis, n, denom), Fraction(int(-reduced[-1]), dual_denom), tuple(dual))
+        dual[origin] += Fraction(-reduced[init_col[k]] * signed_scale, dual_denom)
+    return LpOptimal(_basic_x(tableau, basis, n, denom), Fraction(-reduced[-1], dual_denom), tuple(dual))
 
 
 def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
@@ -335,15 +334,15 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
     if all(values[-1] >= 0 for values in rows):
         return _ZERO, (_ZERO,) * n  # x = 0 is feasible, so optimal, and solve_lp's
     m = len(rows)
-    zeros = [_scalar(0)] * m
+    zeros = [0] * m
     tableau = []
     for k, values in enumerate(rows):
         trow = [*values[:-1], *zeros, values[-1]]
-        trow[n + k] = _scalar(1)  # slack
+        trow[n + k] = 1  # slack
         tableau.append(trow)
-    tableau.append([*map(_scalar, objective), *zeros, _scalar(0)])
+    tableau.append([*objective, *zeros, 0])
     basis = list(range(n, n + m))
-    denom = _scalar(1)
+    denom = 1
 
     while True:
         # Dual Bland: the least basic index with a negative right-hand side
@@ -365,6 +364,6 @@ def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | Non
             return None  # the row is a sum of non-negative terms equal to a negative number
         denom = _pivot(tableau, basis, leaving, entering, denom)
 
-    value = Fraction(int(-tableau[-1][-1]), int(denom * obj_scale))
+    value = Fraction(-tableau[-1][-1], denom * obj_scale)
     unique = tableau[-1][:-1].count(0) == m  # no non-basic reduced cost is 0
     return value, _basic_x(tableau, basis, n, denom) if unique else None

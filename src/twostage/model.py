@@ -15,8 +15,12 @@ and welfare reports, ``contracts``' rows and solved programs) or as the table
 ``final_rewards``, all outside equality, hashing, repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
-``parse_rational`` reads a plain ``[-]digits[/digits]`` string with ``int``
-and accepts or rejects every other spelling exactly as ``Fraction`` does.
+``parse_rational`` is the one reader of a rational: a file's values, a
+family's parameters and every constructor's field that is not exactly a
+``Fraction`` (``_rational``, ``_rational_tuple``) go through it, so a
+float, bool, ``Decimal`` or None is refused everywhere alike.  It reads a
+plain ``[-]digits[/digits]`` string with ``int`` and accepts or rejects
+every other spelling exactly as ``Fraction`` does.
 ``validate`` and ``classify`` test numerators and denominators, and a row
 sums to 1 when its numerators, brought to the row's least common
 denominator, sum to that denominator.  An expected value is one integer dot
@@ -35,8 +39,6 @@ from fractions import Fraction
 from math import lcm
 from operator import index, mul
 from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Fraction
 
 
 class InstanceFormatError(ValueError):
@@ -84,10 +86,15 @@ def _oversize(text: str) -> str | None:
 
 
 def parse_rational(value: object) -> Fraction:
-    """Parse ``"0.9"``, ``"9/10"``, ``"5"``, ``"2.5e3"`` or an int into an exact Fraction.
+    """Read ``"0.9"``, ``"9/10"``, ``"5"``, ``"2.5e3"``, an integer or a Fraction as a plain Fraction.
 
-    Floats are rejected: a JSON ``0.9`` is a binary approximation, not the
-    rational 9/10, and silent conversion would corrupt exact regressions.
+    The one reader of a rational: every constructor hands it each field value
+    whose type is not exactly ``Fraction``.  An integer is one that passes
+    ``_is_index`` (an int or a numpy integer, not a bool); a ``Fraction``
+    subclass is read as a plain ``Fraction``.  Floats are rejected: a JSON
+    ``0.9`` is a binary approximation, not the rational 9/10, and silent
+    conversion would corrupt exact regressions.  Every other type (a bool,
+    a ``Decimal``, None) is refused as well, with ``InstanceFormatError``.
     A string whose digits plus the magnitude of its exponent exceed
     ``sys.get_int_max_str_digits()`` is rejected too, the limit Python
     already puts on a plain digit string: ``"1e1000000"`` would otherwise
@@ -109,10 +116,10 @@ def parse_rational(value: object) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"not a rational number: {_shown(value)}") from exc
-    if isinstance(value, bool):
-        raise InstanceFormatError(f"not a rational number: {_shown(value)}")
-    if isinstance(value, int):
+    if isinstance(value, Fraction):
         return Fraction(value)
+    if _is_index(value):
+        return Fraction(index(value))
     if isinstance(value, float):
         raise InstanceFormatError(
             f"floating-point literal {value!r} is not exact; write it as a string"
@@ -134,12 +141,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def _rational(value: object) -> Fraction:
-    """``value`` itself if its type is ``Fraction``, else ``Fraction(value)``."""
-    return value if type(value) is Fraction else Fraction(value)
+    """``value`` itself if its type is exactly ``Fraction``, else ``parse_rational(value)``."""
+    return value if type(value) is Fraction else parse_rational(value)
 
 
 def _rational_tuple(values: Iterable[object]) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    """``_rational`` of each value, inline: a ``Fraction`` costs no call."""
+    return tuple(v if type(v) is Fraction else parse_rational(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -302,6 +310,13 @@ def _is_index(value: object) -> bool:
     """The rule for every index a caller supplies: an int or a numpy integer,
     which ``operator.index`` reads, and not a bool."""
     return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
+def _integer(name: str, value: object) -> int:
+    """``operator.index(value)``; ``ValueError`` naming ``name`` unless ``value`` passes ``_is_index``."""
+    if not _is_index(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return index(value)
 
 
 def _terminate_set(entries: Iterable[object]) -> frozenset[int]:
@@ -479,18 +494,14 @@ def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]
 def _check_state(instance: Instance, state: int) -> None:
     """Raise ``ValueError`` for a state index that fails ``_is_index`` or lies
     outside the instance; indexing would wrap a negative one."""
-    if not _is_index(state):
-        raise ValueError(f"state index must be an integer, not {state!r}")
-    if not 0 <= state < instance.num_states:
+    if not 0 <= _integer("state index", state) < instance.num_states:
         raise ValueError(f"state index {state} is out of range")
 
 
 def _check_final(instance: Instance, state: int, final: int) -> None:
     """Raise ``ValueError`` for a final action index that fails ``_is_index``
     or lies outside the finals of the (in-range) state."""
-    if not _is_index(final):
-        raise ValueError(f"final action index must be an integer, not {final!r}")
-    if not 0 <= final < len(instance.states[state].final_actions):
+    if not 0 <= _integer("final action index", final) < len(instance.states[state].final_actions):
         raise ValueError(f"final action index {final} at state {state} is out of range")
 
 

@@ -158,6 +158,36 @@ def test_numpy_integer_indices_are_read_as_indices(midterm):
     assert state_breakpoints(midterm, one) == state_breakpoints(midterm, 1)
 
 
+@pytest.mark.parametrize(
+    "episodes, seed, message",
+    [
+        (True, 0, "episodes must be an integer, not True"),
+        (2.5, 0, "episodes must be an integer, not 2.5"),
+        ("10", 0, "episodes must be an integer, not '10'"),
+        (10, None, "seed must be an integer, not None"),
+        (10, 7.0, "seed must be an integer, not 7.0"),
+        (10, False, "seed must be an integer, not False"),
+    ],
+)
+def test_simulate_refuses_an_episode_count_or_seed_that_is_not_an_integer(midterm, episodes, seed, message):
+    # True ran one episode, 2.5 raised a bare TypeError, and a None seed drew
+    # a different sample on every call (0.77, then 0.63 on interim_review).
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate(midterm, StandardContract((F(0), F(3))), episodes, seed)
+
+
+def test_simulate_reads_numpy_integers_as_python_ints(midterm):
+    # numpy.int64 episodes gave numpy.float64 fields, and a numpy.int64 seed
+    # raised random's TypeError.
+    numpy = pytest.importorskip("numpy")
+    contract = StandardContract((F(0), F(3)))
+    expected = simulate(midterm, contract, 10, 7)
+    for episodes, seed in [(numpy.int64(10), 7), (10, numpy.int64(7)), (numpy.int64(10), numpy.int64(7))]:
+        result = simulate(midterm, contract, episodes, seed)
+        assert result == expected
+        assert all(type(value) is float for value in dataclasses.astuple(result))
+
+
 def test_dimension_mismatch_raises(midterm):
     with pytest.raises(ValueError):
         best_response(midterm, StandardContract((F(0), F(1), F(2))))

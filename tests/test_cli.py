@@ -696,6 +696,20 @@ def test_usage_errors_exit_three(capsys):
     assert err.value.code == 3
 
 
+def test_the_package_imports_only_the_standard_library(child_env):
+    # The README promises no dependency beyond the standard library.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import twostage, twostage.cli\n"
+        "print(json.dumps(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True)
+    added = json.loads(child.stdout)
+    assert "twostage" in added
+    assert [name for name in added if name != "twostage" and name not in sys.stdlib_module_names] == []
+
+
 def test_module_entry_point(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "twostage", "generate", "--family", "midterm"],

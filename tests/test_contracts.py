@@ -489,6 +489,22 @@ def test_enumeration_caps(midterm):
         optimal_standard(midterm, profiles_cap=1)
 
 
+@pytest.mark.parametrize("cap", [True, "5", 2.5, None])
+@pytest.mark.parametrize("search", [optimal_standard, optimal_pay, optimal_terminate])
+def test_a_profiles_cap_that_is_not_an_integer_is_refused(midterm, search, cap):
+    # True was compared as 1 ("exceeds the cap of True"), and "5" raised a
+    # bare TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'profiles_cap must be an integer, not {cap!r}')}$"):
+        search(midterm, profiles_cap=cap)
+
+
+def test_a_numpy_profiles_cap_is_read_as_an_int(midterm):
+    numpy = pytest.importorskip("numpy")
+    assert optimal_standard(midterm, profiles_cap=numpy.int64(100)) == optimal_standard(midterm)
+    with pytest.raises(EnumerationCapExceeded, match="exceeds the cap of 1$"):
+        optimal_standard(midterm, profiles_cap=numpy.int64(1))
+
+
 def test_dominance_and_bounds_on_random_instances():
     kinds = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
     for kind, seed in itertools.product(kinds, range(40)):

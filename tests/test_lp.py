@@ -42,6 +42,24 @@ def test_constraint_rejects_an_unknown_relation(relation):
         Constraint((F(1),), relation, F(0))
 
 
+def test_the_tableau_and_the_answers_are_plain_ints():
+    # minimize x1 + 2 x2 with x1/2 + x2/3 >= 5/6, x1 <= 1 and x1 - x2 == 0.
+    rows = (
+        Constraint((F(1, 2), F(1, 3)), ">=", F(5, 6)),
+        Constraint((F(1), F(0)), "<=", F(1)),
+        Constraint((F(1), F(-1)), "==", F(0)),
+    )
+    for row in rows:
+        numerators, denominator = row._scaled
+        assert all(type(v) is int for v in (*numerators, denominator))
+    program = LinearProgram((F(1), F(2)), rows)
+    result = solve_lp(program)
+    value, x = lp_module._dual_value(program)
+    assert (result.x, result.objective_value) == (x, value) == ((F(1), F(1)), F(3))
+    answers = [*result.x, result.objective_value, *result.dual, value, *x]
+    assert all(type(a) is F and type(a.numerator) is int and type(a.denominator) is int for a in answers)
+
+
 def test_incentive_program_regression():
     # minimize 0.91 t subject to 0.81 t >= 1.8 and 0.7 t <= 2
     lp = LinearProgram(

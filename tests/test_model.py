@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 import twostage
 from twostage import (
     ActionProfile,
+    Constraint,
     FinalAction,
     InitialAction,
     Instance,
     InstanceFormatError,
     LinearContract,
+    LinearProgram,
     PayHalfwayContract,
     StandardContract,
     State,
@@ -73,6 +76,73 @@ def test_rejected_literal_is_echoed_as_a_bounded_prefix(text):
     message = str(err.value)
     assert len(message) < 300
     assert "(100001 characters)" in message
+
+
+class _FractionSubclass(F):
+    """A ``Fraction`` subclass: a constructor stores it as a plain ``Fraction``."""
+
+
+def test_parse_rational_reads_numpy_integers_and_fraction_subclasses_as_plain_fractions():
+    numpy = pytest.importorskip("numpy")
+    for value, expected in [(numpy.int64(-4), F(-4)), (numpy.uint8(7), F(7)), (_FractionSubclass(1, 3), F(1, 3))]:
+        read = parse_rational(value)
+        assert type(read) is F and read == expected
+        assert type(read.numerator) is int and type(read.denominator) is int
+
+
+# Every rational field of every constructor: (build from a value at that
+# field, read the stored value back).  A tuple field gets the value after a
+# plain Fraction, so the inline reader meets both.
+_RATIONAL_FIELDS = {
+    "InitialAction.cost": (lambda v: InitialAction("a", v, (F(1),)), lambda o: o.cost),
+    "InitialAction.transition": (lambda v: InitialAction("a", F(0), (F(0), v)), lambda o: o.transition[1]),
+    "FinalAction.cost": (lambda v: FinalAction("j", v, (F(1),)), lambda o: o.cost),
+    "FinalAction.outcome_dist": (lambda v: FinalAction("j", F(0), (F(0), v)), lambda o: o.outcome_dist[1]),
+    "Instance.rewards": (lambda v: Instance((F(0), v), (), ()), lambda o: o.rewards[1]),
+    "StandardContract.transfers": (lambda v: StandardContract((F(0), v)), lambda o: o.transfers[1]),
+    "LinearContract.alpha": (LinearContract, lambda o: o.alpha),
+    "PayHalfwayContract.state_transfers": (lambda v: PayHalfwayContract((F(0), v), (F(0),)), lambda o: o.state_transfers[1]),
+    "PayHalfwayContract.transfers": (lambda v: PayHalfwayContract((F(0),), (F(0), v)), lambda o: o.transfers[1]),
+    "TerminateHalfwayContract.transfers": (lambda v: TerminateHalfwayContract((F(0), v), ()), lambda o: o.transfers[1]),
+    "Constraint.coeffs": (lambda v: Constraint((F(0), v), ">=", F(0)), lambda o: o.coeffs[1]),
+    "Constraint.rhs": (lambda v: Constraint((F(0),), ">=", v), lambda o: o.rhs),
+    "LinearProgram.objective": (lambda v: LinearProgram((F(0), v), ()), lambda o: o.objective[1]),
+}
+
+_REFUSED_RATIONALS = {
+    "float": lambda: 0.1,
+    "bool": lambda: True,
+    "numpy-float64": lambda: pytest.importorskip("numpy").float64(0.5),
+    "Decimal": lambda: Decimal("0.1"),
+    "None": lambda: None,
+}
+
+# 1 rather than a larger integer, so that it is a valid LinearContract alpha too.
+_ACCEPTED_RATIONALS = {
+    "int": (lambda: 1, F(1)),
+    "numpy-int64": (lambda: pytest.importorskip("numpy").int64(1), F(1)),
+    "string": (lambda: "9/10", F(9, 10)),
+    "Fraction-subclass": (lambda: _FractionSubclass(9, 10), F(9, 10)),
+}
+
+
+@pytest.mark.parametrize("value", _REFUSED_RATIONALS)
+@pytest.mark.parametrize("field", _RATIONAL_FIELDS)
+def test_constructors_refuse_what_parse_rational_refuses(field, value):
+    # A float was stored as its binary value, a bool as 0 or 1, and a
+    # Decimal was read as Fraction(Decimal); None raised a bare TypeError.
+    build, _ = _RATIONAL_FIELDS[field]
+    with pytest.raises(InstanceFormatError):
+        build(_REFUSED_RATIONALS[value]())
+
+
+@pytest.mark.parametrize("value", _ACCEPTED_RATIONALS)
+@pytest.mark.parametrize("field", _RATIONAL_FIELDS)
+def test_constructors_store_every_accepted_value_as_a_plain_fraction(field, value):
+    build, read = _RATIONAL_FIELDS[field]
+    make, expected = _ACCEPTED_RATIONALS[value]
+    stored = read(build(make()))
+    assert type(stored) is F and stored == expected
 
 
 def test_validate_accepts_worked_example(midterm):
