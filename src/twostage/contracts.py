@@ -6,18 +6,21 @@ at every (surviving) state, and initial-stage rows compare the designated
 initial action against each alternative using the designated continuation
 values, which is valid exactly because the final rows hold everywhere.  Weak
 inequalities suffice since the agent breaks ties in the principal's favor.
-Each expected-value coefficient is one ``model.dot`` of the weights, scaled
-once per row, with the designated finals' outcome column or costs, scaled
-once per program.
 
 Every entry here refuses an instance that ``model.validate`` does not pass
 with ``model.require_valid``'s ``ValueError``, read from the report the
 instance keeps.  Every program, a search's candidate or a ``min_payment_*``
 wrapper's, is valued by ``_minimal_payment``, through ``lp._dual_value``: the
 objective's coefficients are expected transfers, none negative on a valid
-instance.  A program it gives no ``x`` is solved again by ``solve_lp``, once
-per instance, and the two values must agree; so every caller reports
-``solve_lp``'s ``x``.
+instance.  ``_Compiled.program`` builds it in the integer form that
+``_dual_value`` takes, with no ``Fraction``: each expected-value coefficient
+is one integer dot product of the initial actions' transitions, over one
+denominator, with the designated finals' outcome columns or costs, over one
+denominator per state, and each row is divided by the gcd of its entries.
+A program it gives no ``x`` is built again as a ``LinearProgram`` by
+``_min_payment_program``, whose coefficients are ``Fraction``s, and solved
+by ``solve_lp``, once per instance; the two values must agree, so every
+caller reports ``solve_lp``'s ``x``.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -35,8 +38,9 @@ counts the whole candidate space, pruned or not, every termination set
 included.
 
 Each instance keeps one private ``_Compiled`` (``model.cached``): each
-state's distinct finals, each (state, designated final, column count)'s
-final-stage rows, built once, and the value of every program solved on it,
+state's distinct finals, the integer tables of its actions, each (state,
+designated final, column count)'s final-stage rows in integers, built once,
+and the value of every program solved on it,
 by a search or a wrapper.  A program is named by its profile, whose finals
 name the surviving states, and whether it has state transfers.  A terminate
 candidate that blocks no state is the standard program of the same initial
@@ -58,6 +62,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
 
 from .agent import (
     BestResponse, _check_profile, _check_terminate_set, _contract_pieces, _profile_expectation, best_response
@@ -119,38 +126,104 @@ class SolveReport:
 
 
 class _Compiled:
-    """An instance's distinct finals, final-stage rows and solved programs.
+    """An instance's distinct finals, its integer tables and solved programs.
 
     ``finals[s]`` lists state ``s``'s distinct final indices (see
-    ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
-    column count) to that final's incentive rows, built on first use.
+    ``_distinct_final_indices``).  The integer tables, built once, hold each
+    initial action's transition and cost over one denominator,
+    ``initial_scale``, and each state's finals' outcome distributions and
+    costs over one denominator per state.  ``rows`` maps (state, designated
+    final, column count) to that final's incentive rows, built on first use.
     ``programs`` maps a program, named by (with state transfers, initial
     action, sorted (state, final) pairs), to ``_minimal_payment``'s
     ``(value, x)``, or to None when infeasible.  Every entry is set once, and
     whoever sets it sets an equal value.
     """
 
-    __slots__ = ("finals", "rows", "programs")
+    __slots__ = (
+        "finals", "num_outcomes", "initial_scale", "transitions", "initial_costs",
+        "state_scales", "outcome_dists", "final_costs", "rows", "programs",
+    )
 
     def __init__(self, instance):
         require_valid(instance)
         self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
+        self.num_outcomes = instance.num_outcomes
+        actions = instance.initial_actions
+        self.transitions, self.initial_costs, self.initial_scale = _integers([a.transition for a in actions], actions)
+        self.outcome_dists, self.final_costs, self.state_scales = zip(
+            *[_integers([a.outcome_dist for a in state.final_actions], state.final_actions) for state in instance.states]
+        )
         self.rows = {}
         self.programs = {}
 
-    def final_rows(self, instance, s, j, n) -> tuple[Constraint, ...]:
+    def final_rows(self, s, j, n) -> tuple[tuple[int, ...], ...]:
         """Rows keeping final ``j`` optimal at state ``s``, over ``n`` columns:
-        one per alternative final, in index order, zero past the outcomes."""
+        one per alternative final, in index order, zero past the outcomes.
+        Each is the ``>=`` row negated into ``<=`` form, in lowest integers."""
         key = (s, j, n)
         rows = self.rows.get(key)
         if rows is None:
-            finals = instance.states[s].final_actions
-            act, pad = finals[j], [_ZERO] * (n - instance.num_outcomes)
+            dists, costs = self.outcome_dists[s], self.final_costs[s]
+            act, cost, pad = dists[j], costs[j], [0] * (n - self.num_outcomes)
             rows = self.rows[key] = tuple(
-                Constraint([p - q for p, q in zip(act.outcome_dist, other.outcome_dist)] + pad, ">=", act.cost - other.cost)
-                for other in finals[:j] + finals[j + 1 :]
+                tuple(_lowest([q - p for p, q in zip(act, other)] + pad + [other_cost - cost]))
+                for other, other_cost in zip(dists[:j] + dists[j + 1 :], costs[:j] + costs[j + 1 :])
             )
         return rows
+
+    def program(self, profile, with_state_transfers):
+        """The profile's minimal-payment program in ``lp._dual_value``'s integer
+        form: the objective's integers and their scale, the ``<=`` rows and the
+        column count.  The rows and the objective are those of
+        ``_min_payment_program``, each row in lowest integers; the objective in
+        least integers, as ``model.scale`` gives it."""
+        surviving = sorted(profile.finals)
+        m = self.num_outcomes
+        scales = self.state_scales
+        n = m + (len(scales) if with_state_transfers else 0)
+        designated = [profile.finals[s] for s in surviving]
+        # One column per outcome, so an empty ``surviving`` still gives m of them.
+        columns = list(zip(*[self.outcome_dists[s][j] for s, j in zip(surviving, designated)])) or [()] * m
+        costs = [self.final_costs[s][j] for s, j in zip(surviving, designated)]
+
+        def value(weights):
+            """``initial_scale * common`` times the coefficients of sum_s w_s *
+            (expected transfer of the designated final at s, plus the state
+            transfer), and times sum_s w_s * its cost, then ``common``: the lcm
+            of the scales of the states the integer weights reach."""
+            common = lcm(*[scales[s] for s in surviving if weights[s]])
+            w = [weights[s] * (common // scales[s]) for s in surviving]
+            coeffs = [sum(map(mul, w, column)) for column in columns]
+            if with_state_transfers:
+                coeffs += [v * common for v in weights]
+            return coeffs, sum(map(mul, w, costs)), common
+
+        rows = [row for s, j in zip(surviving, designated) for row in self.final_rows(s, j, n)]
+        chosen = self.transitions[profile.initial]
+        chosen_cost = self.initial_costs[profile.initial]
+        for k, (other, other_cost) in enumerate(zip(self.transitions, self.initial_costs)):
+            if k != profile.initial:
+                coeffs, cost, common = value([p - q for p, q in zip(chosen, other)])
+                rows.append(_lowest([-c for c in coeffs] + [(other_cost - chosen_cost) * common - cost]))
+        coeffs, _, common = value(chosen)
+        objective_scale = self.initial_scale * common
+        divisor = gcd(objective_scale, *coeffs)
+        return [c // divisor for c in coeffs], objective_scale // divisor, rows, n
+
+
+def _integers(vectors, actions):
+    """``(vectors, costs, denominator)``: ``vectors`` and the ``actions``'
+    costs as ``model.scale`` integers over their one least denominator."""
+    numerators, denominator = scale([*(a.cost for a in actions), *(v for vector in vectors for v in vector)])
+    rest = iter(numerators[len(actions) :])
+    return [list(islice(rest, len(vector))) for vector in vectors], numerators[: len(actions)], denominator
+
+
+def _lowest(row):
+    """``row`` divided by the gcd of its entries (an all-zero row as it is)."""
+    divisor = gcd(*row)
+    return row if divisor <= 1 else [v // divisor for v in row]
 
 
 _COMPILED = "_compiled_programs"  # the instance attribute that holds its ``_Compiled``
@@ -167,7 +240,8 @@ def _min_payment_program(instance, profile, with_state_transfers) -> LinearProgr
     ``with_state_transfers``.  The rows are the final-stage incentive rows by
     surviving state, then alternative final; then the initial-stage rows by
     alternative initial action.  The objective value is the expected transfer
-    of the profile.
+    of the profile.  Built only for ``solve_lp``; ``_Compiled.program`` gives
+    the dual simplex the same program in integers.
     """
     surviving = sorted(profile.finals)
     m = instance.num_outcomes
@@ -186,8 +260,12 @@ def _min_payment_program(instance, profile, with_state_transfers) -> LinearProgr
             coeffs += weights
         return coeffs, dot(w, costs)
 
-    compiled = cached(instance, _COMPILED, _Compiled)
-    rows = [row for s in surviving for row in compiled.final_rows(instance, s, profile.finals[s], n)]
+    rows = [
+        Constraint([p - q for p, q in zip(act.outcome_dist, other.outcome_dist)] + [_ZERO] * (n - m), ">=", act.cost - other.cost)
+        for s, act in zip(surviving, designated)
+        for j, other in enumerate(instance.states[s].final_actions)
+        if j != profile.finals[s]
+    ]
     chosen = instance.initial_actions[profile.initial]
     for k, other in enumerate(instance.initial_actions):
         if k != profile.initial:
@@ -201,17 +279,18 @@ def _minimal_payment(instance, profile, with_state_transfers):
     """``(value, x)`` of the profile's program, ``x`` the transfers every
     caller reports, or None when it is infeasible; kept in the instance's memo.
 
-    ``lp._dual_value`` values the program.  Only where it gives no ``x`` does
-    ``solve_lp`` solve the same program, and the two values must agree.
+    ``lp._dual_value`` values the program in integers.  Only where it gives no
+    ``x`` is the program built as a ``LinearProgram`` and solved by
+    ``solve_lp``, and the two values must agree.
     """
-    programs = cached(instance, _COMPILED, _Compiled).programs
+    compiled = cached(instance, _COMPILED, _Compiled)
+    programs = compiled.programs
     name = (with_state_transfers, profile.initial, tuple(sorted(profile.finals.items())))
     if name in programs:
         return programs[name]
-    program = _min_payment_program(instance, profile, with_state_transfers)
-    solution = _dual_value(program)
+    solution = _dual_value(*compiled.program(profile, with_state_transfers))
     if solution is not None and solution[1] is None:
-        result = solve_lp(program)
+        result = solve_lp(_min_payment_program(instance, profile, with_state_transfers))
         if not isinstance(result, LpOptimal) or result.objective_value != solution[0]:
             raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
         solution = (solution[0], result.x)

@@ -20,16 +20,23 @@ negative, or until a row with none of its entries negative proves the
 program infeasible.  It gives ``x`` only where that is certain to be
 ``solve_lp``'s: at a unique optimum, and at x = 0, from which no step of
 ``solve_lp`` can lower the objective below its bound 0, so none moves.
+It takes a program in integer form, with no ``LinearProgram``: the
+objective's integers and their scale, then every row already in <= form as
+integers (coefficients, then right-hand side), then the column count.
 ``contracts._minimal_payment`` is the one caller of each: it values a
-program with ``_dual_value`` and hands it to ``solve_lp`` only where that
-gives no ``x``.  Both read the basic ``x`` with ``_basic_x``.
+program's integer form with ``_dual_value``, and builds the program as a
+``LinearProgram`` for ``solve_lp`` only where that gives no ``x``.  Both
+read the basic ``x`` with ``_basic_x``.
 
 Both keep the tableau as Python ints over one common denominator ``D``, the
-determinant of the current basis.  ``model.scale``, the package's one
-common-denominator kernel, multiplies each row (coefficients and right-hand
-side), and the objective, by the least common multiple of its denominators.
-A ``Constraint`` keeps its scaled row once computed, so a row shared by
-several programs is scaled once.  The slack and artificial columns start as
+determinant of the current basis.  ``solve_lp`` scales each row
+(coefficients and right-hand side), and the objective, by the least common
+multiple of its denominators with ``model.scale``, the package's one
+common-denominator kernel.  A ``Constraint`` keeps its scaled row once
+computed, so a row shared by several programs is scaled once.
+``_dual_value``'s caller gives each row in integers; ``contracts`` gives it
+in lowest terms, divided by the gcd of its entries, so never wider than
+``solve_lp``'s row.  The slack and artificial columns start as
 the identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every
 other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
 ``f`` is the row's entry in the pivot column and ``b`` the pivot row's
@@ -45,7 +52,7 @@ by a positive factor; phase 1 weights each artificial by the reciprocal of
 its row's scale to match.  So every reduced cost keeps its sign, every ratio
 test its minimum and every tie-break its order, and Bland's rule takes
 exactly the pivots of the unscaled rational tableau: the same basis, ``x``
-and duals.  The integers are Python ints, and the answers ``Fraction``s of
+and duals, whichever positive multiple of each row it is given.  The integers are Python ints, and the answers ``Fraction``s of
 them.
 """
 
@@ -314,23 +321,16 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     return LpOptimal(_basic_x(tableau, basis, n, denom), Fraction(-reduced[-1], dual_denom), tuple(dual))
 
 
-def _dual_value(lp: LinearProgram) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
+def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
     """``(value, x)`` of a program with a non-negative objective, or None when
-    infeasible (see the module docstring).  ``x`` is None where it might not
-    be ``solve_lp``'s: where a non-basic reduced cost is 0 at an optimum
-    other than x = 0.  A negative cost raises ``SolverInvariantError``."""
-    objective, obj_scale = scale(lp.objective)
+    infeasible (see the module docstring).  The program comes in integer form:
+    the objective is ``objective[k] / obj_scale``, and each row of ``rows``
+    holds ``n`` coefficients, then its right-hand side, of one ``<=`` row.
+    ``x`` is None where it might not be ``solve_lp``'s: where a non-basic
+    reduced cost is 0 at an optimum other than x = 0.  A negative cost raises
+    ``SolverInvariantError``."""
     if any(c < 0 for c in objective):
         raise SolverInvariantError("the dual simplex needs a non-negative objective")
-    n = lp.num_variables
-
-    rows = []  # scaled rows in <= form: >= rows negated, == rows as both
-    for c in lp.constraints:
-        values, _ = c._scaled
-        if c.relation != GREATER_EQUAL:
-            rows.append(values)
-        if c.relation != LESS_EQUAL:
-            rows.append([-v for v in values])
     if all(values[-1] >= 0 for values in rows):
         return _ZERO, (_ZERO,) * n  # x = 0 is feasible, so optimal, and solve_lp's
     m = len(rows)

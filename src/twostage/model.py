@@ -551,20 +551,36 @@ def _array(doc: dict, key: str, where: str = "") -> list:
     return value
 
 
-def _rationals(doc: dict, key: str, where: str = "") -> list[Fraction]:
-    return [parse_rational(v) for v in _array(doc, key, where)]
+def _rationals(doc: dict, key: str, where: str = "", read=parse_rational) -> list[Fraction]:
+    return [read(v) for v in _array(doc, key, where)]
 
 
 def instance_from_dict(doc: object) -> Instance:
+    """The instance a document describes.  Each distinct rational string is
+    read once per call: most values of a document repeat (0, 1, a few costs
+    and probabilities), and ``parse_rational`` of a string depends only on
+    the string.  Only values whose type is exactly ``str`` are kept, so a
+    bool never meets the cached 1, and a value that cannot be a dict key
+    still gets ``parse_rational``'s error."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
+    read = {}
+
+    def rational(value):
+        if type(value) is not str:
+            return parse_rational(value)
+        number = read.get(value)
+        if number is None:
+            number = read[value] = parse_rational(value)
+        return number
+
     try:
-        rewards = _rationals(doc, "rewards")
+        rewards = _rationals(doc, "rewards", read=rational)
         initials = [
             InitialAction(
                 name=str(a.get("name", f"i{idx}")),
-                cost=parse_rational(a["cost"]),
-                transition=_rationals(a, "transition", f"initial_actions[{idx}]."),
+                cost=rational(a["cost"]),
+                transition=_rationals(a, "transition", f"initial_actions[{idx}].", rational),
             )
             for idx, a in enumerate(_array(doc, "initial_actions"))
         ]
@@ -574,9 +590,9 @@ def instance_from_dict(doc: object) -> Instance:
                 final_actions=tuple(
                     FinalAction(
                         name=str(a.get("name", f"j{jdx}")),
-                        cost=parse_rational(a["cost"]),
+                        cost=rational(a["cost"]),
                         outcome_dist=_rationals(
-                            a, "outcome_dist", f"states[{idx}].final_actions[{jdx}]."
+                            a, "outcome_dist", f"states[{idx}].final_actions[{jdx}].", rational
                         ),
                     )
                     for jdx, a in enumerate(_array(s, "final_actions", f"states[{idx}]."))

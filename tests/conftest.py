@@ -31,16 +31,18 @@ def child_env():
 def record_programs(monkeypatch):
     """``record(*names)`` makes each named solver entry of ``twostage.contracts``
     append (name, program, result) to the list it returns, for every program
-    handed to it."""
+    handed to it.  The program is the one argument of ``solve_lp``, a
+    ``LinearProgram``, and the tuple of arguments of ``_dual_value``, the
+    program's integer form."""
 
     def record(*names):
         handed = []
         for name in names:
             entry = getattr(contracts, name)
 
-            def recording(lp, name=name, entry=entry):
-                result = entry(lp)
-                handed.append((name, lp, result))
+            def recording(*program, name=name, entry=entry):
+                result = entry(*program)
+                handed.append((name, program[0] if len(program) == 1 else program, result))
                 return result
 
             monkeypatch.setattr(contracts, name, recording)

@@ -23,7 +23,9 @@ and ``agent._cdf_thresholds``, the references for their forms over
 ``model.scale``.  ``reference_min_payment_program``,
 ``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
 former ``Fraction`` sums of ``contracts._min_payment_program`` and of
-``welfare.profile_reward``/``profile_cost``.
+``welfare.profile_reward``/``profile_cost``.  ``dual_form`` is the former
+``LinearProgram`` entry of ``lp._dual_value``, which tests use to hand it a
+program, and ``integer_program`` reads an integer form back as a program.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from twostage.model import (
     TerminateHalfwayContract,
     ValidationReport,
     Violation,
+    scale,
 )
 from twostage.welfare import StateBest, WelfareReport
 
@@ -487,6 +490,33 @@ def fraction_simplex(lp: LinearProgram) -> LpResult:
         dual[rows[i][3]] += flips[i] * to_fraction(y)
 
     return LpOptimal(tuple(x), value, tuple(dual))
+
+
+def dual_form(lp: LinearProgram, lowest: bool = False):
+    """``lp`` in ``lp._dual_value``'s integer form, as that function read a
+    ``LinearProgram`` before the searches built the form themselves: the
+    objective by ``scale``, then each row's ``Constraint._scaled`` integers in
+    ``<=`` form (``>=`` rows negated, ``==`` rows as both), then the column
+    count.  With ``lowest`` each row is divided by the gcd of its entries."""
+    objective, obj_scale = scale(lp.objective)
+    rows = []
+    for c in lp.constraints:
+        values, _ = c._scaled
+        if c.relation != GREATER_EQUAL:
+            rows.append(list(values))
+        if c.relation != LESS_EQUAL:
+            rows.append([-v for v in values])
+    if lowest:
+        rows = [[v // divisor for v in row] if (divisor := math.gcd(*row)) else row for row in rows]
+    return objective, obj_scale, rows, lp.num_variables
+
+
+def integer_program(objective, obj_scale, rows, n) -> LinearProgram:
+    """The ``LinearProgram`` that an integer form describes: each row a ``<=`` row."""
+    return LinearProgram(
+        tuple(Fraction(c, obj_scale) for c in objective),
+        tuple(Constraint(tuple(row[:n]), LESS_EQUAL, row[n]) for row in rows),
+    )
 
 
 # The size caps of the benchmark's ``evaluate`` workload (bench/inputs.py).

@@ -834,7 +834,7 @@ FORCED_FAILURES = {
     "the winner's re-solve equals its searched value": (
         ["compare", "{instance}"],
         "twostage.contracts", "_dual_value",
-        "lambda lp: None if real(lp) is None else (real(lp)[0] + 1, None)",
+        "lambda *program: None if real(*program) is None else (real(*program)[0] + 1, None)",
         "disagree on a minimal payment",
     ),
     "breakpoints are at most S*N1*N2": (

@@ -18,6 +18,7 @@ from twostage import (
     InitialAction,
     Instance,
     LinearContract,
+    LinearProgram,
     LpOptimal,
     PayHalfwayContract,
     StandardContract,
@@ -44,6 +45,7 @@ from twostage import (
 )
 from twostage import contracts
 from twostage.cli import main
+from twostage.model import scale
 from twostage.generators import (
     cost_ladder_instance,
     payment_gap_instance,
@@ -51,6 +53,7 @@ from twostage.generators import (
 )
 
 from oracles import (
+    dual_form,
     exhaustive_optimum,
     fraction_simplex,
     incentive_program,
@@ -195,30 +198,48 @@ def _random_profile(rng, inst, surviving):
 def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, record_programs):
     # Every program built for a solver -- the searches' candidates and the
     # public wrappers' profiles under every blocked set -- must equal the
-    # Fraction-summing builder's, coefficient for coefficient.  Each goes to
-    # _dual_value once, and to solve_lp right after it only where the dual
-    # simplex gave no x.  Every contract a wrapper returns carries the
-    # reference simplex's x for the reference program, so the wrappers keep
-    # that simplex's tie rule although the dual simplex values them first.
+    # Fraction-summing builder's.  Its LinearProgram form, which solve_lp
+    # gets, must equal it coefficient for coefficient.  Its integer form,
+    # which _dual_value gets, must have the reference objective in least
+    # integers, and each row must be a positive multiple of the reference
+    # row's <= form with no entry wider than that row's Constraint._scaled.
+    # Each goes to _dual_value once, and to solve_lp right after it only
+    # where the dual simplex gave no x.  Every contract a wrapper returns
+    # carries the reference simplex's x for the reference program, so the
+    # wrappers keep that simplex's tie rule although the dual simplex values
+    # them first.
     handed = record_programs("_dual_value", "solve_lp")
-    build = contracts._min_payment_program
+    build = contracts._Compiled.program
     built = []
     checked = []
+    current = None  # the instance being solved
 
-    def checked_program(instance, profile, with_state_transfers):
-        lp = build(instance, profile, with_state_transfers)
+    def checked_program(compiled, profile, with_state_transfers):
+        program = build(compiled, profile, with_state_transfers)
         surviving = sorted(profile.finals)
-        assert lp == reference_min_payment_program(instance, profile, surviving, with_state_transfers)
-        built.append(lp)
+        reference = reference_min_payment_program(current, profile, surviving, with_state_transfers)
+        lp = contracts._min_payment_program(current, profile, with_state_transfers)
+        assert lp == reference
+        objective, obj_scale, rows, n = program
+        assert (objective, obj_scale) == scale(reference.objective) and n == reference.num_variables
+        scaled_rows = dual_form(reference)[2]
+        assert len(rows) == len(scaled_rows)
+        for row, scaled in zip(rows, scaled_rows):
+            assert len(row) == n + 1
+            k = max(range(n + 1), key=lambda k: abs(scaled[k]))
+            assert scaled[k] * row[k] > 0 or not any(scaled) and not any(row)
+            assert all(a * row[k] == b * scaled[k] for a, b in zip(scaled, row))
+            assert all(abs(b).bit_length() <= abs(a).bit_length() for a, b in zip(scaled, row))
+        built.append((program, lp))
         checked.append((with_state_transfers, len(surviving)))
-        return lp
+        return program
 
     def reference_x(instance, profile, with_state_transfers):
         program = reference_min_payment_program(instance, profile, sorted(profile.finals), with_state_transfers)
         result = fraction_simplex(program)
         return result.x if isinstance(result, LpOptimal) else None
 
-    monkeypatch.setattr(contracts, "_min_payment_program", checked_program)
+    monkeypatch.setattr(contracts._Compiled, "program", checked_program)
     instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
     for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
         for seed in range(20):
@@ -227,6 +248,7 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     rng = random.Random("min-payment-rows")
     wrapped = 0
     for inst in instances:
+        current = inst
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
         every_state = range(inst.num_states)
@@ -246,20 +268,43 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
                 assert contract is None or contract.terminate_set == frozenset(blocked)
                 wrapped += 1
     assert len(instances) == 5 + 4 * 20 * 5
-    # Each built program went to _dual_value once, in order, and then to
-    # solve_lp exactly when _dual_value gave it a value but no x.
-    duals = [(lp, result) for name, lp, result in handed if name == "_dual_value"]
-    assert len(duals) == len(built) and all(lp is program for (lp, _), program in zip(duals, built))
+    # Each built program went to _dual_value once, in order, and then its
+    # LinearProgram form went to solve_lp exactly when _dual_value gave it a
+    # value but no x.
+    duals = [(program, result) for name, program, result in handed if name == "_dual_value"]
+    assert len(duals) == len(built)
+    assert all(a is b for (program, _), (integer, _) in zip(duals, built) for a, b in zip(program, integer))
     expected = []
-    for lp, result in duals:
-        expected.append(("_dual_value", id(lp)))
+    for (program, result), (_, lp) in zip(duals, built):
+        expected.append(("_dual_value", program))
         if result is not None and result[1] is None:
-            expected.append(("solve_lp", id(lp)))
-    assert [(name, id(lp)) for name, lp, _ in handed] == expected
+            expected.append(("solve_lp", lp))
+    assert [(name, program) for name, program, _ in handed] == expected
     assert len(expected) > len(built)
     assert (False, 0) in checked  # every state blocked: m zero coefficients per row
     assert any(with_state_transfers for with_state_transfers, _ in checked)
     assert wrapped > 1000
+
+
+def test_searches_build_a_linear_program_only_to_re_solve(monkeypatch, record_programs, tmp_path):
+    # The searches value every candidate in integers: compare on the
+    # separation families builds a LinearProgram only for each program that
+    # solve_lp re-solves, 8 of them, as many as before the integer build.
+    handed = record_programs("solve_lp")
+    built = []
+    post_init = LinearProgram.__post_init__
+    monkeypatch.setattr(LinearProgram, "__post_init__", lambda self: built.append(self) or post_init(self))
+    solved = 0
+    for family, params in SEPARATION_FAMILIES:
+        path = tmp_path / f"{family}.json"
+        path.write_text(instance_to_json(generate(FamilyParams(family, params))))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", str(path)]) == 0
+        results = json.loads(out.getvalue())["results"]
+        solved += sum(results[kind]["programs_solved"] for kind in ("standard", "pay", "terminate"))
+    assert len(built) == len(handed) == 8 and all(a is b for a, (_, b, _) in zip(built, handed))
+    assert solved > 300
 
 
 def test_searches_report_the_same_after_other_searches_on_the_instance():

@@ -26,7 +26,7 @@ from twostage import (
 )
 from twostage.model import scale
 
-from oracles import fraction_simplex, scipy_lp_min, tie_heavy_variants
+from oracles import dual_form, fraction_simplex, integer_program, scipy_lp_min, tie_heavy_variants
 
 
 def test_single_lower_bound():
@@ -54,7 +54,7 @@ def test_the_tableau_and_the_answers_are_plain_ints():
         assert all(type(v) is int for v in (*numerators, denominator))
     program = LinearProgram((F(1), F(2)), rows)
     result = solve_lp(program)
-    value, x = lp_module._dual_value(program)
+    value, x = lp_module._dual_value(*dual_form(program))
     assert (result.x, result.objective_value) == (x, value) == ((F(1), F(1)), F(3))
     answers = [*result.x, result.objective_value, *result.dual, value, *x]
     assert all(type(a) is F and type(a.numerator) is int and type(a.denominator) is int for a in answers)
@@ -344,12 +344,12 @@ def _assert_optimizer_programs_match(record_programs, instances):
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
     assert any(name == "_dual_value" for name, _, _ in handed)
-    for name, lp, result in handed:
-        expected = fraction_simplex(lp)
+    for name, program, result in handed:
         if name == "solve_lp":
-            assert result == expected, lp
+            assert result == fraction_simplex(program), program
         else:
-            _assert_dual_value_agrees(lp, result, expected)
+            lp = integer_program(*program)
+            _assert_dual_value_agrees(lp, result, fraction_simplex(lp))
 
 
 @pytest.mark.parametrize("family,params", SEARCHED_FAMILIES)
@@ -392,8 +392,33 @@ def test_dual_value_matches_both_simplexes_on_random_programs():
         lp = _nonnegative_cost_lp(rng)
         expected = solve_lp(lp)
         assert expected == fraction_simplex(lp), lp
-        seen[_assert_dual_value_agrees(lp, lp_module._dual_value(lp), expected)] += 1
+        seen[_assert_dual_value_agrees(lp, lp_module._dual_value(*dual_form(lp)), expected)] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_dual_value_does_not_depend_on_the_row_scale(monkeypatch):
+    # The searches hand _dual_value each row in lowest integers, not as
+    # Constraint._scaled.  A positive row scale must not change a pivot, so
+    # the value, x and infeasibility stay the same with each row as
+    # Constraint._scaled, divided by its gcd, or times a random factor.
+    pivots = []
+    pivot = lp_module._pivot
+    monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args[2:4]) or pivot(*args))
+    rng = random.Random(16)
+    reduced = 0
+    for _ in range(1500):
+        lp = _nonnegative_cost_lp(rng)
+        objective, obj_scale, rows, n = scaled = dual_form(lp)
+        lowest = dual_form(lp, lowest=True)
+        reduced += lowest != scaled
+        factors = [rng.randint(1, 6) for _ in rows]
+        multiplied = (objective, obj_scale, [[v * f for v in row] for row, f in zip(rows, factors)], n)
+        runs = []
+        for form in (scaled, lowest, multiplied):
+            pivots.clear()
+            runs.append((lp_module._dual_value(*form), list(pivots)))
+        assert runs[0] == runs[1] == runs[2], lp
+    assert reduced > 200, reduced
 
 
 def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs):
@@ -406,12 +431,16 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
-    # solve_lp sees exactly the programs the dual simplex valued without an x, each once.
+    # solve_lp sees exactly the programs the dual simplex valued without an
+    # x, each once, in order: each the same objective and the same rows, up
+    # to a positive scale per row.
     resolves = [lp for name, lp, _ in handed if name == "solve_lp"]
-    without_x = [lp for name, lp, result in handed if name == "_dual_value" and result and result[1] is None]
-    assert len(resolves) == len(without_x) and all(a is b for a, b in zip(resolves, without_x))
+    without_x = [program for name, program, result in handed if name == "_dual_value" and result and result[1] is None]
+    assert len(resolves) == len(without_x)
+    for lp, (objective, obj_scale, rows, n) in zip(resolves, without_x):
+        assert dual_form(lp, lowest=True) == (objective, obj_scale, [list(row) for row in rows], n)
     resolved = len(resolves)
-    valued = {lp: result for name, lp, result in handed if name == "_dual_value"}
+    valued = {integer_program(*program): result for name, program, result in handed if name == "_dual_value"}
     seen = collections.Counter()
     for lp, result in valued.items():
         expected = solve_lp(lp)
@@ -432,7 +461,7 @@ def test_dual_value_gives_x_zero_wherever_it_is_feasible(monkeypatch):
         (F(0), F(1)),
         (Constraint((F(1), F(-1)), ">=", F(0)), Constraint((F(1), F(1)), "<=", F(4)), Constraint((F(1), F(0)), ">=", F(-2))),
     )
-    assert lp_module._dual_value(lp) == (F(0), (F(0), F(0)))
+    assert lp_module._dual_value(*dual_form(lp)) == (F(0), (F(0), F(0)))
     assert not pivots
     assert solve_lp(lp).x == (F(0), F(0))
     assert pivots
@@ -442,7 +471,7 @@ def test_dual_value_refuses_a_negative_cost():
     # x = 0 is dual feasible only when no cost is negative.
     lp = LinearProgram((F(1), F(-1, 2)), (Constraint((F(1), F(1)), ">=", F(1)),))
     with pytest.raises(SolverInvariantError, match="^the dual simplex needs a non-negative objective$"):
-        lp_module._dual_value(lp)
+        lp_module._dual_value(*dual_form(lp))
 
 
 def test_negative_drive_out_pivot_keeps_the_denominator_positive(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -331,6 +332,22 @@ def test_instance_parsing_rejects_floats_and_shapes():
         instance_from_json('[1, 2]')
     with pytest.raises(InstanceFormatError):
         instance_from_json('{"rewards": ["1"], "initial_actions": [5], "states": []}')
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [(True, "not a rational number: True"), ([1], "not a rational number: [1]"), (1.0, "floating-point literal 1.0")],
+    ids=["bool", "list", "float"],
+)
+def test_instance_documents_read_a_repeated_value_like_its_first(value, message):
+    # A document reads each distinct string once; every other value still
+    # goes to parse_rational, so True does not pass as the 1 read before it,
+    # and a list is not a rational rather than a malformed document.
+    doc = {"rewards": [1, "1", "1", "0"], "initial_actions": [], "states": []}
+    assert instance_from_json(json.dumps(doc)).rewards == (F(1), F(1), F(1), F(0))
+    doc["rewards"].append(value)
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}"):
+        instance_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
