@@ -17,10 +17,12 @@ instance.  ``_Compiled.program`` builds it in the integer form that
 is one integer dot product of the initial actions' transitions, over one
 denominator, with the designated finals' outcome columns or costs, over one
 denominator per state, and each row is divided by the gcd of its entries.
-A program it gives no ``x`` is built again as a ``LinearProgram`` by
-``_min_payment_program``, whose coefficients are ``Fraction``s, and solved
-by ``solve_lp``, once per instance; the two values must agree, so every
-caller reports ``solve_lp``'s ``x``.
+Each row keeps its unit, the factor that turns it back into its ``>=`` row
+in ``Fraction``s.  A program ``_dual_value`` gives no ``x`` is built from
+that form and those units as a ``LinearProgram`` by ``_linear_program``,
+the one place a program's ``Fraction``s are made, and solved by
+``solve_lp``, once per instance; the two values must agree, so every caller
+reports ``solve_lp``'s ``x``.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -84,7 +86,6 @@ from .model import (
     _terminate_set,
     cached,
     classify,
-    dot,
     require_valid,
     scale,
 )
@@ -133,8 +134,8 @@ class _Compiled:
     initial action's transition and cost over one denominator,
     ``initial_scale``, and each state's finals' outcome distributions and
     costs over one denominator per state.  ``rows`` maps (state, designated
-    final, column count) to that final's incentive rows, built on first use.
-    ``programs`` maps a program, named by (with state transfers, initial
+    final, column count) to that final's incentive rows and their units,
+    built on first use.  ``programs`` maps a program, named by (with state transfers, initial
     action, sorted (state, final) pairs), to ``_minimal_payment``'s
     ``(value, x)``, or to None when infeasible.  Every entry is set once, and
     whoever sets it sets an equal value.
@@ -157,27 +158,38 @@ class _Compiled:
         self.rows = {}
         self.programs = {}
 
-    def final_rows(self, s, j, n) -> tuple[tuple[int, ...], ...]:
+    def final_rows(self, s, j, n):
         """Rows keeping final ``j`` optimal at state ``s``, over ``n`` columns:
         one per alternative final, in index order, zero past the outcomes.
-        Each is the ``>=`` row negated into ``<=`` form, in lowest integers."""
+        Each is the ``>=`` row negated into ``<=`` form, in lowest integers.
+        Returned with each row's unit (see ``program``)."""
         key = (s, j, n)
-        rows = self.rows.get(key)
-        if rows is None:
+        built = self.rows.get(key)
+        if built is None:
             dists, costs = self.outcome_dists[s], self.final_costs[s]
             act, cost, pad = dists[j], costs[j], [0] * (n - self.num_outcomes)
-            rows = self.rows[key] = tuple(
-                tuple(_lowest([q - p for p, q in zip(act, other)] + pad + [other_cost - cost]))
+            rows = [
+                _lowest([q - p for p, q in zip(act, other)] + pad + [other_cost - cost], self.state_scales[s])
                 for other, other_cost in zip(dists[:j] + dists[j + 1 :], costs[:j] + costs[j + 1 :])
-            )
-        return rows
+            ]
+            built = self.rows[key] = tuple(tuple(row) for row, _ in rows), tuple(unit for _, unit in rows)
+        return built
 
     def program(self, profile, with_state_transfers):
         """The profile's minimal-payment program in ``lp._dual_value``'s integer
         form: the objective's integers and their scale, the ``<=`` rows and the
-        column count.  The rows and the objective are those of
-        ``_min_payment_program``, each row in lowest integers; the objective in
-        least integers, as ``model.scale`` gives it."""
+        column count; and each row's unit.
+
+        The states the profile gives a final are the surviving ones.  Columns
+        are the outcome transfers, followed by one transfer per state when
+        ``with_state_transfers``.  The rows are the final-stage incentive rows
+        by surviving state, then alternative final; then the initial-stage
+        rows by alternative initial action, each ``>=`` row negated and in
+        lowest integers.  A row times its unit ``(divisor, scale)``, that is
+        times ``divisor / scale``, is minus the ``>=`` row in ``Fraction``s.
+        The objective is the expected transfer of the profile, in least
+        integers, as ``model.scale`` gives it.
+        """
         surviving = sorted(profile.finals)
         m = self.num_outcomes
         scales = self.state_scales
@@ -199,17 +211,25 @@ class _Compiled:
                 coeffs += [v * common for v in weights]
             return coeffs, sum(map(mul, w, costs)), common
 
-        rows = [row for s, j in zip(surviving, designated) for row in self.final_rows(s, j, n)]
+        rows, units = [], []
+        for s, j in zip(surviving, designated):
+            final_rows, final_units = self.final_rows(s, j, n)
+            rows += final_rows
+            units += final_units
         chosen = self.transitions[profile.initial]
         chosen_cost = self.initial_costs[profile.initial]
         for k, (other, other_cost) in enumerate(zip(self.transitions, self.initial_costs)):
             if k != profile.initial:
                 coeffs, cost, common = value([p - q for p, q in zip(chosen, other)])
-                rows.append(_lowest([-c for c in coeffs] + [(other_cost - chosen_cost) * common - cost]))
+                row, unit = _lowest(
+                    [-c for c in coeffs] + [(other_cost - chosen_cost) * common - cost], self.initial_scale * common
+                )
+                rows.append(row)
+                units.append(unit)
         coeffs, _, common = value(chosen)
         objective_scale = self.initial_scale * common
         divisor = gcd(objective_scale, *coeffs)
-        return [c // divisor for c in coeffs], objective_scale // divisor, rows, n
+        return ([c // divisor for c in coeffs], objective_scale // divisor, rows, n), units
 
 
 def _integers(vectors, actions):
@@ -220,10 +240,11 @@ def _integers(vectors, actions):
     return [list(islice(rest, len(vector))) for vector in vectors], numerators[: len(actions)], denominator
 
 
-def _lowest(row):
-    """``row`` divided by the gcd of its entries (an all-zero row as it is)."""
-    divisor = gcd(*row)
-    return row if divisor <= 1 else [v // divisor for v in row]
+def _lowest(row, row_scale):
+    """``row`` divided by the gcd of its entries (an all-zero row as it is),
+    and its unit: that gcd and ``row_scale``."""
+    divisor = gcd(*row) or 1
+    return (row if divisor == 1 else [v // divisor for v in row]), (divisor, row_scale)
 
 
 _COMPILED = "_compiled_programs"  # the instance attribute that holds its ``_Compiled``
@@ -232,47 +253,18 @@ _COMPILED = "_compiled_programs"  # the instance attribute that holds its ``_Com
 # --- minimal-payment programs -------------------------------------------------
 
 
-def _min_payment_program(instance, profile, with_state_transfers) -> LinearProgram:
-    """The profile's minimal-payment program.
-
-    The states the profile gives a final are the surviving ones.  Variables
-    are the outcome transfers, followed by one transfer per state when
-    ``with_state_transfers``.  The rows are the final-stage incentive rows by
-    surviving state, then alternative final; then the initial-stage rows by
-    alternative initial action.  The objective value is the expected transfer
-    of the profile.  Built only for ``solve_lp``; ``_Compiled.program`` gives
-    the dual simplex the same program in integers.
-    """
-    surviving = sorted(profile.finals)
-    m = instance.num_outcomes
-    n = m + (instance.num_states if with_state_transfers else 0)
-    designated = [instance.states[s].final_actions[profile.finals[s]] for s in surviving]
-    # One column per outcome, so an empty ``surviving`` still gives m of them.
-    columns = [scale([act.outcome_dist[k] for act in designated]) for k in range(m)]
-    costs = scale([act.cost for act in designated])
-
-    def value(weights):
-        """Coefficients of sum_s w_s * (expected transfer of the designated
-        final at s, plus the state transfer), and sum_s w_s * its cost."""
-        w = scale([weights[s] for s in surviving])
-        coeffs = [dot(w, column) for column in columns]
-        if with_state_transfers:
-            coeffs += weights
-        return coeffs, dot(w, costs)
-
-    rows = [
-        Constraint([p - q for p, q in zip(act.outcome_dist, other.outcome_dist)] + [_ZERO] * (n - m), ">=", act.cost - other.cost)
-        for s, act in zip(surviving, designated)
-        for j, other in enumerate(instance.states[s].final_actions)
-        if j != profile.finals[s]
-    ]
-    chosen = instance.initial_actions[profile.initial]
-    for k, other in enumerate(instance.initial_actions):
-        if k != profile.initial:
-            coeffs, cost = value([p - q for p, q in zip(chosen.transition, other.transition)])
-            rows.append(Constraint(coeffs, ">=", chosen.cost - other.cost + cost))
-    objective, _ = value(chosen.transition)
-    return LinearProgram(objective, tuple(rows))
+def _linear_program(form, units) -> LinearProgram:
+    """The program ``_Compiled.program`` gives as ``(form, units)``, as the
+    ``LinearProgram`` that ``solve_lp`` re-solves: the objective over its
+    scale, and each row times its unit, negated back into its ``>=`` row."""
+    objective, obj_scale, rows, n = form
+    return LinearProgram(
+        [Fraction(c, obj_scale) for c in objective],
+        tuple(
+            Constraint([Fraction(-v * divisor, row_scale) for v in row[:n]], ">=", Fraction(-row[n] * divisor, row_scale))
+            for row, (divisor, row_scale) in zip(rows, units)
+        ),
+    )
 
 
 def _minimal_payment(instance, profile, with_state_transfers):
@@ -288,9 +280,10 @@ def _minimal_payment(instance, profile, with_state_transfers):
     name = (with_state_transfers, profile.initial, tuple(sorted(profile.finals.items())))
     if name in programs:
         return programs[name]
-    solution = _dual_value(*compiled.program(profile, with_state_transfers))
+    form, units = compiled.program(profile, with_state_transfers)
+    solution = _dual_value(*form)
     if solution is not None and solution[1] is None:
-        result = solve_lp(_min_payment_program(instance, profile, with_state_transfers))
+        result = solve_lp(_linear_program(form, units))
         if not isinstance(result, LpOptimal) or result.objective_value != solution[0]:
             raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
         solution = (solution[0], result.x)

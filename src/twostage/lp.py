@@ -32,8 +32,7 @@ Both keep the tableau as Python ints over one common denominator ``D``, the
 determinant of the current basis.  ``solve_lp`` scales each row
 (coefficients and right-hand side), and the objective, by the least common
 multiple of its denominators with ``model.scale``, the package's one
-common-denominator kernel.  A ``Constraint`` keeps its scaled row once
-computed, so a row shared by several programs is scaled once.
+common-denominator kernel; each re-solve's program scales its own rows.
 ``_dual_value``'s caller gives each row in integers; ``contracts`` gives it
 in lowest terms, divided by the gcd of its entries, so never wider than
 ``solve_lp``'s row.  The slack and artificial columns start as
@@ -91,8 +90,7 @@ class Constraint:
     def _scaled(self) -> tuple[tuple[int, ...], int]:
         """The row's coefficients, then its right-hand side, as ``model.scale``
         integers, and their scale.  Computed on first use and kept, outside
-        equality, hashing and repr, so a row shared by many programs is scaled
-        once; a tuple, so no program can write into it."""
+        equality, hashing and repr; a tuple, so no program can write into it."""
         numerators, denominator = scale((*self.coeffs, self.rhs))
         return tuple(numerators), denominator
 

@@ -49,3 +49,25 @@ def record_programs(monkeypatch):
         return handed
 
     return record
+
+
+@pytest.fixture
+def record_linear_programs(monkeypatch):
+    """``record()`` makes ``contracts._Compiled.program`` append to the list it
+    returns, for every program it builds, the ``LinearProgram`` that
+    ``contracts._linear_program`` makes of it: the program as ``solve_lp``
+    gets it when it re-solves."""
+
+    def record():
+        built = []
+        build = contracts._Compiled.program
+
+        def recording(compiled, profile, with_state_transfers):
+            program = build(compiled, profile, with_state_transfers)
+            built.append(contracts._linear_program(*program))
+            return program
+
+        monkeypatch.setattr(contracts._Compiled, "program", recording)
+        return built
+
+    return record

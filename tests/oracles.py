@@ -22,10 +22,10 @@ are the former per-entry ``Fraction`` sums of ``agent.backward_induction``
 and ``agent._cdf_thresholds``, the references for their forms over
 ``model.scale``.  ``reference_min_payment_program``,
 ``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
-former ``Fraction`` sums of ``contracts._min_payment_program`` and of
+former ``Fraction`` sums of the ``contracts`` minimal-payment program and of
 ``welfare.profile_reward``/``profile_cost``.  ``dual_form`` is the former
 ``LinearProgram`` entry of ``lp._dual_value``, which tests use to hand it a
-program, and ``integer_program`` reads an integer form back as a program.
+program.
 """
 
 from __future__ import annotations
@@ -511,14 +511,6 @@ def dual_form(lp: LinearProgram, lowest: bool = False):
     return objective, obj_scale, rows, lp.num_variables
 
 
-def integer_program(objective, obj_scale, rows, n) -> LinearProgram:
-    """The ``LinearProgram`` that an integer form describes: each row a ``<=`` row."""
-    return LinearProgram(
-        tuple(Fraction(c, obj_scale) for c in objective),
-        tuple(Constraint(tuple(row[:n]), LESS_EQUAL, row[n]) for row in rows),
-    )
-
-
 # The size caps of the benchmark's ``evaluate`` workload (bench/inputs.py).
 EVALUATE_CAPS = {"max_states": 10, "max_initial_actions": 5, "max_final_actions": 8, "max_outcomes": 8}
 
@@ -717,8 +709,9 @@ def reference_cdf_thresholds(probabilities) -> list[int]:
 
 
 def reference_min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
-    """The program ``contracts._min_payment_program`` built before its sums went
-    through ``model.expectation``, adding one ``Fraction`` product at a time.
+    """The minimal-payment program as ``contracts`` built it in ``Fraction``s
+    before its sums went through ``model.expectation``, adding one
+    ``Fraction`` product at a time.
 
     Same rows in the same order: final rows by surviving state, then
     alternative final; then initial rows by alternative initial action.

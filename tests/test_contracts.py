@@ -199,7 +199,8 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     # Every program built for a solver -- the searches' candidates and the
     # public wrappers' profiles under every blocked set -- must equal the
     # Fraction-summing builder's.  Its LinearProgram form, which solve_lp
-    # gets, must equal it coefficient for coefficient.  Its integer form,
+    # gets and _linear_program makes from the integer form and the rows'
+    # units, must equal it coefficient for coefficient.  Its integer form,
     # which _dual_value gets, must have the reference objective in least
     # integers, and each row must be a positive multiple of the reference
     # row's <= form with no entry wider than that row's Constraint._scaled.
@@ -215,10 +216,10 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     current = None  # the instance being solved
 
     def checked_program(compiled, profile, with_state_transfers):
-        program = build(compiled, profile, with_state_transfers)
+        program, units = built_program = build(compiled, profile, with_state_transfers)
         surviving = sorted(profile.finals)
         reference = reference_min_payment_program(current, profile, surviving, with_state_transfers)
-        lp = contracts._min_payment_program(current, profile, with_state_transfers)
+        lp = contracts._linear_program(program, units)
         assert lp == reference
         objective, obj_scale, rows, n = program
         assert (objective, obj_scale) == scale(reference.objective) and n == reference.num_variables
@@ -232,7 +233,7 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
             assert all(abs(b).bit_length() <= abs(a).bit_length() for a, b in zip(scaled, row))
         built.append((program, lp))
         checked.append((with_state_transfers, len(surviving)))
-        return program
+        return built_program
 
     def reference_x(instance, profile, with_state_transfers):
         program = reference_min_payment_program(instance, profile, sorted(profile.finals), with_state_transfers)

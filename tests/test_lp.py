@@ -26,7 +26,7 @@ from twostage import (
 )
 from twostage.model import scale
 
-from oracles import dual_form, fraction_simplex, integer_program, scipy_lp_min, tie_heavy_variants
+from oracles import dual_form, fraction_simplex, scipy_lp_min, tie_heavy_variants
 
 
 def test_single_lower_bound():
@@ -338,31 +338,43 @@ def _assert_dual_value_agrees(lp, result, expected):
     return "x given"
 
 
-def _assert_optimizer_programs_match(record_programs, instances):
+def _valued_programs(handed, built):
+    """Each program ``_dual_value`` valued, as the ``LinearProgram`` built from
+    it, with ``_dual_value``'s result: the programs were built in the order
+    they were valued, one ``_dual_value`` call each."""
+    results = [result for name, _, result in handed if name == "_dual_value"]
+    assert len(results) == len(built)
+    return list(zip(built, results))
+
+
+def _assert_optimizer_programs_match(record_programs, record_linear_programs, instances):
     handed = record_programs("_dual_value", "solve_lp")
+    built = record_linear_programs()
     for inst in instances:
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
-    assert any(name == "_dual_value" for name, _, _ in handed)
-    for name, program, result in handed:
+    valued = _valued_programs(handed, built)
+    assert valued
+    for lp, result in valued:
+        _assert_dual_value_agrees(lp, result, fraction_simplex(lp))
+    for name, lp, result in handed:
         if name == "solve_lp":
-            assert result == fraction_simplex(program), program
-        else:
-            lp = integer_program(*program)
-            _assert_dual_value_agrees(lp, result, fraction_simplex(lp))
+            assert result == fraction_simplex(lp), lp
 
 
 @pytest.mark.parametrize("family,params", SEARCHED_FAMILIES)
-def test_optimizer_programs_on_families_match_the_fraction_simplex(record_programs, family, params):
-    _assert_optimizer_programs_match(record_programs, [generate(FamilyParams(family, params))])
+def test_optimizer_programs_on_families_match_the_fraction_simplex(
+    record_programs, record_linear_programs, family, params
+):
+    _assert_optimizer_programs_match(record_programs, record_linear_programs, [generate(FamilyParams(family, params))])
 
 
 @pytest.mark.parametrize(
     "kind", ["tree", "stochastic_first_stage", "deterministic_first_stage", "general"]
 )
-def test_optimizer_programs_on_random_instances_match_the_fraction_simplex(record_programs, kind):
+def test_optimizer_programs_on_random_instances_match_the_fraction_simplex(record_programs, record_linear_programs, kind):
     instances = [random_instance(kind, seed=seed) for seed in range(10)]
-    _assert_optimizer_programs_match(record_programs, instances)
+    _assert_optimizer_programs_match(record_programs, record_linear_programs, instances)
 
 
 # --- the dual simplex against the two-phase simplex ----------------------------
@@ -421,8 +433,9 @@ def test_dual_value_does_not_depend_on_the_row_scale(monkeypatch):
     assert reduced > 200, reduced
 
 
-def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs):
+def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs, record_linear_programs):
     handed = record_programs("_dual_value", "solve_lp")
+    built = record_linear_programs()
     instances = [generate(FamilyParams(family, params)) for family, params in SEARCHED_FAMILIES[:5]]
     for kind in ("tree", "stochastic_first_stage", "deterministic_first_stage", "general"):
         for seed in range(20):
@@ -432,17 +445,17 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
         for solver in (optimal_standard, optimal_pay, optimal_terminate):
             solver(inst)
     # solve_lp sees exactly the programs the dual simplex valued without an
-    # x, each once, in order: each the same objective and the same rows, up
-    # to a positive scale per row.
+    # x, each once, in order; each is the integer form it was valued in,
+    # row for row up to a positive scale per row.
+    valued = _valued_programs(handed, built)
     resolves = [lp for name, lp, _ in handed if name == "solve_lp"]
+    assert resolves == [lp for lp, result in valued if result and result[1] is None]
     without_x = [program for name, program, result in handed if name == "_dual_value" and result and result[1] is None]
-    assert len(resolves) == len(without_x)
     for lp, (objective, obj_scale, rows, n) in zip(resolves, without_x):
         assert dual_form(lp, lowest=True) == (objective, obj_scale, [list(row) for row in rows], n)
     resolved = len(resolves)
-    valued = {integer_program(*program): result for name, program, result in handed if name == "_dual_value"}
     seen = collections.Counter()
-    for lp, result in valued.items():
+    for lp, result in dict(valued).items():
         expected = solve_lp(lp)
         assert expected == fraction_simplex(lp), lp
         seen[_assert_dual_value_agrees(lp, result, expected)] += 1
