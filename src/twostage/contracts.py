@@ -39,19 +39,20 @@ exhaustive enumeration in that order keeps.  One cap, ``profiles_cap``,
 counts the whole candidate space, pruned or not, every termination set
 included.
 
-Each instance keeps one private ``_Compiled`` (``model.cached``): each
-state's distinct finals, the integer tables of its actions, each (state,
-designated final, column count)'s final-stage rows in integers, built once,
-and the value of every program solved on it,
-by a search or a wrapper.  A program is named by its profile, whose finals
-name the surviving states, and whether it has state transfers.  A terminate
-candidate that blocks no state is the standard program of the same initial
-action and finals, so ``compare``'s terminate search finds most of its
-programs already solved by its standard search.  A program taken from that
-memo still counts in ``programs_solved`` and ``infeasible_profiles``, so a
-report, counters included, does not depend on what ran before on the
-instance.  The memo holds at most the programs solved on that instance, and
-it goes with the instance (with each command, in the CLI).
+Each instance keeps one private ``_Compiled`` (``model.cached``): each state's
+distinct finals, the integer tables of its actions, each (state, designated
+final, column count)'s final-stage rows and the search's bound table with and
+without blocking, in integers and each built once (the standard and pay
+searches share a table), and the value of every program solved on it, by a
+search or a wrapper.  A program is named by its profile, whose finals name the
+surviving states, and whether it has state transfers.  A terminate candidate
+that blocks no state is the standard program of the same initial action and
+finals, so ``compare``'s terminate search finds most of its programs already
+solved by its standard search.  A program taken from that memo still counts in
+``programs_solved`` and ``infeasible_profiles``, so a report, counters
+included, does not depend on what ran before on the instance.  The memo holds
+at most the programs solved on that instance, and it goes with the instance
+(with each command, in the CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -65,7 +66,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .agent import (
@@ -127,15 +128,16 @@ class SolveReport:
 
 
 class _Compiled:
-    """An instance's distinct finals, its integer tables and solved programs.
+    """An instance's distinct finals, integer tables, bounds and solved programs.
 
     ``finals[s]`` lists state ``s``'s distinct final indices (see
     ``_distinct_final_indices``).  The integer tables, built once, hold each
     initial action's transition and cost over one denominator,
     ``initial_scale``, and each state's finals' outcome distributions and
     costs over one denominator per state.  ``rows`` maps (state, designated
-    final, column count) to that final's incentive rows and their units,
-    built on first use.  ``programs`` maps a program, named by (with state transfers, initial
+    final, column count) to that final's incentive rows and their units, and
+    ``bounds[may_block]`` is ``_search``'s ``bound_table``, each built on first
+    use.  ``programs`` maps a program, named by (with state transfers, initial
     action, sorted (state, final) pairs), to ``_minimal_payment``'s
     ``(value, x)``, or to None when infeasible.  Every entry is set once, and
     whoever sets it sets an equal value.
@@ -143,7 +145,7 @@ class _Compiled:
 
     __slots__ = (
         "finals", "num_outcomes", "initial_scale", "transitions", "initial_costs",
-        "state_scales", "outcome_dists", "final_costs", "rows", "programs",
+        "state_scales", "outcome_dists", "final_costs", "rows", "programs", "bounds",
     )
 
     def __init__(self, instance):
@@ -157,6 +159,7 @@ class _Compiled:
         )
         self.rows = {}
         self.programs = {}
+        self.bounds = [None, None]
 
     def final_rows(self, s, j, n):
         """Rows keeping final ``j`` optimal at state ``s``, over ``n`` columns:
@@ -230,6 +233,24 @@ class _Compiled:
         objective_scale = self.initial_scale * common
         divisor = gcd(objective_scale, *coeffs)
         return ([c // divisor for c in coeffs], objective_scale // divisor, rows, n), units
+
+    def bound_table(self, instance, may_block):
+        """``_search``'s ``(options, seeds, denominator)``: ``options[i][s]`` lists
+        initial action ``i``'s (bound term, final or ``_BLOCKED``) at state ``s``
+        by descending term, then option, and ``seeds[i]`` is ``-c_i`` plus each
+        first term, all over ``initial_scale`` times the finals' welfare scale."""
+        rewards, states = instance.final_rewards, instance.states
+        welfare, welfare_scale = scale(
+            [rewards[s][j] - states[s].final_actions[j].cost for s, finals in enumerate(self.finals) for j in finals]
+        )
+        welfare = iter(welfare)
+        per_state = [[(next(welfare), j) for j in finals] + [(0, _BLOCKED)] * may_block for finals in self.finals]
+        options = [
+            [sorted([(p * w, j) for w, j in row], key=lambda o: (-o[0], o[1])) for p, row in zip(transition, per_state)]
+            for transition in self.transitions
+        ]
+        seeds = [sum(row[0][0] for row in rows) - cost * welfare_scale for rows, cost in zip(options, self.initial_costs)]
+        return options, seeds, self.initial_scale * welfare_scale
 
 
 def _integers(vectors, actions):
@@ -338,35 +359,23 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
 
     A candidate is an initial action ``i`` plus one option per state: a
     distinct final ``j`` or, when ``may_block``, termination.  Its bound is
-    separable: ``-c_i + sum_s F[i,s] * (R[s,j] - c[s,j])``, a blocked
-    state adding zero.  With each state's options sorted by descending term,
-    the k-best successor rule (increment only positions at or after the last
-    one incremented) reaches every candidate exactly once and never before a
-    candidate with a larger bound, so one heap seeded with each initial
-    action's best candidate yields the space lazily in descending bound order.
+    separable: ``-c_i + sum_s F[i,s] * (R[s,j] - c[s,j])``, a blocked state
+    adding zero, in ``_Compiled.bound_table``'s integers.  With each state's
+    options sorted by descending term, the k-best successor rule (increment
+    only positions at or after the last one incremented) reaches every
+    candidate exactly once and never before a candidate with a larger bound,
+    so one heap seeded with each initial action's best candidate yields the
+    space lazily in descending bound order.
     """
     profiles_cap = _integer("profiles_cap", profiles_cap)
-    states = instance.states
     compiled = cached(instance, _COMPILED, _Compiled)
-    reps = compiled.finals
-    space = instance.num_initial_actions
-    for finals in reps:
-        space *= len(finals) + may_block
+    space = instance.num_initial_actions * prod(len(finals) + may_block for finals in compiled.finals)
     if space > profiles_cap:
         raise EnumerationCapExceeded(f"{space} profiles to enumerate exceeds the cap of {profiles_cap}")
 
     reward = instance.final_rewards
-    options = []  # options[i][s]: (bound term, final or _BLOCKED), largest term first
-    for act in instance.initial_actions:
-        rows = []
-        for s, state in enumerate(states):
-            p = act.transition[s]
-            row = [(p * (reward[s][j] - state.final_actions[j].cost), j) for j in reps[s]]
-            if may_block:
-                row.append((_ZERO, _BLOCKED))
-            row.sort(key=lambda option: (-option[0], option[1]))
-            rows.append(row)
-        options.append(rows)
+    bounds = compiled.bounds
+    options, seeds, denominator = bounds[may_block] = bounds[may_block] or compiled.bound_table(instance, may_block)
 
     # Entries are (-bound, key, positions, last incremented); keys are unique
     # and order candidates as an exhaustive enumeration visits them.
@@ -378,16 +387,15 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         finals = tuple(j for j in picks if j != _BLOCKED)
         heapq.heappush(heap, (-bound, (len(blocked), blocked, i, finals), positions, last))
 
-    for i, act in enumerate(instance.initial_actions):
-        top = sum((row[0][0] for row in options[i]), _ZERO)
-        push(top - act.cost, i, (0,) * len(states), 0)
+    for i, seed in enumerate(seeds):
+        push(seed, i, (0,) * instance.num_states, 0)
 
-    best = None  # (profit, key, x)
+    best = None  # (profit, key, x); the profit times the denominator is numerator / divisor
     solved = infeasible = 0
     while heap:
         neg_bound, key, positions, last = heapq.heappop(heap)
         bound = -neg_bound
-        if best is not None and bound < best[0]:
+        if best is not None and bound * divisor < numerator:
             break
         _, blocked, i, finals = key
         rows = options[i]
@@ -396,9 +404,9 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
             if k < len(rows[s]):
                 step = rows[s][k][0] - rows[s][k - 1][0]
                 push(bound + step, i, positions[:s] + (k,) + positions[s + 1 :], s)
-        if best is not None and bound == best[0] and key > best[1]:
+        if best is not None and bound * divisor == numerator and key > best[1]:
             continue  # it can at best tie, and ties keep the earlier candidate
-        surviving = [s for s in range(len(states)) if s not in blocked]
+        surviving = [s for s in range(instance.num_states) if s not in blocked]
         profile = ActionProfile(i, dict(zip(surviving, finals)))
         solution = _minimal_payment(instance, profile, with_state_transfers)
         solved += 1
@@ -408,6 +416,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         profit = _profile_expectation(instance, profile, lambda s, j: reward[s][j]) - solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
             best = (profit, key, solution[1])
+            numerator, divisor = (profit * denominator).as_integer_ratio()
 
     if best is None:
         raise SolverInvariantError("no candidate profile is incentivizable")
@@ -422,7 +431,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         profit=profit,
         welfare=max_welfare(instance).max_welfare,
         profiles_enumerated=space,
-        termination_sets_enumerated=2 ** len(states) if may_block else 0,
+        termination_sets_enumerated=2 ** instance.num_states if may_block else 0,
         infeasible_profiles=infeasible,
         programs_solved=solved,
     )

@@ -32,7 +32,7 @@ Both keep the tableau as Python ints over one common denominator ``D``, the
 determinant of the current basis.  ``solve_lp`` scales each row
 (coefficients and right-hand side), and the objective, by the least common
 multiple of its denominators with ``model.scale``, the package's one
-common-denominator kernel; each re-solve's program scales its own rows.
+common-denominator kernel, anew on every solve (nothing keeps a scaled row).
 ``_dual_value``'s caller gives each row in integers; ``contracts`` gives it
 in lowest terms, divided by the gcd of its entries, so never wider than
 ``solve_lp``'s row.  The slack and artificial columns start as
@@ -57,7 +57,6 @@ them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -85,14 +84,6 @@ class Constraint:
         object.__setattr__(self, "rhs", _rational(self.rhs))
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-
-    @functools.cached_property
-    def _scaled(self) -> tuple[tuple[int, ...], int]:
-        """The row's coefficients, then its right-hand side, as ``model.scale``
-        integers, and their scale.  Computed on first use and kept, outside
-        equality, hashing and repr; a tuple, so no program can write into it."""
-        numerators, denominator = scale((*self.coeffs, self.rhs))
-        return tuple(numerators), denominator
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # integers, and negate rows with a negative right-hand side.
     rows = []  # (integer coefficients then rhs, relation, origin, scale times sign)
     for idx, c in enumerate(lp.constraints):
-        values, row_scale = c._scaled
+        values, row_scale = scale((*c.coeffs, c.rhs))
         for rel in (LESS_EQUAL, GREATER_EQUAL) if c.relation == EQUAL else (c.relation,):
             if c.rhs < 0:
                 rows.append(([-v for v in values], _FLIPPED[rel], idx, -row_scale))

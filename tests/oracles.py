@@ -23,7 +23,8 @@ and ``agent._cdf_thresholds``, the references for their forms over
 ``model.scale``.  ``reference_min_payment_program``,
 ``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
 former ``Fraction`` sums of the ``contracts`` minimal-payment program and of
-``welfare.profile_reward``/``profile_cost``.  ``dual_form`` is the former
+``welfare.profile_reward``/``profile_cost``, and ``reference_bound_table``
+of ``contracts._Compiled.bound_table``.  ``dual_form`` is the former
 ``LinearProgram`` entry of ``lp._dual_value``, which tests use to hand it a
 program.
 """
@@ -173,6 +174,17 @@ def reference_max_welfare(instance) -> WelfareReport:
     return WelfareReport(best_welfare, profile, tuple(per_state))
 
 
+def distinct_finals(instance):
+    """Each state's lowest final index of each (cost, distribution), ascending."""
+    distinct = []
+    for state in instance.states:
+        seen = {}
+        for j, act in enumerate(state.final_actions):
+            seen.setdefault((act.cost, act.outcome_dist), j)
+        distinct.append(sorted(seen.values()))
+    return distinct
+
+
 def exhaustive_optimum(instance, kind):
     """(contract, profit) of the first best candidate in enumeration order.
 
@@ -181,12 +193,7 @@ def exhaustive_optimum(instance, kind):
     in lexicographic order over each state's distinct finals (lowest index of
     each cost and distribution).  Strict ``>`` keeps the first of equals.
     """
-    distinct = []
-    for state in instance.states:
-        seen = {}
-        for j, act in enumerate(state.final_actions):
-            seen.setdefault((act.cost, act.outcome_dist), j)
-        distinct.append(sorted(seen.values()))
+    distinct = distinct_finals(instance)
     states = range(instance.num_states)
     best = None
     for size in range(instance.num_states + 1 if kind == "terminate" else 1):
@@ -495,13 +502,14 @@ def fraction_simplex(lp: LinearProgram) -> LpResult:
 def dual_form(lp: LinearProgram, lowest: bool = False):
     """``lp`` in ``lp._dual_value``'s integer form, as that function read a
     ``LinearProgram`` before the searches built the form themselves: the
-    objective by ``scale``, then each row's ``Constraint._scaled`` integers in
-    ``<=`` form (``>=`` rows negated, ``==`` rows as both), then the column
-    count.  With ``lowest`` each row is divided by the gcd of its entries."""
+    objective by ``scale``, then each row's coefficients and right-hand side
+    by ``scale``, in ``<=`` form (``>=`` rows negated, ``==`` rows as both),
+    then the column count.  With ``lowest`` each row is divided by the gcd of
+    its entries."""
     objective, obj_scale = scale(lp.objective)
     rows = []
     for c in lp.constraints:
-        values, _ = c._scaled
+        values, _ = scale((*c.coeffs, c.rhs))
         if c.relation != GREATER_EQUAL:
             rows.append(list(values))
         if c.relation != LESS_EQUAL:
@@ -768,3 +776,30 @@ def reference_profile_cost(instance, profile) -> Fraction:
         if p:
             total += p * instance.states[s].final_actions[profile.finals[s]].cost
     return total
+
+
+BLOCKED = -1  # a blocked state's option in ``reference_bound_table``
+
+
+def reference_bound_table(instance, may_block):
+    """The search's bound table as ``contracts._search`` built it in
+    ``Fraction``s before ``_Compiled`` kept it in integers: ``options[i][s]``
+    lists initial action i's options at state s, (F[i,s] * (R[s,j] - c[s,j]),
+    distinct final j), plus (0, ``BLOCKED``) when ``may_block``, by descending
+    term, then option; ``seeds[i]`` is each state's first term summed, minus
+    c_i."""
+    reward = instance.final_rewards
+    distinct = distinct_finals(instance)
+    options = []
+    for act in instance.initial_actions:
+        rows = []
+        for s, state in enumerate(instance.states):
+            p = act.transition[s]
+            row = [(p * (reward[s][j] - state.final_actions[j].cost), j) for j in distinct[s]]
+            if may_block:
+                row.append((ZERO, BLOCKED))
+            row.sort(key=lambda option: (-option[0], option[1]))
+            rows.append(row)
+        options.append(rows)
+    seeds = [sum((row[0][0] for row in rows), ZERO) - act.cost for rows, act in zip(options, instance.initial_actions)]
+    return options, seeds

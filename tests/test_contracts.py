@@ -36,6 +36,8 @@ from twostage import (
     optimal_standard,
     optimal_terminate,
     pay_to_standard_tree,
+    profile_cost,
+    profile_reward,
     random_instance,
     reduce_deterministic,
     State,
@@ -53,12 +55,16 @@ from twostage.generators import (
 )
 
 from oracles import (
+    BLOCKED,
+    distinct_finals,
     dual_form,
     exhaustive_optimum,
     fraction_simplex,
     incentive_program,
     iter_profiles,
     lattice_min_payment_standard,
+    profile_value,
+    reference_bound_table,
     reference_min_payment_program,
     scipy_lp_min,
     tie_heavy_variants,
@@ -203,7 +209,7 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     # units, must equal it coefficient for coefficient.  Its integer form,
     # which _dual_value gets, must have the reference objective in least
     # integers, and each row must be a positive multiple of the reference
-    # row's <= form with no entry wider than that row's Constraint._scaled.
+    # row's <= form with no entry wider than that row by model.scale.
     # Each goes to _dual_value once, and to solve_lp right after it only
     # where the dual simplex gave no x.  Every contract a wrapper returns
     # carries the reference simplex's x for the reference program, so the
@@ -775,6 +781,147 @@ def test_scaling_rewards_and_costs_scales_every_optimum(factor):
                     checked += 1
                 linear, scaled_linear = optimal_linear(inst), optimal_linear(scaled)
                 assert (scaled_linear.alpha, scaled_linear.profit) == (linear.alpha, factor * linear.profit)
+    assert checked == 4 * 15 * 5 * 3
+
+
+KINDS = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
+
+
+def _bound_table(inst, may_block):
+    """The search's table for ``inst``, as a fresh ``_Compiled`` builds it."""
+    return contracts._Compiled(inst).bound_table(inst, may_block)
+
+
+def test_bound_table_matches_the_fraction_reference():
+    # Every term and seed is the Fraction bound times the one denominator,
+    # an int, and the options come in the Fraction table's order.
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    for kind in KINDS:
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    checked = 0
+    for inst in instances:
+        for may_block in (False, True):
+            options, seeds, denominator = _bound_table(inst, may_block)
+            reference_options, reference_seeds = reference_bound_table(inst, may_block)
+            assert type(denominator) is int and denominator > 0
+            assert all(type(seed) is int for seed in seeds)
+            assert seeds == [seed * denominator for seed in reference_seeds]
+            assert len(options) == len(reference_options)
+            for rows, reference_rows in zip(options, reference_options):
+                assert [[j for _, j in row] for row in rows] == [[j for _, j in row] for row in reference_rows]
+                for row, reference_row in zip(rows, reference_rows):
+                    assert all(type(term) is int for term, _ in row)
+                    assert [term for term, _ in row] == [term * denominator for term, _ in reference_row]
+            checked += 1
+    assert checked == 2 * (5 + 4 * 20 * 5)
+
+
+def test_every_candidate_bound_is_its_welfare_and_at_least_its_profit():
+    # Enumerate every candidate of the three searches: the table's bound for
+    # it, its seed plus each state's step down from its first option, over
+    # the denominator, is its welfare (a blocked state adds 0), and where
+    # its program is feasible it is at least the candidate's profit.
+    instances = []
+    for kind in KINDS:
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *(tie_heavy_variants(inst) if seed % 5 == 0 else [])]
+    candidates = feasible = 0
+    for inst, search in itertools.product(instances, ("standard", "pay", "terminate")):
+        states = range(inst.num_states)
+        zero = (F(0),) * inst.num_outcomes
+        options, seeds, denominator = _bound_table(inst, search == "terminate")
+        picks_by_state = [finals + ([BLOCKED] if search == "terminate" else []) for finals in distinct_finals(inst)]
+        for i, rows in enumerate(options):
+            steps = [{j: term - row[0][0] for term, j in row} for row in rows]
+            for picks in itertools.product(*picks_by_state):
+                bound = seeds[i] + sum(steps[s][j] for s, j in enumerate(picks))
+                blocked = frozenset(s for s in states if picks[s] == BLOCKED)
+                profile = ActionProfile(i, {s: j for s, j in enumerate(picks) if j != BLOCKED})
+                utility, _, reward = profile_value(inst, TerminateHalfwayContract(zero, blocked), profile)
+                assert F(bound, denominator) == utility + reward, (search, profile, inst)
+                if not blocked:
+                    assert utility + reward == profile_reward(inst, profile) - profile_cost(inst, profile)
+                if search == "standard":
+                    contract = min_payment_standard(inst, profile)
+                elif search == "pay":
+                    contract = min_payment_pay(inst, profile)
+                else:
+                    contract = min_payment_terminate(inst, blocked, profile)
+                candidates += 1
+                if contract is not None:
+                    assert bound >= profile_value(inst, contract, profile)[2] * denominator, (search, profile, inst)
+                    feasible += 1
+    assert candidates > feasible > 4000
+
+
+def test_compare_builds_two_bound_tables_per_instance(monkeypatch, tmp_path):
+    # The standard and pay searches share one table, the terminate search
+    # builds the other, and the min_payment_* wrappers build none.
+    built = []
+    build = contracts._Compiled.bound_table
+    monkeypatch.setattr(
+        contracts._Compiled, "bound_table", lambda self, inst, may_block: built.append(may_block) or build(self, inst, may_block)
+    )
+    for family, params in SEPARATION_FAMILIES:
+        inst = generate(FamilyParams(family, params))
+        every_state = range(inst.num_states)
+        rng = random.Random(family)
+        min_payment_standard(inst, _random_profile(rng, inst, every_state))
+        min_payment_pay(inst, _random_profile(rng, inst, every_state))
+        min_payment_terminate(inst, [0], _random_profile(rng, inst, every_state[1:]))
+        assert built == []
+        path = tmp_path / f"{family}.json"
+        path.write_text(instance_to_json(inst))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", str(path)]) == 0
+        assert built == [False, True], family
+        built.clear()
+
+
+def _permuted(inst, rng):
+    """``inst`` with its outcomes, states, initial actions and each state's
+    finals relabelled by permutations drawn from ``rng``."""
+
+    def order(n):
+        return rng.sample(range(n), n)
+
+    outcomes, states = order(inst.num_outcomes), order(inst.num_states)
+    return Instance(
+        tuple(inst.rewards[k] for k in outcomes),
+        tuple(
+            InitialAction(a.name, a.cost, tuple(a.transition[s] for s in states))
+            for a in (inst.initial_actions[i] for i in order(inst.num_initial_actions))
+        ),
+        tuple(
+            State(
+                state.name,
+                tuple(
+                    FinalAction(a.name, a.cost, tuple(a.outcome_dist[k] for k in outcomes))
+                    for a in (state.final_actions[j] for j in order(len(state.final_actions)))
+                ),
+            )
+            for state in (inst.states[s] for s in states)
+        ),
+    )
+
+
+def test_relabelling_keeps_every_optimal_profit():
+    # Profits do not depend on the labels, though the tie-broken contracts may.
+    rng = random.Random("relabel")
+    checked = 0
+    for kind in KINDS:
+        for seed in range(15):
+            base = random_instance(kind, seed=seed)
+            for inst in [base, *tie_heavy_variants(base)]:
+                permuted = _permuted(inst, rng)
+                for solver in (optimal_standard, optimal_pay, optimal_terminate):
+                    report, permuted_report = solver(inst), solver(permuted)
+                    assert (permuted_report.profit, permuted_report.welfare) == (report.profit, report.welfare)
+                    checked += 1
+                assert optimal_linear(permuted).profit == optimal_linear(inst).profit
     assert checked == 4 * 15 * 5 * 3
 
 

@@ -50,7 +50,7 @@ def test_the_tableau_and_the_answers_are_plain_ints():
         Constraint((F(1), F(-1)), "==", F(0)),
     )
     for row in rows:
-        numerators, denominator = row._scaled
+        numerators, denominator = scale((*row.coeffs, row.rhs))
         assert all(type(v) is int for v in (*numerators, denominator))
     program = LinearProgram((F(1), F(2)), rows)
     result = solve_lp(program)
@@ -244,28 +244,24 @@ def test_zero_rhs_inequalities():
 
 
 def test_rows_shared_by_programs_are_scaled_once_and_never_written():
-    # A Constraint keeps its scaled integer row for every program it is in,
-    # so solve_lp must negate, split and pad copies of it, never the row.
+    # Programs that share a Constraint must not change one another: solve_lp
+    # negates, splits and pads copies of its scaled row, whatever the order.
     def build():
         flipped = Constraint((F(-1, 2), F(-1, 3)), "<=", F(-3, 4))  # negated on entry
         equal = Constraint((F(2, 3), F(-1)), "==", F(-1, 6))  # split, then negated
-        programs = [
+        return [
             LinearProgram((F(1), F(1)), (flipped,)),
             LinearProgram((F(2), F(1)), (flipped, equal)),
             LinearProgram((F(1), F(3)), (equal,)),
         ]
-        return (flipped, equal), programs
 
-    expected = [fraction_simplex(lp) for lp in build()[1]]
+    expected = [fraction_simplex(lp) for lp in build()]
     assert all(isinstance(result, LpOptimal) for result in expected)
     for order in itertools.permutations(range(3)):
-        rows, programs = build()
+        programs = build()
         for _ in range(2):
             for k in order:
                 assert solve_lp(programs[k]) == expected[k], order
-        for row in rows:
-            values, denominator = row._scaled
-            assert (list(values), denominator) == scale((*row.coeffs, row.rhs))
 
 
 def test_determinism():
@@ -410,9 +406,9 @@ def test_dual_value_matches_both_simplexes_on_random_programs():
 
 def test_dual_value_does_not_depend_on_the_row_scale(monkeypatch):
     # The searches hand _dual_value each row in lowest integers, not as
-    # Constraint._scaled.  A positive row scale must not change a pivot, so
+    # model.scale gives it.  A positive row scale must not change a pivot, so
     # the value, x and infeasibility stay the same with each row as
-    # Constraint._scaled, divided by its gcd, or times a random factor.
+    # model.scale gives it, divided by its gcd, or times a random factor.
     pivots = []
     pivot = lp_module._pivot
     monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args[2:4]) or pivot(*args))
