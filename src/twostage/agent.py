@@ -12,11 +12,12 @@ transfers is what ``best_response`` and ``simulate`` hand the induction;
 ``welfare.max_welfare`` hands it full-reward transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
-sample statistics over exactly-sampled episodes.  Every expected value and
-cumulative probability comes from ``model.scale`` and ``model.expectation``,
-a given profile's values through ``_profile_expectation``, and each state's
-choice of final compares integers over one denominator.  Each entry refuses
-an invalid instance when it first reads ``Instance.final_rewards``.
+sample statistics over exactly-sampled episodes.  Every probability comes
+from the instance's integer view, ``model.integers``, and every expected
+value is one ``model.dot`` of its row with values from ``model.scale``, a
+given profile's through ``_profile_expectation``.  Each state's choice of
+final compares integers over one denominator.  Each entry refuses an
+invalid instance when it first reads the view.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .model import (
     TerminateHalfwayContract,
     _check_final,
     _integer,
-    expectation,
+    dot,
+    integers,
     scale,
 )
 
@@ -116,10 +118,10 @@ def _contract_pieces(instance: Instance, contract: Contract):
     if len(transfers) != m:
         raise ValueError(f"contract has {len(transfers)} transfers, instance has {m} outcomes")
     if final_transfers is None:
-        scaled = scale(transfers)
+        view, scaled = integers(instance), scale(transfers)
         final_transfers = [
-            None if s in terminated else [expectation(act.outcome_dist, scaled) for act in state.final_actions]
-            for s, state in enumerate(instance.states)
+            None if s in terminated else [dot((dist, denominator), scaled) for dist in dists]
+            for s, (dists, denominator) in enumerate(zip(view.outcome_dists, view.state_scales))
         ]
     return transfers, state_transfers, terminated, final_transfers
 
@@ -186,21 +188,19 @@ def backward_induction(instance: Instance, final_transfers, state_transfers) -> 
         state_utility[s], state_profit[s] = Fraction(utility, denominator), Fraction(profit, denominator)
         state_payment[s] = row[-minus_j]
 
+    view = integers(instance)
     agent_values = scale([u + st for u, st in zip(state_utility, state_transfers)])
     principal_values = scale([v - st for v, st in zip(state_profit, state_transfers)])
-    best_i = None
-    for i, act in enumerate(instance.initial_actions):
-        utility = expectation(act.transition, agent_values) - act.cost
-        profit = expectation(act.transition, principal_values)
-        if best_i is None or (utility, profit) > (best_i[1], best_i[2]):
-            best_i = (i, utility, profit)
-
-    chosen, agent_utility, principal_profit = best_i
+    agent_utility, principal_profit, minus_i = max(
+        (dot((t, view.initial_scale), agent_values) - act.cost, dot((t, view.initial_scale), principal_values), -i)
+        for i, (act, t) in enumerate(zip(instance.initial_actions, view.transitions))
+    )
+    chosen = -minus_i
     payments = scale([t + st for t, st in zip(state_payment, state_transfers)])
     return BestResponse(
         profile=ActionProfile(chosen, finals),
         agent_utility=agent_utility,
-        expected_payment=expectation(instance.initial_actions[chosen].transition, payments),
+        expected_payment=dot((view.transitions[chosen], view.initial_scale), payments),
         principal_profit=principal_profit,
         per_state_utility=tuple(state_utility),
     )
@@ -228,19 +228,20 @@ def evaluate_profile(
 def _profile_expectation(instance: Instance, profile: ActionProfile, value) -> Fraction:
     """Expected ``value(s, profile.finals[s])`` over the states the profile
     names that its initial action reaches; no final is read at the others."""
-    transition = instance.initial_actions[profile.initial].transition
+    view = integers(instance)
+    transition = view.transitions[profile.initial]
     reached = [s for s in profile.finals if transition[s]]
-    return expectation([transition[s] for s in reached], scale([value(s, profile.finals[s]) for s in reached]))
+    weights = ([transition[s] for s in reached], view.initial_scale)
+    return dot(weights, scale([value(s, profile.finals[s]) for s in reached]))
 
 
-def _cdf_thresholds(probabilities) -> list[int]:
-    """64-bit integer thresholds for exact inverse-CDF sampling.
+def _cdf_thresholds(numerators, denominator) -> list[int]:
+    """64-bit integer thresholds for exact inverse-CDF sampling of ``numerators[k] / denominator``.
 
     A uniform draw u in [0, 2**64) selects the first category k with
     u < ceil(C_k * 2**64); comparisons against the exact rational CDF are
     thereby integer-exact, with per-category bias below 2**-64.
     """
-    numerators, denominator = scale(probabilities)
     return [-((-cum << 64) // denominator) for cum in accumulate(numerators)]
 
 
@@ -273,27 +274,27 @@ def simulate(
         raise ValueError("episodes must be a positive integer")
     transfers, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)
     response = backward_induction(instance, final_transfers, state_transfers)
-    init = instance.initial_actions[response.profile.initial]
+    view, chosen = integers(instance), response.profile.initial
 
-    state_thresholds = _cdf_thresholds(init.transition)
+    state_thresholds = _cdf_thresholds(view.transitions[chosen], view.initial_scale)
     # Per state, None if terminated: the outcome thresholds of the chosen final
     # and each outcome's (profit, profit squared, payment).  A category of
     # probability 0 shares the previous threshold, is never drawn, and is None.
     tables: list[tuple[list[int], list[tuple[float, float, float] | None]] | None] = []
-    for s, (reach, state_transfer) in enumerate(zip(init.transition, state_transfers)):
+    for s, (reach, state_transfer) in enumerate(zip(view.transitions[chosen], state_transfers)):
         if s in terminated or not reach:
             tables.append(None)
             continue
-        act = instance.states[s].final_actions[response.profile.finals[s]]
+        dist = view.outcome_dists[s][response.profile.finals[s]]
         outcomes = []
-        for k, (p, r, t) in enumerate(zip(act.outcome_dist, instance.rewards, transfers)):
+        for k, (p, r, t) in enumerate(zip(dist, instance.rewards, transfers)):
             if not p:
                 outcomes.append(None)
                 continue
             where = f"outcome {k} at state {s}"
             profit = _float(r - t - state_transfer, f"the profit of {where}", squared=True)
             outcomes.append((profit, profit * profit, _float(t + state_transfer, f"the payment of {where}")))
-        tables.append((_cdf_thresholds(act.outcome_dist), outcomes))
+        tables.append((_cdf_thresholds(dist, view.state_scales[s]), outcomes))
 
     draw = random.Random(seed).getrandbits
     bisect = bisect_right

@@ -14,9 +14,9 @@ wrapper's, is valued by ``_minimal_payment``, through ``lp._dual_value``: the
 objective's coefficients are expected transfers, none negative on a valid
 instance.  ``_Compiled.program`` builds it in the integer form that
 ``_dual_value`` takes, with no ``Fraction``: each expected-value coefficient
-is one integer dot product of the initial actions' transitions, over one
-denominator, with the designated finals' outcome columns or costs, over one
-denominator per state, and each row is divided by the gcd of its entries.
+is one integer dot product of the initial actions' transitions with the
+designated finals' outcome columns or costs, all read from the instance's
+integer view, ``model.integers``; each row is divided by its entries' gcd.
 Each row keeps its unit, the factor that turns it back into its ``>=`` row
 in ``Fraction``s.  A program ``_dual_value`` gives no ``x`` is built from
 that form and those units as a ``LinearProgram`` by ``_linear_program``,
@@ -40,19 +40,19 @@ counts the whole candidate space, pruned or not, every termination set
 included.
 
 Each instance keeps one private ``_Compiled`` (``model.cached``): each state's
-distinct finals, the integer tables of its actions, each (state, designated
-final, column count)'s final-stage rows and the search's bound table with and
-without blocking, in integers and each built once (the standard and pay
-searches share a table), and the value of every program solved on it, by a
-search or a wrapper.  A program is named by its profile, whose finals name the
-surviving states, and whether it has state transfers.  A terminate candidate
-that blocks no state is the standard program of the same initial action and
-finals, so ``compare``'s terminate search finds most of its programs already
-solved by its standard search.  A program taken from that memo still counts in
-``programs_solved`` and ``infeasible_profiles``, so a report, counters
-included, does not depend on what ran before on the instance.  The memo holds
-at most the programs solved on that instance, and it goes with the instance
-(with each command, in the CLI).
+distinct finals, each (state, designated final, column count)'s final-stage
+rows and the search's bound table with and without blocking, in integers and
+each built once (the standard and pay searches share a table), and the value
+of every program solved on it, by a search or a wrapper.  A program is named
+by its profile, whose finals name the surviving states, and whether it has
+state transfers.  A terminate candidate that blocks no state is the standard
+program of the same initial action and finals, so ``compare``'s terminate
+search finds most of its programs already solved by its standard search.  A
+program taken from that memo still counts in ``programs_solved`` and
+``infeasible_profiles``, so a report, counters included, does not depend on
+what ran before on the instance.  The memo holds at most the programs solved
+on that instance, and it goes with the instance (with each command, in the
+CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -65,7 +65,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -87,6 +86,7 @@ from .model import (
     _terminate_set,
     cached,
     classify,
+    integers,
     require_valid,
     scale,
 )
@@ -128,35 +128,26 @@ class SolveReport:
 
 
 class _Compiled:
-    """An instance's distinct finals, integer tables, bounds and solved programs.
+    """An instance's distinct finals, rows, bounds and solved programs.
 
-    ``finals[s]`` lists state ``s``'s distinct final indices (see
-    ``_distinct_final_indices``).  The integer tables, built once, hold each
-    initial action's transition and cost over one denominator,
-    ``initial_scale``, and each state's finals' outcome distributions and
-    costs over one denominator per state.  ``rows`` maps (state, designated
-    final, column count) to that final's incentive rows and their units, and
-    ``bounds[may_block]`` is ``_search``'s ``bound_table``, each built on first
-    use.  ``programs`` maps a program, named by (with state transfers, initial
-    action, sorted (state, final) pairs), to ``_minimal_payment``'s
-    ``(value, x)``, or to None when infeasible.  Every entry is set once, and
-    whoever sets it sets an equal value.
+    ``view`` is the instance's integer view, ``model.integers``, which
+    refuses an invalid instance, and ``finals[s]`` lists state ``s``'s
+    distinct final indices (see ``_distinct_final_indices``).  ``rows`` maps
+    (state, designated final, column count) to that final's incentive rows
+    and their units, and ``bounds[may_block]`` is ``_search``'s
+    ``bound_table``, each built on first use.  ``programs`` maps a program,
+    named by (with state transfers, initial action, sorted (state, final)
+    pairs), to ``_minimal_payment``'s ``(value, x)``, or to None when
+    infeasible.  Every entry is set once, and whoever sets it sets an equal
+    value.
     """
 
-    __slots__ = (
-        "finals", "num_outcomes", "initial_scale", "transitions", "initial_costs",
-        "state_scales", "outcome_dists", "final_costs", "rows", "programs", "bounds",
-    )
+    __slots__ = ("view", "finals", "num_outcomes", "rows", "programs", "bounds")
 
     def __init__(self, instance):
-        require_valid(instance)
+        self.view = integers(instance)
         self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
         self.num_outcomes = instance.num_outcomes
-        actions = instance.initial_actions
-        self.transitions, self.initial_costs, self.initial_scale = _integers([a.transition for a in actions], actions)
-        self.outcome_dists, self.final_costs, self.state_scales = zip(
-            *[_integers([a.outcome_dist for a in state.final_actions], state.final_actions) for state in instance.states]
-        )
         self.rows = {}
         self.programs = {}
         self.bounds = [None, None]
@@ -169,10 +160,10 @@ class _Compiled:
         key = (s, j, n)
         built = self.rows.get(key)
         if built is None:
-            dists, costs = self.outcome_dists[s], self.final_costs[s]
+            dists, costs = self.view.outcome_dists[s], self.view.final_costs[s]
             act, cost, pad = dists[j], costs[j], [0] * (n - self.num_outcomes)
             rows = [
-                _lowest([q - p for p, q in zip(act, other)] + pad + [other_cost - cost], self.state_scales[s])
+                _lowest([q - p for p, q in zip(act, other)] + pad + [other_cost - cost], self.view.state_scales[s])
                 for other, other_cost in zip(dists[:j] + dists[j + 1 :], costs[:j] + costs[j + 1 :])
             ]
             built = self.rows[key] = tuple(tuple(row) for row, _ in rows), tuple(unit for _, unit in rows)
@@ -194,13 +185,13 @@ class _Compiled:
         integers, as ``model.scale`` gives it.
         """
         surviving = sorted(profile.finals)
-        m = self.num_outcomes
-        scales = self.state_scales
+        m, view = self.num_outcomes, self.view
+        scales = view.state_scales
         n = m + (len(scales) if with_state_transfers else 0)
         designated = [profile.finals[s] for s in surviving]
         # One column per outcome, so an empty ``surviving`` still gives m of them.
-        columns = list(zip(*[self.outcome_dists[s][j] for s, j in zip(surviving, designated)])) or [()] * m
-        costs = [self.final_costs[s][j] for s, j in zip(surviving, designated)]
+        columns = list(zip(*[view.outcome_dists[s][j] for s, j in zip(surviving, designated)])) or [()] * m
+        costs = [view.final_costs[s][j] for s, j in zip(surviving, designated)]
 
         def value(weights):
             """``initial_scale * common`` times the coefficients of sum_s w_s *
@@ -219,18 +210,18 @@ class _Compiled:
             final_rows, final_units = self.final_rows(s, j, n)
             rows += final_rows
             units += final_units
-        chosen = self.transitions[profile.initial]
-        chosen_cost = self.initial_costs[profile.initial]
-        for k, (other, other_cost) in enumerate(zip(self.transitions, self.initial_costs)):
+        chosen = view.transitions[profile.initial]
+        chosen_cost = view.initial_costs[profile.initial]
+        for k, (other, other_cost) in enumerate(zip(view.transitions, view.initial_costs)):
             if k != profile.initial:
                 coeffs, cost, common = value([p - q for p, q in zip(chosen, other)])
                 row, unit = _lowest(
-                    [-c for c in coeffs] + [(other_cost - chosen_cost) * common - cost], self.initial_scale * common
+                    [-c for c in coeffs] + [(other_cost - chosen_cost) * common - cost], view.initial_scale * common
                 )
                 rows.append(row)
                 units.append(unit)
         coeffs, _, common = value(chosen)
-        objective_scale = self.initial_scale * common
+        objective_scale = view.initial_scale * common
         divisor = gcd(objective_scale, *coeffs)
         return ([c // divisor for c in coeffs], objective_scale // divisor, rows, n), units
 
@@ -239,7 +230,7 @@ class _Compiled:
         initial action ``i``'s (bound term, final or ``_BLOCKED``) at state ``s``
         by descending term, then option, and ``seeds[i]`` is ``-c_i`` plus each
         first term, all over ``initial_scale`` times the finals' welfare scale."""
-        rewards, states = instance.final_rewards, instance.states
+        rewards, states, view = instance.final_rewards, instance.states, self.view
         welfare, welfare_scale = scale(
             [rewards[s][j] - states[s].final_actions[j].cost for s, finals in enumerate(self.finals) for j in finals]
         )
@@ -247,18 +238,10 @@ class _Compiled:
         per_state = [[(next(welfare), j) for j in finals] + [(0, _BLOCKED)] * may_block for finals in self.finals]
         options = [
             [sorted([(p * w, j) for w, j in row], key=lambda o: (-o[0], o[1])) for p, row in zip(transition, per_state)]
-            for transition in self.transitions
+            for transition in view.transitions
         ]
-        seeds = [sum(row[0][0] for row in rows) - cost * welfare_scale for rows, cost in zip(options, self.initial_costs)]
-        return options, seeds, self.initial_scale * welfare_scale
-
-
-def _integers(vectors, actions):
-    """``(vectors, costs, denominator)``: ``vectors`` and the ``actions``'
-    costs as ``model.scale`` integers over their one least denominator."""
-    numerators, denominator = scale([*(a.cost for a in actions), *(v for vector in vectors for v in vector)])
-    rest = iter(numerators[len(actions) :])
-    return [list(islice(rest, len(vector))) for vector in vectors], numerators[: len(actions)], denominator
+        seeds = [sum(row[0][0] for row in rows) - cost * welfare_scale for rows, cost in zip(options, view.initial_costs)]
+        return options, seeds, view.initial_scale * welfare_scale
 
 
 def _lowest(row, row_scale):
@@ -472,9 +455,9 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     require_valid(instance)
     if not classify(instance).is_tree:
         raise ValueError("instance is not a tree process")
-    transfers, state_transfers, _, _ = _contract_pieces(instance, pay)
     if not isinstance(pay, PayHalfwayContract):
         raise TypeError(f"pay_to_standard_tree folds a PayHalfwayContract, not a {type(pay).__name__}")
+    transfers, state_transfers, _, _ = _contract_pieces(instance, pay)
     pred: dict[int, int] = {}
     for s, state in enumerate(instance.states):
         for act in state.final_actions:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .agent import _check_linear_rewards, best_response
 from .lp import SolverInvariantError
-from .model import ActionProfile, Instance, LinearContract, _check_state, expectation, scale
+from .model import ActionProfile, Instance, LinearContract, _check_state, dot, integers, scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -151,6 +151,7 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
         raise SolverInvariantError(f"no final-action segment of a state contains alpha {alpha}")
 
     boundaries = [_ZERO, *sorted(final_knees), _ONE]
+    view = integers(instance)
     segments: list[Segment] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         mid = (lo + hi) / 2
@@ -158,8 +159,8 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
         chosen = [state_lines[s][j] for s, j in finals.items()]
         rewards, neg_costs = scale([line[0] for line in chosen]), scale([line[1] for line in chosen])
         lines = [
-            (expectation(act.transition, rewards), expectation(act.transition, neg_costs) - act.cost, i)
-            for i, act in enumerate(instance.initial_actions)
+            (dot((t, view.initial_scale), rewards), dot((t, view.initial_scale), neg_costs) - act.cost, i)
+            for i, (act, t) in enumerate(zip(instance.initial_actions, view.transitions))
         ]
         _, initial_segs = _upper_envelope(lines, lo, hi)
         for seg_lo, seg_hi, i in initial_segs:

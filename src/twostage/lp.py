@@ -51,8 +51,8 @@ by a positive factor; phase 1 weights each artificial by the reciprocal of
 its row's scale to match.  So every reduced cost keeps its sign, every ratio
 test its minimum and every tie-break its order, and Bland's rule takes
 exactly the pivots of the unscaled rational tableau: the same basis, ``x``
-and duals, whichever positive multiple of each row it is given.  The integers are Python ints, and the answers ``Fraction``s of
-them.
+and duals, whichever positive multiple of each row it is given.  The
+integers are Python ints, and the answers ``Fraction``s of them.
 """
 
 from __future__ import annotations

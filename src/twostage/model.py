@@ -11,8 +11,9 @@ threads.  Instances are plain containers: ``validate`` reports invariant
 violations as data instead of refusing to construct; ``require_valid`` is
 the ``ValueError`` every computing entry raises from that report.  What an
 instance derives is built once and kept on it by ``cached`` (the validation
-and welfare reports, ``contracts``' rows and solved programs) or as the table
-``final_rewards``, all outside equality, hashing, repr and JSON.
+and welfare reports, the integer view ``integers``, ``contracts``' rows and
+solved programs) or as the table ``final_rewards``, all outside equality,
+hashing, repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
 ``parse_rational`` is the one reader of a rational: a file's values, a
@@ -25,7 +26,9 @@ every other spelling exactly as ``Fraction`` does.
 sums to 1 when its numerators, brought to the row's least common
 denominator, sum to that denominator.  An expected value is one integer dot
 product over common denominators, reduced to a ``Fraction`` once at the end;
-``scale``, ``dot`` and ``expectation`` are the package's only such kernel.
+``scale`` and ``dot`` are the package's only such kernel, and every layer
+reads an instance's probabilities and costs from its one integer view,
+``integers``, instead of scaling a probability tuple anew.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import index, mul
 from typing import Iterable, Mapping, Sequence, Union
@@ -217,11 +221,10 @@ class Instance:
     @functools.cached_property
     def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
         """``final_rewards[s][j]``: expected reward of final j at state s; refuses an invalid instance."""
-        require_valid(self)
-        rewards = scale(self.rewards)
+        view, rewards = integers(self), scale(self.rewards)
         return tuple(
-            tuple(expectation(act.outcome_dist, rewards) for act in state.final_actions)
-            for state in self.states
+            tuple(dot((dist, denominator), rewards) for dist in dists)
+            for dists, denominator in zip(view.outcome_dists, view.state_scales)
         )
 
 
@@ -472,9 +475,9 @@ def classify(instance: Instance) -> ProcessClass:
 def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``(numerators, denominator)`` with ``values[k] == numerators[k] / denominator``.
 
-    The denominator is the least common one.  ``dot`` and ``expectation``
-    take their values in this form, so a caller that takes many expectations
-    of one value vector, or with one weight vector, scales it once.
+    The denominator is the least common one.  ``dot`` takes its vectors in
+    this form, so a caller that takes many expectations of one value vector
+    scales it once.
     """
     pairs = [v.as_integer_ratio() for v in values]
     denominator = lcm(*[d for _, d in pairs])
@@ -482,13 +485,37 @@ def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def dot(weights: tuple[Sequence[int], int], values: tuple[Sequence[int], int]) -> Fraction:
-    """Sum of w * v, both given by ``scale``: one integer dot product, reduced once."""
+    """Sum of w * v, each given as integers over one denominator: one integer dot product, reduced once."""
     return Fraction(sum(map(mul, weights[0], values[0])), weights[1] * values[1])
 
 
-def expectation(probabilities: Sequence[Fraction], scaled: tuple[list[int], int]) -> Fraction:
-    """Sum of p * v, the values given by ``scale``: ``dot(scale(probabilities), scaled)``."""
-    return dot(scale(probabilities), scaled)
+class _Integers:
+    """An instance's probabilities and costs as ``scale`` integers, each group over its least
+    denominator: ``transitions[i]`` and ``initial_costs[i]`` over ``initial_scale``, and at
+    state ``s``, ``outcome_dists[s][j]`` and ``final_costs[s][j]`` over ``state_scales[s]``.
+    Built once per instance by ``integers``."""
+
+    __slots__ = ("transitions", "initial_costs", "initial_scale", "outcome_dists", "final_costs", "state_scales")
+
+    def __init__(self, instance: Instance):
+        require_valid(instance)
+        actions = instance.initial_actions
+        self.transitions, self.initial_costs, self.initial_scale = _scaled(actions, [a.transition for a in actions])
+        self.outcome_dists, self.final_costs, self.state_scales = zip(
+            *[_scaled(state.final_actions, [a.outcome_dist for a in state.final_actions]) for state in instance.states]
+        )
+
+
+def _scaled(actions, vectors):
+    """``(vectors, costs, denominator)``: the vectors and the actions' costs over their least denominator."""
+    numerators, denominator = scale([*(a.cost for a in actions), *(v for vector in vectors for v in vector)])
+    rest = iter(numerators[len(actions) :])
+    return [list(islice(rest, len(vector))) for vector in vectors], numerators[: len(actions)], denominator
+
+
+def integers(instance: Instance) -> _Integers:
+    """The instance's ``_Integers``, built on first use and kept; refuses an invalid instance."""
+    return cached(instance, "_integers", _Integers)
 
 
 def _check_state(instance: Instance, state: int) -> None:

@@ -3,7 +3,8 @@
 A profile's reward and cost are each one ``agent._profile_expectation``,
 after ``agent._check_profile`` has refused, with a ``ValueError``, an initial
 action, state or final index outside the instance, or a state left out that
-the initial action reaches.  The states it never reaches may be left out.
+the initial action reaches (the states it never reaches may be left out); the
+instance's integer view, ``model.integers``, then refuses an invalid instance.
 
 Maximal welfare needs no search of its own: it is the agent's backward
 induction (``agent.backward_induction``) when every final action pays the
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import _check_profile, _profile_expectation, backward_induction
-from .model import ActionProfile, Instance, cached, require_valid
+from .model import ActionProfile, Instance, cached
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
     _check_profile(instance, profile)
-    require_valid(instance)
     states = instance.states
     cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
     return instance.initial_actions[profile.initial].cost + cost

@@ -11,16 +11,16 @@ the former ``Fraction``-tableau simplex, the reference for the integer
 simplex in ``twostage.lp``: both take the same Bland pivots.
 ``reference_max_welfare`` is the former per-state decomposition of
 ``max_welfare``, the reference for its argmax and tie-break now that it runs
-the agent's backward induction.  ``reference_expectation``,
-``reference_validate`` and ``reference_classify`` are the former
-``Fraction`` forms of those functions, the references for the integer
-kernels in ``twostage.model``.
+the agent's backward induction.  ``reference_expectation`` is the former
+``Fraction`` sum that ``model.dot`` replaced, and ``reference_validate`` and
+``reference_classify`` the former ``Fraction`` forms of those functions, the
+references for the integer kernels in ``twostage.model``.
 ``reference_simulate`` is the former sampling loop of ``simulate``: the
 faster loop must draw the same numbers and add the same floats in the same
 order.  ``reference_backward_induction`` and ``reference_cdf_thresholds``
 are the former per-entry ``Fraction`` sums of ``agent.backward_induction``
 and ``agent._cdf_thresholds``, the references for their forms over
-``model.scale``.  ``reference_min_payment_program``,
+the integer view ``model.integers``.  ``reference_min_payment_program``,
 ``reference_profile_reward`` and ``reference_profile_cost`` are likewise the
 former ``Fraction`` sums of the ``contracts`` minimal-payment program and of
 ``welfare.profile_reward``/``profile_cost``, and ``reference_bound_table``
@@ -718,7 +718,7 @@ def reference_cdf_thresholds(probabilities) -> list[int]:
 
 def reference_min_payment_program(instance, profile, surviving, with_state_transfers) -> LinearProgram:
     """The minimal-payment program as ``contracts`` built it in ``Fraction``s
-    before its sums went through ``model.expectation``, adding one
+    before its sums went through the integer kernel, adding one
     ``Fraction`` product at a time.
 
     Same rows in the same order: final rows by surviving state, then

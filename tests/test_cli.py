@@ -40,7 +40,7 @@ from twostage import (
     random_instance,
     reduce_deterministic,
 )
-from twostage import cli, model
+from twostage import agent, cli, contracts, linear, model
 from twostage.cli import _decimal_str, main
 from twostage.generators import cost_ladder_instance
 
@@ -510,6 +510,61 @@ def test_each_command_builds_the_validation_report_once(capsys, monkeypatch, ins
     monkeypatch.setattr(model, "_validate", lambda instance: builds.append(1) or build(instance))
     assert run_cli(capsys, command[0], instance_file, *command[1:])[0] == 0
     assert len(builds) == 1
+
+
+_CONTRACT_DOCUMENTS = {
+    "standard": {"kind": "standard", "t": ["0", "41/5"]},
+    "linear": {"kind": "linear", "alpha": "1/2"},
+    "pay_halfway": {"kind": "pay_halfway", "s": ["1", "0"], "t": ["0", "3"]},
+    "terminate_halfway": {"kind": "terminate_halfway", "t": ["0", "41/5"], "terminate_set": [0]},
+}
+
+
+def _commands_reading_probabilities(tmp_path, instance_file):
+    """Each command that reads the instance's probabilities, as ``main`` takes it."""
+    commands = [["compare", instance_file], ["breakpoints", instance_file], ["welfare", instance_file]]
+    for kind, document in _CONTRACT_DOCUMENTS.items():
+        contract_file = tmp_path / f"{kind}.json"
+        contract_file.write_text(json.dumps(document))
+        commands.append(["best-response", instance_file, "--contract-file", str(contract_file)])
+    simulate = ["simulate", instance_file, "--contract-file", str(contract_file), "--episodes", "100", "--seed", "1"]
+    return commands + [simulate]
+
+
+def test_each_command_builds_the_integer_view_once(tmp_path, capsys, monkeypatch, instance_file):
+    builds = []
+    build = model._Integers.__init__
+    monkeypatch.setattr(model._Integers, "__init__", lambda view, instance: builds.append(1) or build(view, instance))
+    for command in _commands_reading_probabilities(tmp_path, instance_file):
+        assert run_cli(capsys, *command)[0] == 0, command
+        assert len(builds) == 1, command
+        builds.clear()
+
+
+def test_no_layer_scales_a_probability_row_of_the_instance(tmp_path, capsys, monkeypatch, instance_file):
+    # Every layer reads the instance's probabilities from its integer view, so
+    # no call of model.scale, at any module attribute it is looked up by, gets
+    # a transition or an outcome distribution itself.  validate's row check is
+    # exempt: it must run on an instance that the view would refuse.
+    instances, handed = [], []
+    parse = cli.instance_from_json
+    monkeypatch.setattr(cli, "instance_from_json", lambda text: instances.append(parse(text)) or instances[-1])
+    exempt = model._check_distribution.__code__
+    for module in (model, agent, linear, contracts):
+
+        def watched(values, scale=module.scale, name=module.__name__):
+            if sys._getframe(1).f_code is not exempt:
+                handed.append((name, values))
+            return scale(values)
+
+        monkeypatch.setattr(module, "scale", watched)
+    for command in _commands_reading_probabilities(tmp_path, instance_file):
+        assert run_cli(capsys, *command)[0] == 0, command
+    rows = [a.transition for inst in instances for a in inst.initial_actions]
+    rows += [a.outcome_dist for inst in instances for state in inst.states for a in state.final_actions]
+    assert len(instances) == 8
+    assert {name for name, _ in handed} == {"twostage.model", "twostage.agent", "twostage.linear", "twostage.contracts"}
+    assert not [(name, values) for name, values in handed if any(values is row for row in rows)]
 
 
 def test_compare_report_is_deterministic_and_consistent(capsys, instance_file):

@@ -434,17 +434,22 @@ def test_pay_to_standard_tree_checks_dimensions_like_best_response():
 
 
 def test_pay_to_standard_tree_refuses_every_other_contract_kind():
-    inst = random_instance("tree", seed=1)
-    m = inst.num_outcomes
-    others = [
-        StandardContract((F(0),) * m),
-        LinearContract(F(1, 2)),
-        TerminateHalfwayContract((F(0),) * m, frozenset({0})),
-    ]
-    for contract in others:
-        name = type(contract).__name__
-        with pytest.raises(TypeError, match=f"^pay_to_standard_tree folds a PayHalfwayContract, not a {name}$"):
-            pay_to_standard_tree(inst, contract)
+    # The contract's kind is checked before the contract is read, so a tree
+    # with a negative reward refuses a linear contract by its kind too.
+    tree = random_instance("tree", seed=3)
+    negated = dataclasses.replace(tree, rewards=tuple(-r for r in tree.rewards))
+    assert any(r < 0 for r in negated.rewards)
+    for inst in (random_instance("tree", seed=1), negated):
+        m = inst.num_outcomes
+        others = [
+            StandardContract((F(0),) * m),
+            LinearContract(F(1, 2)),
+            TerminateHalfwayContract((F(0),) * m, frozenset({0})),
+        ]
+        for contract in others:
+            name = type(contract).__name__
+            with pytest.raises(TypeError, match=f"^pay_to_standard_tree folds a PayHalfwayContract, not a {name}$"):
+                pay_to_standard_tree(inst, contract)
 
 
 def test_state_marker_contract_extracts_full_welfare():

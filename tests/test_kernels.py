@@ -30,7 +30,7 @@ from twostage import (
 )
 from twostage.agent import _cdf_thresholds, backward_induction, best_response
 from twostage.generators import state_markers_instance
-from twostage.model import expectation, scale
+from twostage.model import dot, integers, scale
 
 from oracles import (
     EVALUATE_CAPS,
@@ -187,14 +187,17 @@ def test_expectation_matches_fraction_sum(pairs):
     values = [v for _, v in pairs]
     numerators, denominator = scale(values)
     assert [F(n, denominator) for n in numerators] == values
-    assert expectation(probabilities, (numerators, denominator)) == reference_expectation(probabilities, values)
+    assert dot(scale(probabilities), (numerators, denominator)) == reference_expectation(probabilities, values)
 
 
 def test_expectation_on_state_markers_rows():
-    rewards = scale(SIZED.rewards)
-    for state in SIZED.states:
-        for act in state.final_actions:
-            assert expectation(act.outcome_dist, rewards) == reference_expectation(act.outcome_dist, SIZED.rewards)
+    # Each final's row as the instance's integer view keeps it, over the
+    # state's one denominator, as Instance.final_rewards takes it.
+    rewards, view = scale(SIZED.rewards), integers(SIZED)
+    for s, state in enumerate(SIZED.states):
+        for act, dist in zip(state.final_actions, view.outcome_dists[s]):
+            expected = reference_expectation(act.outcome_dist, SIZED.rewards)
+            assert dot((dist, view.state_scales[s]), rewards) == expected
 
 
 def _contract(rng, instance, kind):
@@ -296,13 +299,21 @@ def test_profile_values_match_fraction_references(kind):
     ],
 )
 def test_cdf_thresholds_match_fraction_reference(row):
-    assert _cdf_thresholds(row) == reference_cdf_thresholds(row)
+    assert _cdf_thresholds(*scale(row)) == reference_cdf_thresholds(row)
 
 
 def test_cdf_thresholds_match_fraction_reference_on_instance_rows():
+    # simulate samples from the rows of the instance's integer view, over the
+    # denominator each row shares with its group's costs and rows, which need
+    # not be the row's own least one; the thresholds must not depend on it.
+    shared = 0
     for draw in range(40):
         instance = random_instance(KINDS[draw % 4], seed=draw, **EVALUATE_CAPS)
-        rows = [act.transition for act in instance.initial_actions]
-        rows += [act.outcome_dist for state in instance.states for act in state.final_actions]
-        for row in rows:
-            assert _cdf_thresholds(row) == reference_cdf_thresholds(row)
+        view = integers(instance)
+        rows = [(a.transition, row, view.initial_scale) for a, row in zip(instance.initial_actions, view.transitions)]
+        for state, dists, denominator in zip(instance.states, view.outcome_dists, view.state_scales):
+            rows += [(act.outcome_dist, row, denominator) for act, row in zip(state.final_actions, dists)]
+        for fractions, row, denominator in rows:
+            assert _cdf_thresholds(row, denominator) == reference_cdf_thresholds(fractions)
+            shared += denominator != scale(fractions)[1]
+    assert shared > 100

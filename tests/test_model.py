@@ -15,6 +15,7 @@ import twostage
 from twostage import (
     ActionProfile,
     Constraint,
+    FamilyParams,
     FinalAction,
     InitialAction,
     Instance,
@@ -30,6 +31,7 @@ from twostage import (
     contract_to_json,
     best_response,
     expected_state_reward,
+    generate,
     instance_from_json,
     instance_to_json,
     parse_rational,
@@ -38,7 +40,10 @@ from twostage import (
 )
 from twostage.generators import cost_ladder_instance, state_markers_instance
 from twostage import model
-from twostage.model import contract_to_dict
+from twostage.model import contract_to_dict, scale
+
+from oracles import tie_heavy_variants
+from test_contracts import SEPARATION_FAMILIES
 
 
 def test_parse_rational_decimal_and_ratio():
@@ -271,6 +276,30 @@ def test_final_rewards_match_outcome_sums():
                 for m in range(inst.num_outcomes):
                     total += act.outcome_dist[m] * inst.rewards[m]
                 assert inst.final_rewards[s][j] == total
+
+
+def _view_groups(inst, view):
+    """(actions, their probability rows, the view's rows, costs and denominator) per group."""
+    yield (inst.initial_actions, [a.transition for a in inst.initial_actions], view.transitions, view.initial_costs,
+           view.initial_scale)
+    for state, rows, costs, denominator in zip(inst.states, view.outcome_dists, view.final_costs, view.state_scales):
+        yield state.final_actions, [a.outcome_dist for a in state.final_actions], rows, costs, denominator
+
+
+def test_the_integer_view_is_every_probability_and_cost_over_its_least_denominator():
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    for seed in range(20):
+        for kind in ("general", "tree", "deterministic_first_stage", "stochastic_first_stage"):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    for inst in instances:
+        view = model.integers(inst)
+        assert model.integers(inst) is view  # kept on the instance
+        assert len(view.outcome_dists) == inst.num_states
+        for actions, fractions, rows, costs, denominator in _view_groups(inst, view):
+            assert denominator == scale([a.cost for a in actions] + [p for row in fractions for p in row])[1]
+            assert [F(c, denominator) for c in costs] == [a.cost for a in actions]
+            assert [tuple(F(p, denominator) for p in row) for row in rows] == fractions
 
 
 def test_final_rewards_leave_equality_hash_repr_and_json_alone():
