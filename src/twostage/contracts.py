@@ -132,21 +132,21 @@ class _Compiled:
 
     ``view`` is the instance's integer view, ``model.integers``, which
     refuses an invalid instance, and ``finals[s]`` lists state ``s``'s
-    distinct final indices (see ``_distinct_final_indices``).  ``rows`` maps
-    (state, designated final, column count) to that final's incentive rows
-    and their units, and ``bounds[may_block]`` is ``_search``'s
-    ``bound_table``, each built on first use.  ``programs`` maps a program,
-    named by (with state transfers, initial action, sorted (state, final)
-    pairs), to ``_minimal_payment``'s ``(value, x)``, or to None when
-    infeasible.  Every entry is set once, and whoever sets it sets an equal
-    value.
+    distinct final indices, grouped by the view's integers (see
+    ``_distinct_final_indices``).  ``rows`` maps (state, designated final,
+    column count) to that final's incentive rows and their units, and
+    ``bounds[may_block]`` is ``_search``'s ``bound_table``, each built on
+    first use.  ``programs`` maps a program, named by (with state transfers,
+    initial action, sorted (state, final) pairs), to ``_minimal_payment``'s
+    ``(value, x)``, or to None when infeasible.  Every entry is set once, and
+    whoever sets it sets an equal value.
     """
 
     __slots__ = ("view", "finals", "num_outcomes", "rows", "programs", "bounds")
 
     def __init__(self, instance):
         self.view = integers(instance)
-        self.finals = tuple(_distinct_final_indices(state) for state in instance.states)
+        self.finals = tuple(map(_distinct_final_indices, self.view.final_costs, self.view.outcome_dists))
         self.num_outcomes = instance.num_outcomes
         self.rows = {}
         self.programs = {}
@@ -329,11 +329,12 @@ def min_payment_terminate(
 _BLOCKED = -1  # the option of terminating at a state instead of picking a final
 
 
-def _distinct_final_indices(state) -> list[int]:
-    """Lowest index of each (cost, distribution) group, in index order."""
+def _distinct_final_indices(costs, dists) -> list[int]:
+    """Lowest index of each (cost, distribution) group, in index order, by one state's integers
+    in the view: they share the state's denominator, so equal exactly when the ``Fraction``s are."""
     seen = {}
-    for j, act in enumerate(state.final_actions):
-        seen.setdefault((act.cost, act.outcome_dist), j)
+    for j, (cost, dist) in enumerate(zip(costs, dists)):
+        seen.setdefault((cost, *dist), j)
     return list(seen.values())
 
 

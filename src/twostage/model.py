@@ -11,9 +11,9 @@ threads.  Instances are plain containers: ``validate`` reports invariant
 violations as data instead of refusing to construct; ``require_valid`` is
 the ``ValueError`` every computing entry raises from that report.  What an
 instance derives is built once and kept on it by ``cached`` (the validation
-and welfare reports, the integer view ``integers``, ``contracts``' rows and
-solved programs) or as the table ``final_rewards``, all outside equality,
-hashing, repr and JSON.
+and welfare reports, the integer view, the table ``final_rewards``,
+``contracts``' rows and solved programs), all outside equality, hashing,
+repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
 ``parse_rational`` is the one reader of a rational: a file's values, a
@@ -22,18 +22,16 @@ family's parameters and every constructor's field that is not exactly a
 float, bool, ``Decimal`` or None is refused everywhere alike.  It reads a
 plain ``[-]digits[/digits]`` string with ``int`` and accepts or rejects
 every other spelling exactly as ``Fraction`` does.
-``validate`` and ``classify`` test numerators and denominators, and a row
-sums to 1 when its numerators, brought to the row's least common
-denominator, sum to that denominator.  An expected value is one integer dot
-product over common denominators, reduced to a ``Fraction`` once at the end;
-``scale`` and ``dot`` are the package's only such kernel, and every layer
-reads an instance's probabilities and costs from its one integer view,
-``integers``, instead of scaling a probability tuple anew.
+An instance's probabilities and costs are converted once, for any instance,
+into its integer view ``_Integers``.  ``validate`` and ``classify`` read it,
+and a row sums to 1 when its numerators sum to its group's denominator.  An
+expected value is one integer dot product over common denominators, reduced
+once; ``scale`` and ``dot`` are the only such kernel, and every computing
+layer reads the view through ``integers``, which refuses an invalid instance.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -218,14 +216,10 @@ class Instance:
     def max_final_actions(self) -> int:
         return max((len(s.final_actions) for s in self.states), default=0)
 
-    @functools.cached_property
+    @property
     def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
         """``final_rewards[s][j]``: expected reward of final j at state s; refuses an invalid instance."""
-        view, rewards = integers(self), scale(self.rewards)
-        return tuple(
-            tuple(dot((dist, denominator), rewards) for dist in dists)
-            for dists, denominator in zip(view.outcome_dists, view.state_scales)
-        )
+        return cached(self, "_final_rewards", _final_rewards)
 
 
 @dataclass(frozen=True)
@@ -351,18 +345,17 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_distribution(row: Sequence[Fraction], location: str, out: list[Violation]) -> None:
-    numerators, common = scale(row)
-    if any(n < 0 or n > common for n in numerators):
+def _check_distribution(numerators: Sequence[int], denominator: int, location: str, out: list[Violation]) -> None:
+    if any(n < 0 or n > denominator for n in numerators):
         out.append(Violation(location, "distribution entries must lie in [0, 1]"))
-    if sum(numerators) != common:
+    if sum(numerators) != denominator:
         out.append(Violation(location, "distribution does not sum to 1"))
 
 
 def cached(instance: Instance, name: str, build):
-    """``build(instance)``, built on first use and kept in ``vars(instance)[name]``, where
-    ``final_rewards`` is: out of equality, hashing, repr and JSON, and not copied by
-    ``dataclasses.replace``.  Builds racing in two threads give equal values; the first stays."""
+    """``build(instance)``, built on first use and kept in ``vars(instance)[name]``: out of
+    equality, hashing, repr and JSON, and not copied by ``dataclasses.replace``.  Builds
+    racing in two threads give equal values; the first stays."""
     kept = vars(instance)
     value = kept.get(name)
     if value is None:
@@ -384,6 +377,7 @@ def require_valid(instance: Instance) -> None:
 
 def _validate(instance: Instance) -> ValidationReport:
     v: list[Violation] = []
+    view = _view(instance)
     m = instance.num_outcomes
     s = instance.num_states
 
@@ -401,7 +395,7 @@ def _validate(instance: Instance) -> ValidationReport:
         if len(act.transition) != s:
             v.append(Violation(loc + ".transition", f"expected {s} entries, got {len(act.transition)}"))
         else:
-            _check_distribution(act.transition, loc + ".transition", v)
+            _check_distribution(view.transitions[i], view.initial_scale, loc + ".transition", v)
     if instance.initial_actions and all(a.cost.numerator for a in instance.initial_actions):
         v.append(Violation("initial_actions", "missing null initial action (zero cost)"))
 
@@ -417,7 +411,7 @@ def _validate(instance: Instance) -> ValidationReport:
             if len(act.outcome_dist) != m:
                 v.append(Violation(aloc + ".outcome_dist", f"expected {m} entries, got {len(act.outcome_dist)}"))
             else:
-                _check_distribution(act.outcome_dist, aloc + ".outcome_dist", v)
+                _check_distribution(view.outcome_dists[si][j], view.state_scales[si], aloc + ".outcome_dist", v)
         if all(a.cost.numerator for a in state.final_actions):
             v.append(Violation(loc, "missing null final action (zero cost)"))
 
@@ -450,26 +444,19 @@ class ProcessClass:
 def classify(instance: Instance) -> ProcessClass:
     """Classify by the reachability structure of states and outcomes.
 
-    * tree: each outcome is reachable from at most one state;
+    * tree: each outcome (each entry index, even past ``rewards``) is
+      reachable from at most one state;
     * stochastic first stage: exactly one initial action;
     * deterministic first stage: every transition row is a unit vector.
     """
-    reachable_from = [set() for _ in range(instance.num_outcomes)]
-    for si, state in enumerate(instance.states):
-        for act in state.final_actions:
-            for mi, p in enumerate(act.outcome_dist):
-                if p.numerator > 0:
-                    reachable_from[mi].add(si)
-    is_tree = all(len(src) <= 1 for src in reachable_from)
-
-    is_stochastic = instance.num_initial_actions == 1
-
-    def unit_row(row: tuple[Fraction, ...]) -> bool:
-        pairs = [p.as_integer_ratio() for p in row]
-        return pairs.count((1, 1)) == 1 and pairs.count((0, 1)) == len(pairs) - 1
-
-    is_deterministic = all(unit_row(a.transition) for a in instance.initial_actions)
-    return ProcessClass(is_tree, is_stochastic, is_deterministic)
+    view, first_state = _view(instance), {}  # first_state[m]: the first state reaching outcome m
+    is_tree = all(
+        first_state.setdefault(m, s) == s
+        for s, dists in enumerate(view.outcome_dists) for dist in dists for m, n in enumerate(dist) if n > 0
+    )
+    one = view.initial_scale
+    is_deterministic = all(row.count(one) == 1 and row.count(0) == len(row) - 1 for row in view.transitions)
+    return ProcessClass(is_tree, instance.num_initial_actions == 1, is_deterministic)
 
 
 def scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -493,17 +480,15 @@ class _Integers:
     """An instance's probabilities and costs as ``scale`` integers, each group over its least
     denominator: ``transitions[i]`` and ``initial_costs[i]`` over ``initial_scale``, and at
     state ``s``, ``outcome_dists[s][j]`` and ``final_costs[s][j]`` over ``state_scales[s]``.
-    Built once per instance by ``integers``."""
+    Converted from any instance, valid or not, and kept on it by ``_view``."""
 
     __slots__ = ("transitions", "initial_costs", "initial_scale", "outcome_dists", "final_costs", "state_scales")
 
     def __init__(self, instance: Instance):
-        require_valid(instance)
         actions = instance.initial_actions
         self.transitions, self.initial_costs, self.initial_scale = _scaled(actions, [a.transition for a in actions])
-        self.outcome_dists, self.final_costs, self.state_scales = zip(
-            *[_scaled(state.final_actions, [a.outcome_dist for a in state.final_actions]) for state in instance.states]
-        )
+        groups = [_scaled(state.final_actions, [a.outcome_dist for a in state.final_actions]) for state in instance.states]
+        self.outcome_dists, self.final_costs, self.state_scales = zip(*groups) if groups else ((), (), ())
 
 
 def _scaled(actions, vectors):
@@ -513,9 +498,20 @@ def _scaled(actions, vectors):
     return [list(islice(rest, len(vector))) for vector in vectors], numerators[: len(actions)], denominator
 
 
-def integers(instance: Instance) -> _Integers:
-    """The instance's ``_Integers``, built on first use and kept; refuses an invalid instance."""
+def _view(instance: Instance) -> _Integers:
+    """The instance's ``_Integers``, built on first use and kept; unchecked."""
     return cached(instance, "_integers", _Integers)
+
+
+def integers(instance: Instance) -> _Integers:
+    """The instance's ``_Integers`` for a computing layer: ``require_valid``, then ``_view``."""
+    require_valid(instance)
+    return _view(instance)
+
+
+def _final_rewards(instance: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    view, rewards = integers(instance), scale(instance.rewards)
+    return tuple(tuple(dot((dist, d), rewards) for dist in dists) for dists, d in zip(view.outcome_dists, view.state_scales))
 
 
 def _check_state(instance: Instance, state: int) -> None:

@@ -604,13 +604,13 @@ def reference_validate(instance: Instance) -> ValidationReport:
 
 def reference_classify(instance: Instance) -> ProcessClass:
     """The process class flags, from ``Fraction`` comparisons."""
-    reachable_from = [set() for _ in range(instance.num_outcomes)]
+    reachable_from = {}  # by outcome index, so an entry past the rewards is an outcome of its own
     for si, state in enumerate(instance.states):
         for act in state.final_actions:
             for mi, p in enumerate(act.outcome_dist):
                 if p > 0:
-                    reachable_from[mi].add(si)
-    is_tree = all(len(src) <= 1 for src in reachable_from)
+                    reachable_from.setdefault(mi, set()).add(si)
+    is_tree = all(len(src) <= 1 for src in reachable_from.values())
 
     def unit_row(row):
         return sum(1 for p in row if p == 1) == 1 and all(p in (0, 1) for p in row)

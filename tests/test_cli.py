@@ -531,30 +531,35 @@ def _commands_reading_probabilities(tmp_path, instance_file):
     return commands + [simulate]
 
 
+def _commands_checking_the_instance(tmp_path, instance_file):
+    """``validate`` on a valid and on an invalid file, and ``classify``, each with its exit code."""
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(BROKEN))
+    return [(["validate", instance_file], 0), (["validate", str(broken)], 1), (["classify", instance_file], 0)]
+
+
 def test_each_command_builds_the_integer_view_once(tmp_path, capsys, monkeypatch, instance_file):
     builds = []
     build = model._Integers.__init__
     monkeypatch.setattr(model._Integers, "__init__", lambda view, instance: builds.append(1) or build(view, instance))
-    for command in _commands_reading_probabilities(tmp_path, instance_file):
-        assert run_cli(capsys, *command)[0] == 0, command
+    commands = [(command, 0) for command in _commands_reading_probabilities(tmp_path, instance_file)]
+    for command, code in commands + _commands_checking_the_instance(tmp_path, instance_file):
+        assert run_cli(capsys, *command)[0] == code, command
         assert len(builds) == 1, command
         builds.clear()
 
 
 def test_no_layer_scales_a_probability_row_of_the_instance(tmp_path, capsys, monkeypatch, instance_file):
-    # Every layer reads the instance's probabilities from its integer view, so
-    # no call of model.scale, at any module attribute it is looked up by, gets
-    # a transition or an outcome distribution itself.  validate's row check is
-    # exempt: it must run on an instance that the view would refuse.
+    # Every layer, validate included, reads the instance's probabilities from
+    # its integer view, so no call of model.scale, at any module attribute it
+    # is looked up by, gets a transition or an outcome distribution itself.
     instances, handed = [], []
     parse = cli.instance_from_json
     monkeypatch.setattr(cli, "instance_from_json", lambda text: instances.append(parse(text)) or instances[-1])
-    exempt = model._check_distribution.__code__
     for module in (model, agent, linear, contracts):
 
         def watched(values, scale=module.scale, name=module.__name__):
-            if sys._getframe(1).f_code is not exempt:
-                handed.append((name, values))
+            handed.append((name, values))
             return scale(values)
 
         monkeypatch.setattr(module, "scale", watched)

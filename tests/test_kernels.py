@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from twostage import (
     ActionProfile,
+    FinalAction,
+    InitialAction,
+    Instance,
     InstanceFormatError,
     LinearContract,
     PayHalfwayContract,
@@ -150,19 +153,25 @@ def structural_breaks(instance):
     yield dataclasses.replace(instance, states=(State("empty", ()), *instance.states[1:]))
 
 
+# An outcome row one entry longer than the rewards: its extra entry is an outcome of its own.
+LONG_OUTCOME_ROW = Instance((1,), (InitialAction("a", 0, (1,)),), (State("s", (FinalAction("n", 0, (0, 1)),)),))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_structural_violations_match_the_fraction_reference(kind):
     rules = set()
-    for seed in range(10):
-        for broken in structural_breaks(random_instance(kind, seed=seed)):
-            report = validate(broken)
-            assert report == reference_validate(broken) and not report.ok
-            rules.update(str(v) for v in report.violations)
+    inputs = [b for seed in range(10) for b in structural_breaks(random_instance(kind, seed=seed))]
+    for broken in [*inputs, LONG_OUTCOME_ROW]:
+        report = validate(broken)
+        assert report == reference_validate(broken) and not report.ok
+        assert classify(broken) == reference_classify(broken)
+        rules.update(str(v) for v in report.violations)
     assert {
         "rewards: at least one outcome is required",
         "states: at least one intermediate state is required",
         "initial_actions: at least one initial action is required",
         "states[0]: state has no final actions",
+        "states[0].final_actions[0].outcome_dist: expected 1 entries, got 2",
     } <= rules
 
 

@@ -513,10 +513,15 @@ def test_every_public_entry_taking_an_instance_refuses_an_invalid_one(midterm, m
     build = model._validate
     monkeypatch.setattr(model, "_validate", lambda instance: builds.append(1) or build(instance))
     instance = _one_entry_transition(midterm)
+    assert not validate(instance).ok  # validate and classify build the integer view, unchecked
+    classify(instance)
     for name, arguments in BOUNDARY_ARGUMENTS.items():
         with pytest.raises(ValueError) as refused:
             getattr(twostage, name)(instance, *arguments)
         assert str(refused.value) == _ONE_ENTRY_VIOLATION, name
+    with pytest.raises(ValueError) as refused:
+        instance.final_rewards
+    assert str(refused.value) == _ONE_ENTRY_VIOLATION
     assert len(builds) == 1  # every entry read the report the instance keeps
     valid = dataclasses.replace(midterm)
     for name, arguments in BOUNDARY_ARGUMENTS.items():
@@ -535,13 +540,24 @@ def test_an_invalid_instance_is_refused_under_python_o(midterm, child_env):
         "m = ts.midterm_instance()\n"
         "effort, null = m.initial_actions\n"
         "bad = dataclasses.replace(m, initial_actions=(dataclasses.replace(effort, transition=(F(1, 10),)), null))\n"
-        "try:\n"
-        "    ts.best_response(bad, ts.StandardContract((F(0), F(1))))\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
+        "ts.validate(bad), ts.classify(bad)  # both build the integer view, unchecked\n"
+        "zeros, total = ts.StandardContract((F(0), F(0))), ts.ActionProfile(0, {0: 0, 1: 0})\n"
+        "for entry in (\n"
+        "    lambda: ts.best_response(bad, ts.StandardContract((F(0), F(1)))),\n"
+        "    lambda: ts.max_welfare(bad),\n"
+        "    lambda: bad.final_rewards,\n"
+        "    lambda: ts.optimal_standard(bad),\n"
+        "    lambda: ts.analyze(bad),\n"
+        "    lambda: ts.simulate(bad, zeros, 10, 1),\n"
+        "    lambda: ts.min_payment_standard(bad, total),\n"
+        "):\n"
+        "    try:\n"
+        "        entry()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
     )
     child = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env)
-    assert (child.returncode, child.stdout, child.stderr) == (0, _ONE_ENTRY_VIOLATION + "\n", "")
+    assert (child.returncode, child.stdout, child.stderr) == (0, (_ONE_ENTRY_VIOLATION + "\n") * 7, "")
 
 
 def test_the_validation_report_is_kept_on_the_instance(midterm):
