@@ -5,19 +5,20 @@ action per intermediate state first, then the initial action given the state
 values, any state transfers, and the risk of termination.  Ties are broken in
 the principal's favor (the principal can steer an indifferent agent via
 recommendations), and remaining ties go to the lowest action index so results
-are deterministic.  ``backward_induction`` is that induction once, over
-what each final action pays the agent.  ``_contract_pieces`` is the one
-reader of a contract against an instance, and its table of expected final
-transfers is what ``best_response`` and ``simulate`` hand the induction;
-``welfare.max_welfare`` hands it full-reward transfers.
+are deterministic.  ``backward_induction`` is that induction once, over the
+transfer paid on each outcome and on reaching each state.
+``_contract_pieces`` is the one reader of a contract against an instance: it
+gives those transfers and the terminated states, which ``best_response`` and
+``simulate`` hand the induction; ``welfare.max_welfare`` hands it the rewards
+themselves as transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
-sample statistics over exactly-sampled episodes.  Every probability comes
-from the instance's integer view, ``model.integers``, and every expected
-value is one ``model.dot`` of its row with values from ``model.scale``, a
-given profile's through ``_profile_expectation``.  Each state's choice of
-final compares integers over one denominator.  Each entry refuses an
-invalid instance when it first reads the view.
+sample statistics over exactly-sampled episodes.  Every probability and cost
+comes from the instance's integer view, ``model.integers``, and every
+expected value is one integer dot product of its row with values from
+``model.scale``, a given profile's through ``_profile_expectation``.  Each
+state's choice of final compares integers over one denominator.  Each entry
+refuses an invalid instance when it first reads the view.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import mul
 
 from .model import (
     ActionProfile,
@@ -89,21 +91,16 @@ def _check_terminate_set(instance: Instance, terminate_set) -> None:
 
 
 def _contract_pieces(instance: Instance, contract: Contract):
-    """(outcome transfers, state transfers, terminated states, final transfers)
-    of any contract; a ``ValueError`` refuses one that does not fit the instance.
-
-    ``final_transfers[s][j]`` is final j's expected outcome transfer at state
-    s, None at a terminated state: the table ``backward_induction`` takes.
-    """
+    """(outcome transfers, state transfers, terminated states) of any contract;
+    a ``ValueError`` refuses one that does not fit the instance.  A linear
+    contract pays ``alpha * r`` on each outcome."""
     m, s = instance.num_outcomes, instance.num_states
-    state_transfers, terminated, final_transfers = (_ZERO,) * s, frozenset(), None
+    state_transfers, terminated = (_ZERO,) * s, frozenset()
     if isinstance(contract, StandardContract):
         transfers = contract.transfers
     elif isinstance(contract, LinearContract):
         _check_linear_rewards(instance)
-        alpha = contract.alpha
-        transfers = tuple(alpha * r for r in instance.rewards)
-        final_transfers = [[alpha * r for r in row] for row in instance.final_rewards]
+        transfers = tuple(contract.alpha * r for r in instance.rewards)
     elif isinstance(contract, PayHalfwayContract):
         if len(contract.state_transfers) != s:
             raise ValueError(
@@ -117,13 +114,7 @@ def _contract_pieces(instance: Instance, contract: Contract):
         raise TypeError(f"not a contract: {contract!r}")
     if len(transfers) != m:
         raise ValueError(f"contract has {len(transfers)} transfers, instance has {m} outcomes")
-    if final_transfers is None:
-        view, scaled = integers(instance), scale(transfers)
-        final_transfers = [
-            None if s in terminated else [dot((dist, denominator), scaled) for dist in dists]
-            for s, (dists, denominator) in enumerate(zip(view.outcome_dists, view.state_scales))
-        ]
-    return transfers, state_transfers, terminated, final_transfers
+    return transfers, state_transfers, terminated
 
 
 def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[int] | None = None) -> None:
@@ -154,41 +145,43 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
 
 def best_response(instance: Instance, contract: Contract) -> BestResponse:
     """Agent-optimal profile under the contract, ties favoring the principal."""
-    _, state_transfers, _, final_transfers = _contract_pieces(instance, contract)
-    return backward_induction(instance, final_transfers, state_transfers)
+    return backward_induction(instance, *_contract_pieces(instance, contract))
 
 
-def backward_induction(instance: Instance, final_transfers, state_transfers) -> BestResponse:
-    """Agent-optimal profile given each final's expected transfer and the state transfers.
+def backward_induction(instance: Instance, transfers, state_transfers, terminated) -> BestResponse:
+    """Agent-optimal profile given the outcome transfers, the state transfers and the terminated states.
 
-    ``final_transfers[s]`` is None at a terminated state, which is worth zero
-    to both parties and so must have a zero state transfer.  Per state the
-    agent maximizes expected transfer minus cost; within that argmax the
-    principal's conditional profit decides, then the lowest index, all
-    compared as integers over the state's one denominator.  The
-    initial action maximizes expected continuation value (plus state
-    transfers) minus its cost, with the same two-level tie-breaking.  Greedy
-    per-state selection is globally correct because tying final actions have
-    equal utility by definition, so the initial argmax set does not depend on
-    which tying final is picked.
+    A terminated state is worth zero to both parties and so must have a zero
+    state transfer.  Per state the agent maximizes expected transfer minus
+    cost; within that argmax the principal's conditional profit decides, then
+    the lowest index.  Each final's expected transfer and reward is one
+    integer dot product of its row in the view with the scaled transfers and
+    rewards, so all three are compared as integers over one denominator per
+    state.  The initial action maximizes expected continuation value (plus
+    state transfers) minus its cost, with the same two-level tie-breaking.
+    Greedy per-state selection is globally correct because tying final
+    actions have equal utility by definition, so the initial argmax set does
+    not depend on which tying final is picked.
     """
+    view = integers(instance)
+    (tn, td), (rn, rd) = scale(transfers), scale(instance.rewards)
+    unit = td * rd
     num_states = instance.num_states
     finals: dict[int, int] = {}
     state_utility = [_ZERO] * num_states
     state_profit = [_ZERO] * num_states  # principal's conditional profit at s
     state_payment = [_ZERO] * num_states  # expected transfer of the chosen final at s
-    for s, (state, row, rewards) in enumerate(zip(instance.states, final_transfers, instance.final_rewards)):
-        if row is None:
+    for s, (dists, costs, denominator) in enumerate(zip(view.outcome_dists, view.final_costs, view.state_scales)):
+        if s in terminated:
             continue
-        n = len(row)
-        numerators, denominator = scale([*row, *(act.cost for act in state.final_actions), *rewards])
-        t, c, r = numerators[:n], numerators[n : 2 * n], numerators[2 * n :]
-        utility, profit, minus_j = max((t[j] - c[j], r[j] - t[j], -j) for j in range(n))
-        finals[s] = -minus_j
-        state_utility[s], state_profit[s] = Fraction(utility, denominator), Fraction(profit, denominator)
-        state_payment[s] = row[-minus_j]
+        # Over denominator * unit: each final's expected transfer and reward.
+        paid = [sum(map(mul, dist, tn)) * rd for dist in dists]
+        earned = [sum(map(mul, dist, rn)) * td for dist in dists]
+        utility, profit, minus_j = max((p - c * unit, e - p, -j) for j, (p, e, c) in enumerate(zip(paid, earned, costs)))
+        finals[s], whole = -minus_j, denominator * unit
+        state_utility[s], state_profit[s] = Fraction(utility, whole), Fraction(profit, whole)
+        state_payment[s] = Fraction(paid[-minus_j], whole)
 
-    view = integers(instance)
     agent_values = scale([u + st for u, st in zip(state_utility, state_transfers)])
     principal_values = scale([v - st for v, st in zip(state_profit, state_transfers)])
     agent_utility, principal_profit, minus_i = max(
@@ -214,11 +207,15 @@ def evaluate_profile(
     For terminate-halfway contracts the profile must assign finals to exactly
     the surviving states; for every other contract it must be total.
     """
-    _, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)
+    transfers, state_transfers, terminated = _contract_pieces(instance, contract)
+    view = integers(instance)  # an invalid instance is refused before the profile is checked
     _check_profile(instance, profile, set(range(instance.num_states)) - terminated)
 
-    rewards, states = instance.final_rewards, instance.states
-    payment = _profile_expectation(instance, profile, lambda s, j: final_transfers[s][j] + state_transfers[s])
+    rewards, states, scaled = instance.final_rewards, instance.states, scale(transfers)
+    dists, scales = view.outcome_dists, view.state_scales
+    payment = _profile_expectation(
+        instance, profile, lambda s, j: dot((dists[s][j], scales[s]), scaled) + state_transfers[s]
+    )
     reward = _profile_expectation(instance, profile, lambda s, j: rewards[s][j])
     cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
     cost += instance.initial_actions[profile.initial].cost
@@ -272,8 +269,8 @@ def simulate(
     episodes, seed = _integer("episodes", episodes), _integer("seed", seed)
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
-    transfers, state_transfers, terminated, final_transfers = _contract_pieces(instance, contract)
-    response = backward_induction(instance, final_transfers, state_transfers)
+    transfers, state_transfers, terminated = _contract_pieces(instance, contract)
+    response = backward_induction(instance, transfers, state_transfers, terminated)
     view, chosen = integers(instance), response.profile.initial
 
     state_thresholds = _cdf_thresholds(view.transitions[chosen], view.initial_scale)

@@ -458,7 +458,7 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
         raise ValueError("instance is not a tree process")
     if not isinstance(pay, PayHalfwayContract):
         raise TypeError(f"pay_to_standard_tree folds a PayHalfwayContract, not a {type(pay).__name__}")
-    transfers, state_transfers, _, _ = _contract_pieces(instance, pay)
+    transfers, state_transfers, _ = _contract_pieces(instance, pay)
     pred: dict[int, int] = {}
     for s, state in enumerate(instance.states):
         for act in state.final_actions:

@@ -7,8 +7,9 @@ the initial action reaches (the states it never reaches may be left out); the
 instance's integer view, ``model.integers``, then refuses an invalid instance.
 
 Maximal welfare needs no search of its own: it is the agent's backward
-induction (``agent.backward_induction``) when every final action pays the
-agent its own expected reward and nothing is paid on reaching a state.
+induction (``agent.backward_induction``) when every outcome pays the agent
+its own reward, nothing is paid on reaching a state and no state is
+terminated.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
 def max_welfare(instance: Instance) -> WelfareReport:
     """Maximal welfare over all total profiles, by backward induction.
 
-    Paid its own expected reward, the agent's utility from any profile is its
+    Paid its own reward on every outcome, the agent's utility from any profile is its
     welfare and the principal's profit is zero, so the induction's tie rule
     leaves ties to the lowest action index and the argmax profile is
     deterministic.  The value equals the exhaustive maximum over all
@@ -64,7 +65,7 @@ def max_welfare(instance: Instance) -> WelfareReport:
 
 
 def _max_welfare(instance: Instance) -> WelfareReport:
-    response = backward_induction(instance, instance.final_rewards, (Fraction(0),) * instance.num_states)
+    response = backward_induction(instance, instance.rewards, (Fraction(0),) * instance.num_states, frozenset())
     finals = response.profile.finals
     per_state = tuple(StateBest(finals[s], value) for s, value in enumerate(response.per_state_utility))
     return WelfareReport(response.agent_utility, response.profile, per_state)

@@ -663,19 +663,21 @@ def reference_simulate(instance, contract, episodes: int, seed: int) -> Simulati
 def reference_backward_induction(instance, final_transfers, state_transfers) -> BestResponse:
     """The agent's backward induction, summing ``Fraction`` products one at a time.
 
-    Same contract as ``agent.backward_induction``: ``final_transfers[s]`` is
-    each final's expected transfer at s, or None at a terminated state.
+    ``final_transfers[s]`` is each final's expected transfer at s, or None at a
+    terminated state; each final's expected reward is summed here per entry.
+    ``agent.backward_induction`` takes the outcome transfers instead.
     """
     num_states = instance.num_states
     finals = {}
     state_utility = [ZERO] * num_states
     state_profit = [ZERO] * num_states
     state_payment = [ZERO] * num_states
-    for s, (state, row, rewards) in enumerate(zip(instance.states, final_transfers, instance.final_rewards)):
+    for s, (state, row) in enumerate(zip(instance.states, final_transfers)):
         if row is None:
             continue
         best = None
-        for j, (act, transfer, reward) in enumerate(zip(state.final_actions, row, rewards)):
+        for j, (act, transfer) in enumerate(zip(state.final_actions, row)):
+            reward = reference_expectation(act.outcome_dist, instance.rewards)
             candidate = (transfer - act.cost, reward - transfer)
             if best is None or candidate > best:
                 best = candidate

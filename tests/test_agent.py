@@ -18,6 +18,7 @@ from twostage import (
     best_response,
     evaluate_profile,
     expected_state_reward,
+    max_welfare,
     min_payment_pay,
     min_payment_standard,
     min_payment_terminate,
@@ -27,8 +28,12 @@ from twostage import (
     simulate,
     state_breakpoints,
 )
+from twostage import agent, model
+from twostage.model import integers
 
-from oracles import brute_force_best_response, profile_value
+from oracles import EVALUATE_CAPS, brute_force_best_response, profile_value
+
+KINDS = ("tree", "stochastic_first_stage", "deterministic_first_stage", "general")
 
 
 def test_pay_halfway_worked_example(midterm):
@@ -324,3 +329,51 @@ def test_simulate_ignores_values_no_episode_can_draw(huge, small):
     # Both raised ValueError when every outcome at every state was converted.
     instance = _with_an_undrawn_outcome_and_state()
     assert simulate(instance, huge, episodes=500, seed=3) == simulate(instance, small, episodes=500, seed=3)
+
+
+def _one_contract_of_each_kind(instance):
+    transfers = tuple(F(k % 3, 2) for k in range(instance.num_outcomes))
+    return [
+        StandardContract(transfers),
+        LinearContract(F(1, 3)),
+        PayHalfwayContract(tuple(F(s, 4) for s in range(instance.num_states)), transfers),
+        TerminateHalfwayContract(transfers, frozenset({0})),
+    ]
+
+
+def _inductions(instance, seed):
+    """``best_response`` and ``simulate`` under each kind of contract, and ``max_welfare``."""
+    contracts = _one_contract_of_each_kind(instance)
+    return [
+        *(lambda inst, c=c: best_response(inst, c) for c in contracts),
+        *(lambda inst, c=c: simulate(inst, c, 10, seed) for c in contracts),
+        max_welfare,
+    ]
+
+
+def test_the_induction_leaves_the_final_rewards_table_unbuilt():
+    # Backward induction reads each final's expected reward from the integer
+    # view, so none of its callers builds Instance.final_rewards.
+    for seed in range(8):
+        instance = random_instance(KINDS[seed % 4], seed=seed, **EVALUATE_CAPS)
+        for entry in _inductions(instance, seed):
+            fresh = dataclasses.replace(instance)
+            entry(fresh)
+            assert "_final_rewards" not in vars(fresh)
+
+
+def test_one_induction_scales_five_vectors_whatever_the_number_of_states(monkeypatch):
+    # The transfers and the rewards, then the initial action's agent values,
+    # principal values and payments; no state scales anything of its own.
+    # The view is built first, so its own conversion is not counted.
+    calls = []
+    for module in (model, agent):
+        monkeypatch.setattr(module, "scale", lambda values, scale=module.scale: calls.append(1) or scale(values))
+    for seed in range(8):
+        instance = random_instance(KINDS[seed % 4], seed=seed, **EVALUATE_CAPS)
+        for entry in _inductions(instance, seed)[:4] + [max_welfare]:
+            fresh = dataclasses.replace(instance)
+            integers(fresh)
+            calls.clear()
+            entry(fresh)
+            assert len(calls) == 5

@@ -233,29 +233,40 @@ def test_simulate_matches_reference_loop_float_for_float():
 CONTRACT_KINDS = ("standard", "linear", "pay_halfway", "terminate_halfway")
 
 
+def _expected_per_final(instance, values, terminated):
+    """Each final's expected value at each state by per-entry ``Fraction`` sums, None where terminated."""
+    return [
+        None if s in terminated else [reference_expectation(act.outcome_dist, values) for act in state.final_actions]
+        for s, state in enumerate(instance.states)
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_backward_induction_matches_fraction_reference(kind):
-    # Each final's expected transfer comes from per-entry Fraction sums, so
-    # only the induction's own sums differ between the two sides.
+    # The reference takes each final's expected transfer from per-entry
+    # Fraction sums; the induction takes the outcome transfers themselves.
+    # Odd-indexed outcomes lose 7 in the negative-reward copies, so negative
+    # reward numerators reach the integer compare.
     rng = random.Random(f"induction:{kind}")
     for seed in range(30):
         instance = random_instance(kind, seed=seed, **EVALUATE_CAPS)
-        for variant in [instance, *tie_heavy_variants(instance)]:
-            zeros = (F(0),) * variant.num_states
-            assert backward_induction(variant, variant.final_rewards, zeros) == reference_backward_induction(
-                variant, variant.final_rewards, zeros
-            )
-            for contract_kind in CONTRACT_KINDS:
-                contract = _contract(rng, variant, contract_kind)
-                transfers, state_transfers, terminated = contract_pieces(variant, contract)
-                final_transfers = [
-                    None if s in terminated
-                    else [reference_expectation(act.outcome_dist, transfers) for act in state.final_actions]
-                    for s, state in enumerate(variant.states)
-                ]
-                expected = reference_backward_induction(variant, final_transfers, state_transfers)
-                assert backward_induction(variant, final_transfers, state_transfers) == expected
-                assert best_response(variant, contract) == expected
+        for tied in [instance, *tie_heavy_variants(instance)]:
+            negative = tuple(r - 7 * (m % 2) for m, r in enumerate(tied.rewards))
+            for variant in (tied, dataclasses.replace(tied, rewards=negative)):
+                zeros = (F(0),) * variant.num_states
+                welfare = reference_backward_induction(variant, _expected_per_final(variant, variant.rewards, ()), zeros)
+                assert backward_induction(variant, variant.rewards, zeros, frozenset()) == welfare
+                for contract_kind in CONTRACT_KINDS:
+                    contract = _contract(rng, variant, contract_kind)
+                    transfers, state_transfers, terminated = contract_pieces(variant, contract)
+                    final_transfers = _expected_per_final(variant, transfers, terminated)
+                    expected = reference_backward_induction(variant, final_transfers, state_transfers)
+                    assert backward_induction(variant, transfers, state_transfers, terminated) == expected
+                    if contract_kind == "linear" and min(variant.rewards) < 0:
+                        with pytest.raises(ValueError, match="non-negative"):
+                            best_response(variant, contract)
+                    else:
+                        assert best_response(variant, contract) == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)
