@@ -16,9 +16,10 @@ All computations are exact; ``simulate`` is the only place floats appear, as
 sample statistics over exactly-sampled episodes.  Every probability and cost
 comes from the instance's integer view, ``model.integers``, and every
 expected value is one integer dot product of its row with values from
-``model.scale``, a given profile's through ``_profile_expectation``.  Each
-state's choice of final compares integers over one denominator.  Each entry
-refuses an invalid instance when it first reads the view.
+``model.scale``, a given profile's from its one outcome mixture through
+``_profile_expectation``.  Each state's choice of final compares integers
+over one denominator.  Each entry refuses an invalid instance when it first
+reads the view.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .model import (
     TerminateHalfwayContract,
     _check_final,
     _integer,
+    _mixture,
+    _view,
     dot,
     integers,
     scale,
@@ -130,7 +133,7 @@ def _check_profile(instance: Instance, profile: ActionProfile, surviving: set[in
         raise ValueError(f"initial action index {profile.initial} is out of range")
     assigned = set(profile.finals)
     if surviving is None:
-        surviving = assigned | {s for s, p in enumerate(instance.initial_actions[profile.initial].transition) if p}
+        surviving = assigned | {s for s, n in enumerate(_view(instance).transitions[profile.initial]) if n}
     num_states = instance.num_states
     outside = sorted(s for s in assigned if not 0 <= s < num_states)
     if outside:
@@ -211,25 +214,20 @@ def evaluate_profile(
     view = integers(instance)  # an invalid instance is refused before the profile is checked
     _check_profile(instance, profile, set(range(instance.num_states)) - terminated)
 
-    rewards, states, scaled = instance.final_rewards, instance.states, scale(transfers)
-    dists, scales = view.outcome_dists, view.state_scales
-    payment = _profile_expectation(
-        instance, profile, lambda s, j: dot((dists[s][j], scales[s]), scaled) + state_transfers[s]
-    )
-    reward = _profile_expectation(instance, profile, lambda s, j: rewards[s][j])
-    cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
+    cost, payment, reward = _profile_expectation(instance, profile, transfers, instance.rewards)
+    payment += dot((view.transitions[profile.initial], view.initial_scale), scale(state_transfers))
     cost += instance.initial_actions[profile.initial].cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
 
 
-def _profile_expectation(instance: Instance, profile: ActionProfile, value) -> Fraction:
-    """Expected ``value(s, profile.finals[s])`` over the states the profile
-    names that its initial action reaches; no final is read at the others."""
+def _profile_expectation(instance: Instance, profile: ActionProfile, *vectors) -> tuple[Fraction, ...]:
+    """The expected final cost, then each outcome vector's expectation, under the profile's
+    outcome mixture: one ``model._mixture`` of its finals, weighted by its initial action's
+    transition, so a state it names that the initial action never reaches adds nothing."""
     view = integers(instance)
-    transition = view.transitions[profile.initial]
-    reached = [s for s in profile.finals if transition[s]]
-    weights = ([transition[s] for s in reached], view.initial_scale)
-    return dot(weights, scale([value(s, profile.finals[s]) for s in reached]))
+    outcomes, cost, common = _mixture(view, profile.finals, instance.num_outcomes)(view.transitions[profile.initial])
+    whole = view.initial_scale * common
+    return (Fraction(cost, whole), *(dot((outcomes, whole), scale(vector)) for vector in vectors))
 
 
 def _cdf_thresholds(numerators, denominator) -> list[int]:

@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except solvers.SolverInvariantError as exc:
         print(f"twostage: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (InstanceFormatError, OSError) as exc:
+    except (InstanceFormatError, OSError, UnicodeDecodeError) as exc:  # a file not in UTF-8; a ValueError, so first
         print(f"twostage: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

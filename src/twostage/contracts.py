@@ -13,10 +13,10 @@ instance keeps.  Every program, a search's candidate or a ``min_payment_*``
 wrapper's, is valued by ``_minimal_payment``, through ``lp._dual_value``: the
 objective's coefficients are expected transfers, none negative on a valid
 instance.  ``_Compiled.program`` builds it in the integer form that
-``_dual_value`` takes, with no ``Fraction``: each expected-value coefficient
-is one integer dot product of the initial actions' transitions with the
-designated finals' outcome columns or costs, all read from the instance's
-integer view, ``model.integers``; each row is divided by its entries' gcd.
+``_dual_value`` takes, with no ``Fraction``: the expected-value coefficients
+come from the profile's outcome mixture, ``model._mixture``, over the integer
+view, ``model.integers``, as does a candidate's expected reward (through
+``agent._profile_expectation``); each row is divided by its entries' gcd.
 Each row keeps its unit, the factor that turns it back into its ``>=`` row
 in ``Fraction``s.  A program ``_dual_value`` gives no ``x`` is built from
 that form and those units as a ``LinearProgram`` by ``_linear_program``,
@@ -65,8 +65,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import mul
+from math import gcd, prod
 
 from .agent import (
     BestResponse, _check_profile, _check_terminate_set, _contract_pieces, _profile_expectation, best_response
@@ -83,11 +82,12 @@ from .model import (
     State,
     TerminateHalfwayContract,
     _integer,
+    _mixture,
     _terminate_set,
     cached,
     classify,
     integers,
-    require_valid,
+    dot,
     scale,
 )
 from .welfare import max_welfare
@@ -184,30 +184,20 @@ class _Compiled:
         The objective is the expected transfer of the profile, in least
         integers, as ``model.scale`` gives it.
         """
-        surviving = sorted(profile.finals)
         m, view = self.num_outcomes, self.view
-        scales = view.state_scales
-        n = m + (len(scales) if with_state_transfers else 0)
-        designated = [profile.finals[s] for s in surviving]
-        # One column per outcome, so an empty ``surviving`` still gives m of them.
-        columns = list(zip(*[view.outcome_dists[s][j] for s, j in zip(surviving, designated)])) or [()] * m
-        costs = [view.final_costs[s][j] for s, j in zip(surviving, designated)]
+        n = m + (len(view.state_scales) if with_state_transfers else 0)
+        mixture = _mixture(view, profile.finals, m)
 
         def value(weights):
-            """``initial_scale * common`` times the coefficients of sum_s w_s *
-            (expected transfer of the designated final at s, plus the state
-            transfer), and times sum_s w_s * its cost, then ``common``: the lcm
-            of the scales of the states the integer weights reach."""
-            common = lcm(*[scales[s] for s in surviving if weights[s]])
-            w = [weights[s] * (common // scales[s]) for s in surviving]
-            coeffs = [sum(map(mul, w, column)) for column in columns]
+            """``mixture(weights)``, with each state's weight times ``common`` as its state-transfer column."""
+            coeffs, cost, common = mixture(weights)
             if with_state_transfers:
                 coeffs += [v * common for v in weights]
-            return coeffs, sum(map(mul, w, costs)), common
+            return coeffs, cost, common
 
         rows, units = [], []
-        for s, j in zip(surviving, designated):
-            final_rows, final_units = self.final_rows(s, j, n)
+        for s in sorted(profile.finals):
+            final_rows, final_units = self.final_rows(s, profile.finals[s], n)
             rows += final_rows
             units += final_units
         chosen = view.transitions[profile.initial]
@@ -230,10 +220,11 @@ class _Compiled:
         initial action ``i``'s (bound term, final or ``_BLOCKED``) at state ``s``
         by descending term, then option, and ``seeds[i]`` is ``-c_i`` plus each
         first term, all over ``initial_scale`` times the finals' welfare scale."""
-        rewards, states, view = instance.final_rewards, instance.states, self.view
-        welfare, welfare_scale = scale(
-            [rewards[s][j] - states[s].final_actions[j].cost for s, finals in enumerate(self.finals) for j in finals]
-        )
+        rewards, states, view = scale(instance.rewards), instance.states, self.view
+        welfare, welfare_scale = scale([
+            dot((view.outcome_dists[s][j], view.state_scales[s]), rewards) - states[s].final_actions[j].cost
+            for s, finals in enumerate(self.finals) for j in finals
+        ])
         welfare = iter(welfare)
         per_state = [[(next(welfare), j) for j in finals] + [(0, _BLOCKED)] * may_block for finals in self.finals]
         options = [
@@ -357,7 +348,6 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
     if space > profiles_cap:
         raise EnumerationCapExceeded(f"{space} profiles to enumerate exceeds the cap of {profiles_cap}")
 
-    reward = instance.final_rewards
     bounds = compiled.bounds
     options, seeds, denominator = bounds[may_block] = bounds[may_block] or compiled.bound_table(instance, may_block)
 
@@ -397,7 +387,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         if solution is None:
             infeasible += 1
             continue
-        profit = _profile_expectation(instance, profile, lambda s, j: reward[s][j]) - solution[0]
+        profit = _profile_expectation(instance, profile, instance.rewards)[1] - solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
             best = (profit, key, solution[1])
             numerator, divisor = (profit * denominator).as_integer_ratio()
@@ -453,18 +443,13 @@ def pay_to_standard_tree(instance: Instance, pay: PayHalfwayContract) -> Standar
     The best response under the result has the same profile, payment and
     profit (outcomes no state can reach keep their transfer unchanged).
     """
-    require_valid(instance)
+    view = integers(instance)
     if not classify(instance).is_tree:
         raise ValueError("instance is not a tree process")
     if not isinstance(pay, PayHalfwayContract):
         raise TypeError(f"pay_to_standard_tree folds a PayHalfwayContract, not a {type(pay).__name__}")
     transfers, state_transfers, _ = _contract_pieces(instance, pay)
-    pred: dict[int, int] = {}
-    for s, state in enumerate(instance.states):
-        for act in state.final_actions:
-            for m, p in enumerate(act.outcome_dist):
-                if p > 0:
-                    pred[m] = s
+    pred = {m: s for s, dists in enumerate(view.outcome_dists) for dist in dists for m, n in enumerate(dist) if n > 0}
     merged = tuple(t + (state_transfers[pred[m]] if m in pred else _ZERO) for m, t in enumerate(transfers))
     return StandardContract(merged)
 
@@ -480,13 +465,13 @@ def reduce_deterministic(instance: Instance) -> Instance:
     ``optimal_standard`` of the reduction earns the original's optimal
     standard profit.
     """
-    require_valid(instance)
+    view = integers(instance)
     if not classify(instance).is_deterministic_first_stage:
         raise ValueError("instance is not a deterministic first-stage process")
     composites = tuple(
         FinalAction(f"{init.name}/{final.name}", init.cost + final.cost, final.outcome_dist)
-        for init in instance.initial_actions
-        for final in instance.states[init.transition.index(1)].final_actions
+        for init, transition in zip(instance.initial_actions, view.transitions)
+        for final in instance.states[transition.index(view.initial_scale)].final_actions
     )
     start = InitialAction("start", _ZERO, (Fraction(1),))
     return Instance(instance.rewards, (start,), (State("composite", composites),))

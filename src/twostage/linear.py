@@ -108,9 +108,11 @@ def _upper_envelope(lines, lo=_ZERO, hi=_ONE):
     return interior, segments
 
 
-def _state_lines(instance: Instance, s: int):
-    actions = instance.states[s].final_actions
-    return [(reward, -act.cost, j) for j, (reward, act) in enumerate(zip(instance.final_rewards[s], actions))]
+def _state_lines(instance: Instance, s: int, rewards):
+    """State ``s``'s lines (expected reward, -cost, final); ``rewards`` is ``scale(instance.rewards)``."""
+    view = integers(instance)
+    finals = zip(view.outcome_dists[s], instance.states[s].final_actions)
+    return [(dot((dist, view.state_scales[s]), rewards), -act.cost, j) for j, (dist, act) in enumerate(finals)]
 
 
 def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
@@ -120,7 +122,7 @@ def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
     envelope line has no breakpoints.
     """
     _check_state(instance, state)
-    knees, _ = _upper_envelope(_state_lines(instance, state))
+    knees, _ = _upper_envelope(_state_lines(instance, state, scale(instance.rewards)))
     return knees
 
 
@@ -136,7 +138,8 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
     """
     _check_linear_rewards(instance)
     num_states = instance.num_states
-    state_lines = [_state_lines(instance, s) for s in range(num_states)]
+    scaled = scale(instance.rewards)
+    state_lines = [_state_lines(instance, s, scaled) for s in range(num_states)]
     state_envelopes = []
     final_knees: set[Fraction] = set()
     for lines in state_lines:

@@ -11,9 +11,8 @@ threads.  Instances are plain containers: ``validate`` reports invariant
 violations as data instead of refusing to construct; ``require_valid`` is
 the ``ValueError`` every computing entry raises from that report.  What an
 instance derives is built once and kept on it by ``cached`` (the validation
-and welfare reports, the integer view, the table ``final_rewards``,
-``contracts``' rows and solved programs), all outside equality, hashing,
-repr and JSON.
+and welfare reports, the integer view, ``contracts``' rows and solved
+programs), all outside equality, hashing, repr and JSON.
 
 The fields are ``Fraction`` tuples, but the per-entry work runs on integers.
 ``parse_rational`` is the one reader of a rational: a file's values, a
@@ -28,6 +27,8 @@ and a row sums to 1 when its numerators sum to its group's denominator.  An
 expected value is one integer dot product over common denominators, reduced
 once; ``scale`` and ``dot`` are the only such kernel, and every computing
 layer reads the view through ``integers``, which refuses an invalid instance.
+A profile's every expectation, a minimal-payment program's rows included, is
+read from one outcome mixture of its designated finals, ``_mixture``.
 """
 
 from __future__ import annotations
@@ -215,11 +216,6 @@ class Instance:
     @property
     def max_final_actions(self) -> int:
         return max((len(s.final_actions) for s in self.states), default=0)
-
-    @property
-    def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``final_rewards[s][j]``: expected reward of final j at state s; refuses an invalid instance."""
-        return cached(self, "_final_rewards", _final_rewards)
 
 
 @dataclass(frozen=True)
@@ -509,9 +505,23 @@ def integers(instance: Instance) -> _Integers:
     return _view(instance)
 
 
-def _final_rewards(instance: Instance) -> tuple[tuple[Fraction, ...], ...]:
-    view, rewards = integers(instance), scale(instance.rewards)
-    return tuple(tuple(dot((dist, d), rewards) for dist in dists) for dists, d in zip(view.outcome_dists, view.state_scales))
+def _mixture(view: _Integers, finals: Mapping[int, int], m: int):
+    """The outcome mixture of ``finals[s]`` at each state ``s`` that ``finals`` names: the
+    function from integer state weights ``w`` over ``view.initial_scale`` to ``(outcomes,
+    cost, common)``, sum_s w_s * P[s, finals[s]] (``m`` entries) and sum_s w_s * c[s,
+    finals[s]], each over ``initial_scale * common``, ``common`` the lcm of the scales of
+    the named states that ``w`` reaches.  The designated rows are transposed once."""
+    named = sorted(finals)
+    scales = view.state_scales
+    columns = list(zip(*[view.outcome_dists[s][finals[s]] for s in named])) or [()] * m
+    costs = [view.final_costs[s][finals[s]] for s in named]
+
+    def mixture(weights):
+        common = lcm(*[scales[s] for s in named if weights[s]])
+        w = [weights[s] * (common // scales[s]) for s in named]
+        return [sum(map(mul, w, column)) for column in columns], sum(map(mul, w, costs)), common
+
+    return mixture
 
 
 def _check_state(instance: Instance, state: int) -> None:
@@ -532,7 +542,8 @@ def expected_state_reward(instance: Instance, state: int, final: int) -> Fractio
     """Expected reward of taking the given final action at the given state."""
     _check_state(instance, state)
     _check_final(instance, state, final)
-    return instance.final_rewards[state][final]
+    view = integers(instance)
+    return dot((view.outcome_dists[state][final], view.state_scales[state]), scale(instance.rewards))
 
 
 # --- serialization ------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Expected reward, expected cost and maximal welfare of action profiles.
 
-A profile's reward and cost are each one ``agent._profile_expectation``,
-after ``agent._check_profile`` has refused, with a ``ValueError``, an initial
-action, state or final index outside the instance, or a state left out that
-the initial action reaches (the states it never reaches may be left out); the
-instance's integer view, ``model.integers``, then refuses an invalid instance.
+A profile's reward and cost are each read from its one outcome mixture by
+``agent._profile_expectation``, after ``agent._check_profile`` has refused,
+with a ``ValueError``, an initial action, state or final index outside the
+instance, or a state left out that the initial action reaches (the states it
+never reaches may be left out); the instance's integer view,
+``model.integers``, then refuses an invalid instance.
 
 Maximal welfare needs no search of its own: it is the agent's backward
 induction (``agent.backward_induction``) when every outcome pays the agent
@@ -39,16 +40,13 @@ class WelfareReport:
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
     _check_profile(instance, profile)
-    rewards = instance.final_rewards
-    return _profile_expectation(instance, profile, lambda s, j: rewards[s][j])
+    return _profile_expectation(instance, profile, instance.rewards)[1]
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected cost of a total profile: c_i plus sum of F[i,s] * c[s, j_s]."""
     _check_profile(instance, profile)
-    states = instance.states
-    cost = _profile_expectation(instance, profile, lambda s, j: states[s].final_actions[j].cost)
-    return instance.initial_actions[profile.initial].cost + cost
+    return instance.initial_actions[profile.initial].cost + _profile_expectation(instance, profile)[0]
 
 
 def max_welfare(instance: Instance) -> WelfareReport:

@@ -12,7 +12,9 @@ simplex in ``twostage.lp``: both take the same Bland pivots.
 ``reference_max_welfare`` is the former per-state decomposition of
 ``max_welfare``, the reference for its argmax and tie-break now that it runs
 the agent's backward induction.  ``reference_expectation`` is the former
-``Fraction`` sum that ``model.dot`` replaced, and ``reference_validate`` and
+``Fraction`` sum that ``model.dot`` replaced, and ``expected_per_final`` is
+that sum for every final of every state, which the references that need each
+final's expected reward or transfer take; ``reference_validate`` and
 ``reference_classify`` the former ``Fraction`` forms of those functions, the
 references for the integer kernels in ``twostage.model``.
 ``reference_simulate`` is the former sampling loop of ``simulate``: the
@@ -151,8 +153,8 @@ def reference_max_welfare(instance) -> WelfareReport:
 
     Each state takes the final with the best expected reward minus cost, then
     the initial action maximizing expected state value minus its own cost.
-    Expected rewards are summed over outcomes here, not read from
-    ``Instance.final_rewards``.
+    Expected rewards are summed over outcomes here, not read from the
+    integer view.
     """
     per_state = []
     for state in instance.states:
@@ -556,6 +558,15 @@ def reference_expectation(probabilities, values) -> Fraction:
     return total
 
 
+def expected_per_final(instance, values, terminated=()):
+    """``[s][j]``: the expectation of ``values`` under final j's outcome distribution at
+    state s, by ``reference_expectation``; None in place of each terminated state's row."""
+    return [
+        None if s in terminated else [reference_expectation(act.outcome_dist, values) for act in state.final_actions]
+        for s, state in enumerate(instance.states)
+    ]
+
+
 def _reference_distribution(row, location, out) -> None:
     if any(p < 0 or p > 1 for p in row):
         out.append(Violation(location, "distribution entries must lie in [0, 1]"))
@@ -762,7 +773,7 @@ def reference_profile_reward(instance, profile) -> Fraction:
     """``welfare.profile_reward`` as a running ``Fraction`` sum over the reached states."""
     initial = instance.initial_actions[profile.initial]
     total = ZERO
-    for s, rewards in enumerate(instance.final_rewards):
+    for s, rewards in enumerate(expected_per_final(instance, instance.rewards)):
         p = initial.transition[s]
         if p:
             total += p * rewards[profile.finals[s]]
@@ -789,8 +800,8 @@ def reference_bound_table(instance, may_block):
     lists initial action i's options at state s, (F[i,s] * (R[s,j] - c[s,j]),
     distinct final j), plus (0, ``BLOCKED``) when ``may_block``, by descending
     term, then option; ``seeds[i]`` is each state's first term summed, minus
-    c_i."""
-    reward = instance.final_rewards
+    c_i.  Each expected reward is summed per entry."""
+    reward = expected_per_final(instance, instance.rewards)
     distinct = distinct_finals(instance)
     options = []
     for act in instance.initial_actions:

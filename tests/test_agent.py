@@ -351,17 +351,6 @@ def _inductions(instance, seed):
     ]
 
 
-def test_the_induction_leaves_the_final_rewards_table_unbuilt():
-    # Backward induction reads each final's expected reward from the integer
-    # view, so none of its callers builds Instance.final_rewards.
-    for seed in range(8):
-        instance = random_instance(KINDS[seed % 4], seed=seed, **EVALUATE_CAPS)
-        for entry in _inductions(instance, seed):
-            fresh = dataclasses.replace(instance)
-            entry(fresh)
-            assert "_final_rewards" not in vars(fresh)
-
-
 def test_one_induction_scales_five_vectors_whatever_the_number_of_states(monkeypatch):
     # The transfers and the rewards, then the initial action's agent values,
     # principal values and payments; no state scales anything of its own.

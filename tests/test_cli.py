@@ -343,6 +343,18 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["instance", "contract"])
+def test_a_file_that_is_not_utf8_exits_three(tmp_path, capsys, instance_file, kind):
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff" + json.dumps(_CONTRACT_DOCUMENTS["standard"]).encode())
+    if kind == "instance":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["best-response", instance_file, "--contract-file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and "can't decode byte 0xff" in err
+
+
 def test_huge_exponent_exits_three_quickly(tmp_path, capsys, instance_file):
     with open(instance_file) as handle:
         doc = json.load(handle)
@@ -547,6 +559,29 @@ def test_each_command_builds_the_integer_view_once(tmp_path, capsys, monkeypatch
         assert run_cli(capsys, *command)[0] == code, command
         assert len(builds) == 1, command
         builds.clear()
+
+
+_CACHES = {"_validation", "_integers", "_max_welfare", "_compiled_programs"}
+
+
+def test_every_command_leaves_only_the_documented_caches_on_its_instance(tmp_path, capsys, monkeypatch, instance_file):
+    # What an instance derives is kept in vars(instance) by model.cached, and
+    # only under these names: no command builds a table of its own there.
+    instances = []
+    parse = cli.instance_from_json
+    monkeypatch.setattr(cli, "instance_from_json", lambda text: instances.append(parse(text)) or instances[-1])
+    commands = _commands_reading_probabilities(tmp_path, instance_file)
+    commands += [["solve", instance_file, "--contract", kind] for kind in ("standard", "linear", "pay", "terminate")]
+    commands += [command for command, _ in _commands_checking_the_instance(tmp_path, instance_file)]
+    commands.append(["breakpoints", instance_file, "--csv", str(tmp_path / "plot.csv")])
+    left = set()
+    for command in commands:
+        run_cli(capsys, *command)
+        instance = instances[-1]
+        kept = set(vars(instance)) - {field.name for field in dataclasses.fields(instance)}
+        assert kept <= _CACHES, command
+        left |= kept
+    assert len(instances) == len(commands) and left == _CACHES
 
 
 def test_no_layer_scales_a_probability_row_of_the_instance(tmp_path, capsys, monkeypatch, instance_file):

@@ -38,6 +38,7 @@ from twostage.model import dot, integers, scale
 from oracles import (
     EVALUATE_CAPS,
     contract_pieces,
+    expected_per_final,
     profile_value,
     reference_backward_induction,
     reference_cdf_thresholds,
@@ -201,7 +202,7 @@ def test_expectation_matches_fraction_sum(pairs):
 
 def test_expectation_on_state_markers_rows():
     # Each final's row as the instance's integer view keeps it, over the
-    # state's one denominator, as Instance.final_rewards takes it.
+    # state's one denominator, as expected_state_reward takes it.
     rewards, view = scale(SIZED.rewards), integers(SIZED)
     for s, state in enumerate(SIZED.states):
         for act, dist in zip(state.final_actions, view.outcome_dists[s]):
@@ -233,14 +234,6 @@ def test_simulate_matches_reference_loop_float_for_float():
 CONTRACT_KINDS = ("standard", "linear", "pay_halfway", "terminate_halfway")
 
 
-def _expected_per_final(instance, values, terminated):
-    """Each final's expected value at each state by per-entry ``Fraction`` sums, None where terminated."""
-    return [
-        None if s in terminated else [reference_expectation(act.outcome_dist, values) for act in state.final_actions]
-        for s, state in enumerate(instance.states)
-    ]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_backward_induction_matches_fraction_reference(kind):
     # The reference takes each final's expected transfer from per-entry
@@ -254,12 +247,12 @@ def test_backward_induction_matches_fraction_reference(kind):
             negative = tuple(r - 7 * (m % 2) for m, r in enumerate(tied.rewards))
             for variant in (tied, dataclasses.replace(tied, rewards=negative)):
                 zeros = (F(0),) * variant.num_states
-                welfare = reference_backward_induction(variant, _expected_per_final(variant, variant.rewards, ()), zeros)
+                welfare = reference_backward_induction(variant, expected_per_final(variant, variant.rewards), zeros)
                 assert backward_induction(variant, variant.rewards, zeros, frozenset()) == welfare
                 for contract_kind in CONTRACT_KINDS:
                     contract = _contract(rng, variant, contract_kind)
                     transfers, state_transfers, terminated = contract_pieces(variant, contract)
-                    final_transfers = _expected_per_final(variant, transfers, terminated)
+                    final_transfers = expected_per_final(variant, transfers, terminated)
                     expected = reference_backward_induction(variant, final_transfers, state_transfers)
                     assert backward_induction(variant, transfers, state_transfers, terminated) == expected
                     if contract_kind == "linear" and min(variant.rewards) < 0:

@@ -264,18 +264,16 @@ def test_expected_state_reward_zero_reward_mass():
     assert expected_state_reward(inst, 0, 0) == 0
 
 
-def test_final_rewards_match_outcome_sums():
+def test_expected_state_rewards_match_outcome_sums():
     kinds = ("general", "tree", "deterministic_first_stage", "stochastic_first_stage")
     for seed in range(40):
         inst = random_instance(kinds[seed % 4], seed=seed, max_states=4, max_final_actions=4)
-        assert len(inst.final_rewards) == inst.num_states
         for s, state in enumerate(inst.states):
-            assert len(inst.final_rewards[s]) == len(state.final_actions)
             for j, act in enumerate(state.final_actions):
                 total = F(0)
                 for m in range(inst.num_outcomes):
                     total += act.outcome_dist[m] * inst.rewards[m]
-                assert inst.final_rewards[s][j] == total
+                assert expected_state_reward(inst, s, j) == total
 
 
 def _view_groups(inst, view):
@@ -302,22 +300,26 @@ def test_the_integer_view_is_every_probability_and_cost_over_its_least_denominat
             assert [tuple(F(p, denominator) for p in row) for row in rows] == fractions
 
 
-def test_final_rewards_leave_equality_hash_repr_and_json_alone():
+def test_the_integer_view_leaves_equality_hash_repr_and_json_alone():
     for seed in range(8):
         inst = random_instance("general", seed=seed)
         twin = instance_from_json(instance_to_json(inst))
         before = (hash(inst), repr(inst), instance_to_json(inst))
-        assert inst.final_rewards is inst.final_rewards  # built once
+        assert model.integers(inst) is model.integers(inst)  # built once
         assert (hash(inst), repr(inst), instance_to_json(inst)) == before
         assert inst == twin and twin == inst and hash(twin) == hash(inst)
-        assert "final_rewards" not in repr(inst)
+        assert "_integers" not in repr(inst)
 
 
-def test_replaced_instance_builds_its_own_final_rewards(midterm):
-    assert midterm.final_rewards == ((F(4), F(1, 2)), (F(5), F(5)))
+def _expected_state_rewards(inst):
+    return [[expected_state_reward(inst, s, j) for j in range(len(state.final_actions))] for s, state in enumerate(inst.states)]
+
+
+def test_replaced_instance_reads_its_own_rewards(midterm):
+    assert _expected_state_rewards(midterm) == [[F(4), F(1, 2)], [F(5), F(5)]]
     doubled = dataclasses.replace(midterm, rewards=(F(0), F(10)))
-    assert doubled.final_rewards == ((F(8), F(1)), (F(10), F(10)))
-    assert midterm.final_rewards == ((F(4), F(1, 2)), (F(5), F(5)))
+    assert _expected_state_rewards(doubled) == [[F(8), F(1)], [F(10), F(10)]]
+    assert _expected_state_rewards(midterm) == [[F(4), F(1, 2)], [F(5), F(5)]]
 
 
 def test_instance_round_trip_examples(midterm, interim_review):
@@ -519,9 +521,6 @@ def test_every_public_entry_taking_an_instance_refuses_an_invalid_one(midterm, m
         with pytest.raises(ValueError) as refused:
             getattr(twostage, name)(instance, *arguments)
         assert str(refused.value) == _ONE_ENTRY_VIOLATION, name
-    with pytest.raises(ValueError) as refused:
-        instance.final_rewards
-    assert str(refused.value) == _ONE_ENTRY_VIOLATION
     assert len(builds) == 1  # every entry read the report the instance keeps
     valid = dataclasses.replace(midterm)
     for name, arguments in BOUNDARY_ARGUMENTS.items():
@@ -545,7 +544,6 @@ def test_an_invalid_instance_is_refused_under_python_o(midterm, child_env):
         "for entry in (\n"
         "    lambda: ts.best_response(bad, ts.StandardContract((F(0), F(1)))),\n"
         "    lambda: ts.max_welfare(bad),\n"
-        "    lambda: bad.final_rewards,\n"
         "    lambda: ts.optimal_standard(bad),\n"
         "    lambda: ts.analyze(bad),\n"
         "    lambda: ts.simulate(bad, zeros, 10, 1),\n"
@@ -557,7 +555,7 @@ def test_an_invalid_instance_is_refused_under_python_o(midterm, child_env):
         "        print(exc)\n"
     )
     child = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env)
-    assert (child.returncode, child.stdout, child.stderr) == (0, (_ONE_ENTRY_VIOLATION + "\n") * 7, "")
+    assert (child.returncode, child.stdout, child.stderr) == (0, (_ONE_ENTRY_VIOLATION + "\n") * 6, "")
 
 
 def test_the_validation_report_is_kept_on_the_instance(midterm):
