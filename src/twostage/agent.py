@@ -13,13 +13,13 @@ gives those transfers and the terminated states, which ``best_response`` and
 themselves as transfers.
 
 All computations are exact; ``simulate`` is the only place floats appear, as
-sample statistics over exactly-sampled episodes.  Every probability and cost
-comes from the instance's integer view, ``model.integers``, and every
-expected value is one integer dot product of its row with values from
-``model.scale``, a given profile's from its one outcome mixture through
-``_profile_expectation``.  Each state's choice of final compares integers
-over one denominator.  Each entry refuses an invalid instance when it first
-reads the view.
+sample statistics over exactly-sampled episodes.  Every probability, cost
+and reward comes from the instance's integer view, ``model.integers``, and
+every expected value is one integer dot product of its row with the view's
+rewards or with transfers from ``model.scale``, a given profile's from its
+one outcome mixture through ``_profile_expectation``.  Each state's choice of
+final compares integers over one denominator.  Each entry refuses an invalid
+instance when it first reads the view.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def backward_induction(instance: Instance, transfers, state_transfers, terminate
     not depend on which tying final is picked.
     """
     view = integers(instance)
-    (tn, td), (rn, rd) = scale(transfers), scale(instance.rewards)
+    (tn, td), (rn, rd) = scale(transfers), view.rewards
     unit = td * rd
     num_states = instance.num_states
     finals: dict[int, int] = {}
@@ -214,20 +214,20 @@ def evaluate_profile(
     view = integers(instance)  # an invalid instance is refused before the profile is checked
     _check_profile(instance, profile, set(range(instance.num_states)) - terminated)
 
-    cost, payment, reward = _profile_expectation(instance, profile, transfers, instance.rewards)
+    cost, payment, reward = _profile_expectation(instance, profile, scale(transfers), view.rewards)
     payment += dot((view.transitions[profile.initial], view.initial_scale), scale(state_transfers))
     cost += instance.initial_actions[profile.initial].cost
     return ProfileEvaluation(payment - cost, payment, reward - payment)
 
 
 def _profile_expectation(instance: Instance, profile: ActionProfile, *vectors) -> tuple[Fraction, ...]:
-    """The expected final cost, then each outcome vector's expectation, under the profile's
-    outcome mixture: one ``model._mixture`` of its finals, weighted by its initial action's
-    transition, so a state it names that the initial action never reaches adds nothing."""
+    """The expected final cost, then each outcome vector's expectation, each vector as ``model.scale``
+    gives it, under the profile's outcome mixture: one ``model._mixture`` of its finals, weighted by
+    its initial action's transition, so a state it names that it never reaches adds nothing."""
     view = integers(instance)
     outcomes, cost, common = _mixture(view, profile.finals, instance.num_outcomes)(view.transitions[profile.initial])
     whole = view.initial_scale * common
-    return (Fraction(cost, whole), *(dot((outcomes, whole), scale(vector)) for vector in vectors))
+    return (Fraction(cost, whole), *(dot((outcomes, whole), vector) for vector in vectors))
 
 
 def _cdf_thresholds(numerators, denominator) -> list[int]:

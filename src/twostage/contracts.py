@@ -15,14 +15,13 @@ objective's coefficients are expected transfers, none negative on a valid
 instance.  ``_Compiled.program`` builds it in the integer form that
 ``_dual_value`` takes, with no ``Fraction``: the expected-value coefficients
 come from the profile's outcome mixture, ``model._mixture``, over the integer
-view, ``model.integers``, as does a candidate's expected reward (through
-``agent._profile_expectation``); each row is divided by its entries' gcd.
-Each row keeps its unit, the factor that turns it back into its ``>=`` row
-in ``Fraction``s.  A program ``_dual_value`` gives no ``x`` is built from
-that form and those units as a ``LinearProgram`` by ``_linear_program``,
-the one place a program's ``Fraction``s are made, and solved by
-``solve_lp``, once per instance; the two values must agree, so every caller
-reports ``solve_lp``'s ``x``.
+view, ``model.integers``, and the memo reads the expected reward off them.
+Each row is divided by its entries' gcd and keeps its unit, the factor that
+turns it back into its ``>=`` row in ``Fraction``s.  A program
+``_dual_value`` gives no ``x`` is built from that form and those units as a
+``LinearProgram`` by ``_linear_program``, the one place a program's
+``Fraction``s are made, and solved by ``solve_lp``, once per instance; the
+two values must agree, so every caller reports ``solve_lp``'s ``x``.
 
 All three optimal-contract searches share one best-first branch and bound.
 A candidate is a termination set (always empty but for terminate-halfway
@@ -43,16 +42,16 @@ Each instance keeps one private ``_Compiled`` (``model.cached``): each state's
 distinct finals, each (state, designated final, column count)'s final-stage
 rows and the search's bound table with and without blocking, in integers and
 each built once (the standard and pay searches share a table), and the value
-of every program solved on it, by a search or a wrapper.  A program is named
-by its profile, whose finals name the surviving states, and whether it has
-state transfers.  A terminate candidate that blocks no state is the standard
-program of the same initial action and finals, so ``compare``'s terminate
-search finds most of its programs already solved by its standard search.  A
-program taken from that memo still counts in ``programs_solved`` and
-``infeasible_profiles``, so a report, counters included, does not depend on
-what ran before on the instance.  The memo holds at most the programs solved
-on that instance, and it goes with the instance (with each command, in the
-CLI).
+and expected reward of every program solved on it, by a search or a wrapper,
+so a program taken from it builds nothing.  A program is named by its profile,
+whose finals name the surviving states, and whether it has state transfers.
+A terminate candidate that blocks no state is the standard program of the
+same initial action and finals, so ``compare``'s terminate search finds most
+of its programs already solved by its standard search.  A program taken from
+that memo still counts in ``programs_solved`` and ``infeasible_profiles``, so
+a report, counters included, does not depend on what ran before on the
+instance.  The memo holds at most the programs solved on that instance, and
+it goes with the instance (with each command, in the CLI).
 
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
@@ -67,9 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .agent import (
-    BestResponse, _check_profile, _check_terminate_set, _contract_pieces, _profile_expectation, best_response
-)
+from .agent import BestResponse, _check_profile, _check_terminate_set, _contract_pieces, best_response
 from .lp import Constraint, LinearProgram, LpOptimal, SolverInvariantError, _dual_value, solve_lp
 from .model import (
     ActionProfile,
@@ -138,8 +135,8 @@ class _Compiled:
     ``bounds[may_block]`` is ``_search``'s ``bound_table``, each built on
     first use.  ``programs`` maps a program, named by (with state transfers,
     initial action, sorted (state, final) pairs), to ``_minimal_payment``'s
-    ``(value, x)``, or to None when infeasible.  Every entry is set once, and
-    whoever sets it sets an equal value.
+    ``(value, x, reward)``, or to None when infeasible.  Every entry is set
+    once, and whoever sets it sets an equal value.
     """
 
     __slots__ = ("view", "finals", "num_outcomes", "rows", "programs", "bounds")
@@ -220,9 +217,9 @@ class _Compiled:
         initial action ``i``'s (bound term, final or ``_BLOCKED``) at state ``s``
         by descending term, then option, and ``seeds[i]`` is ``-c_i`` plus each
         first term, all over ``initial_scale`` times the finals' welfare scale."""
-        rewards, states, view = scale(instance.rewards), instance.states, self.view
+        states, view = instance.states, self.view
         welfare, welfare_scale = scale([
-            dot((view.outcome_dists[s][j], view.state_scales[s]), rewards) - states[s].final_actions[j].cost
+            dot((view.outcome_dists[s][j], view.state_scales[s]), view.rewards) - states[s].final_actions[j].cost
             for s, finals in enumerate(self.finals) for j in finals
         ])
         welfare = iter(welfare)
@@ -263,8 +260,9 @@ def _linear_program(form, units) -> LinearProgram:
 
 
 def _minimal_payment(instance, profile, with_state_transfers):
-    """``(value, x)`` of the profile's program, ``x`` the transfers every
-    caller reports, or None when it is infeasible; kept in the instance's memo.
+    """``(value, x, reward)`` of the profile's program, ``x`` the transfers
+    every caller reports and ``reward`` the profile's expected reward, read
+    off the objective, or None when it is infeasible; kept in the memo.
 
     ``lp._dual_value`` values the program in integers.  Only where it gives no
     ``x`` is the program built as a ``LinearProgram`` and solved by
@@ -282,6 +280,8 @@ def _minimal_payment(instance, profile, with_state_transfers):
         if not isinstance(result, LpOptimal) or result.objective_value != solution[0]:
             raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
         solution = (solution[0], result.x)
+    if solution is not None:
+        solution = (*solution, dot((form[0][: compiled.num_outcomes], form[1]), compiled.view.rewards))
     programs[name] = solution
     return solution
 
@@ -387,7 +387,7 @@ def _search(instance, profiles_cap, with_state_transfers, may_block, make_contra
         if solution is None:
             infeasible += 1
             continue
-        profit = _profile_expectation(instance, profile, instance.rewards)[1] - solution[0]
+        profit = solution[2] - solution[0]
         if best is None or profit > best[0] or (profit == best[0] and key < best[1]):
             best = (profit, key, solution[1])
             numerator, divisor = (profit * denominator).as_integer_ratio()

@@ -108,11 +108,11 @@ def _upper_envelope(lines, lo=_ZERO, hi=_ONE):
     return interior, segments
 
 
-def _state_lines(instance: Instance, s: int, rewards):
-    """State ``s``'s lines (expected reward, -cost, final); ``rewards`` is ``scale(instance.rewards)``."""
+def _state_lines(instance: Instance, s: int):
+    """State ``s``'s lines (expected reward, -cost, final), each reward from the view's integers."""
     view = integers(instance)
     finals = zip(view.outcome_dists[s], instance.states[s].final_actions)
-    return [(dot((dist, view.state_scales[s]), rewards), -act.cost, j) for j, (dist, act) in enumerate(finals)]
+    return [(dot((dist, view.state_scales[s]), view.rewards), -act.cost, j) for j, (dist, act) in enumerate(finals)]
 
 
 def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
@@ -122,7 +122,7 @@ def state_breakpoints(instance: Instance, state: int) -> list[Fraction]:
     envelope line has no breakpoints.
     """
     _check_state(instance, state)
-    knees, _ = _upper_envelope(_state_lines(instance, state, scale(instance.rewards)))
+    knees, _ = _upper_envelope(_state_lines(instance, state))
     return knees
 
 
@@ -138,8 +138,7 @@ def analyze(instance: Instance) -> BreakpointAnalysis:
     """
     _check_linear_rewards(instance)
     num_states = instance.num_states
-    scaled = scale(instance.rewards)
-    state_lines = [_state_lines(instance, s, scaled) for s in range(num_states)]
+    state_lines = [_state_lines(instance, s) for s in range(num_states)]
     state_envelopes = []
     final_knees: set[Fraction] = set()
     for lines in state_lines:

@@ -21,14 +21,14 @@ family's parameters and every constructor's field that is not exactly a
 float, bool, ``Decimal`` or None is refused everywhere alike.  It reads a
 plain ``[-]digits[/digits]`` string with ``int`` and accepts or rejects
 every other spelling exactly as ``Fraction`` does.
-An instance's probabilities and costs are converted once, for any instance,
-into its integer view ``_Integers``.  ``validate`` and ``classify`` read it,
-and a row sums to 1 when its numerators sum to its group's denominator.  An
-expected value is one integer dot product over common denominators, reduced
-once; ``scale`` and ``dot`` are the only such kernel, and every computing
-layer reads the view through ``integers``, which refuses an invalid instance.
-A profile's every expectation, a minimal-payment program's rows included, is
-read from one outcome mixture of its designated finals, ``_mixture``.
+An instance's rewards, probabilities and costs are converted once, for any
+instance, into its integer view ``_Integers``.  ``validate`` and ``classify``
+read it: a row sums to 1 when its numerators sum to its group's denominator.
+An expected value is one integer dot product over common denominators,
+reduced once; ``scale`` and ``dot`` are the only such kernel, and every
+computing layer reads the view through ``integers``, which refuses an invalid
+instance.  A profile's every expectation, a minimal-payment program's
+objective and rows included, is read from one outcome mixture, ``_mixture``.
 """
 
 from __future__ import annotations
@@ -473,14 +473,15 @@ def dot(weights: tuple[Sequence[int], int], values: tuple[Sequence[int], int]) -
 
 
 class _Integers:
-    """An instance's probabilities and costs as ``scale`` integers, each group over its least
-    denominator: ``transitions[i]`` and ``initial_costs[i]`` over ``initial_scale``, and at
+    """An instance's numbers as ``scale`` integers, each group over its least denominator:
+    ``rewards``; ``transitions[i]`` and ``initial_costs[i]`` over ``initial_scale``; and at
     state ``s``, ``outcome_dists[s][j]`` and ``final_costs[s][j]`` over ``state_scales[s]``.
     Converted from any instance, valid or not, and kept on it by ``_view``."""
 
-    __slots__ = ("transitions", "initial_costs", "initial_scale", "outcome_dists", "final_costs", "state_scales")
+    __slots__ = ("rewards", "transitions", "initial_costs", "initial_scale", "outcome_dists", "final_costs", "state_scales")
 
     def __init__(self, instance: Instance):
+        self.rewards = scale(instance.rewards)
         actions = instance.initial_actions
         self.transitions, self.initial_costs, self.initial_scale = _scaled(actions, [a.transition for a in actions])
         groups = [_scaled(state.final_actions, [a.outcome_dist for a in state.final_actions]) for state in instance.states]
@@ -543,7 +544,7 @@ def expected_state_reward(instance: Instance, state: int, final: int) -> Fractio
     _check_state(instance, state)
     _check_final(instance, state, final)
     view = integers(instance)
-    return dot((view.outcome_dists[state][final], view.state_scales[state]), scale(instance.rewards))
+    return dot((view.outcome_dists[state][final], view.state_scales[state]), view.rewards)
 
 
 # --- serialization ------------------------------------------------------------
@@ -585,6 +586,14 @@ def _array(doc: dict, key: str, where: str = "") -> list:
     return value
 
 
+def _name(doc: dict, default: str, where: str) -> str:
+    """``doc["name"]``, which the format requires to be a JSON string, or ``default`` if absent."""
+    name = doc.get("name", default)
+    if not isinstance(name, str):
+        raise InstanceFormatError(f"{where}name must be a JSON string, not {_shown(name)}")
+    return name
+
+
 def _rationals(doc: dict, key: str, where: str = "", read=parse_rational) -> list[Fraction]:
     return [read(v) for v in _array(doc, key, where)]
 
@@ -612,7 +621,7 @@ def instance_from_dict(doc: object) -> Instance:
         rewards = _rationals(doc, "rewards", read=rational)
         initials = [
             InitialAction(
-                name=str(a.get("name", f"i{idx}")),
+                name=_name(a, f"i{idx}", f"initial_actions[{idx}]."),
                 cost=rational(a["cost"]),
                 transition=_rationals(a, "transition", f"initial_actions[{idx}].", rational),
             )
@@ -620,10 +629,10 @@ def instance_from_dict(doc: object) -> Instance:
         ]
         states = [
             State(
-                name=str(s.get("name", f"s{idx}")),
+                name=_name(s, f"s{idx}", f"states[{idx}]."),
                 final_actions=tuple(
                     FinalAction(
-                        name=str(a.get("name", f"j{jdx}")),
+                        name=_name(a, f"j{jdx}", f"states[{idx}].final_actions[{jdx}]."),
                         cost=rational(a["cost"]),
                         outcome_dist=_rationals(
                             a, "outcome_dist", f"states[{idx}].final_actions[{jdx}].", rational

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import _check_profile, _profile_expectation, backward_induction
-from .model import ActionProfile, Instance, cached
+from .model import ActionProfile, Instance, cached, integers
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class WelfareReport:
 def profile_reward(instance: Instance, profile: ActionProfile) -> Fraction:
     """Expected reward of a total profile: sum over states of F[i,s] * R[s, j_s]."""
     _check_profile(instance, profile)
-    return _profile_expectation(instance, profile, instance.rewards)[1]
+    return _profile_expectation(instance, profile, integers(instance).rewards)[1]
 
 
 def profile_cost(instance: Instance, profile: ActionProfile) -> Fraction:

@@ -351,10 +351,10 @@ def _inductions(instance, seed):
     ]
 
 
-def test_one_induction_scales_five_vectors_whatever_the_number_of_states(monkeypatch):
-    # The transfers and the rewards, then the initial action's agent values,
-    # principal values and payments; no state scales anything of its own.
-    # The view is built first, so its own conversion is not counted.
+def test_one_induction_scales_four_vectors_whatever_the_number_of_states(monkeypatch):
+    # The transfers, then the initial action's agent values, principal values
+    # and payments; no state scales anything of its own.  The view is built
+    # first, so its own conversion, the rewards included, is not counted.
     calls = []
     for module in (model, agent):
         monkeypatch.setattr(module, "scale", lambda values, scale=module.scale: calls.append(1) or scale(values))
@@ -365,4 +365,4 @@ def test_one_induction_scales_five_vectors_whatever_the_number_of_states(monkeyp
             integers(fresh)
             calls.clear()
             entry(fresh)
-            assert len(calls) == 5
+            assert len(calls) == 4

@@ -423,6 +423,13 @@ def test_non_array_fields_exit_three(tmp_path, capsys, instance_file):
     assert code == 3 and out == ""
     assert "states[0].final_actions[1].outcome_dist must be a JSON array" in err
 
+    doc = json.loads(original)
+    doc["states"][0]["name"] = None  # once read as the name "None"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3 and out == ""
+    assert "states[0].name must be a JSON string, not None" in err
+
     contract_path = tmp_path / "contract.json"
     contract_path.write_text('{"kind": "standard", "t": "05"}')
     code, out, err = run_cli(
@@ -605,6 +612,46 @@ def test_no_layer_scales_a_probability_row_of_the_instance(tmp_path, capsys, mon
     assert len(instances) == 8
     assert {name for name, _ in handed} == {"twostage.model", "twostage.agent", "twostage.linear", "twostage.contracts"}
     assert not [(name, values) for name, values in handed if any(values is row for row in rows)]
+
+
+def test_the_rewards_are_scaled_once_and_a_search_reads_each_reward_from_its_program(
+    tmp_path, capsys, monkeypatch, instance_file
+):
+    # The view converts the rewards once; only max_welfare hands them on
+    # again, as its induction's transfers.  A search builds one outcome
+    # mixture per program it builds, the program's own, and reads the
+    # candidate's reward from it, so a program from the memo builds none.
+    instances, handed, mixtures, built = [], [], [], []
+    parse = cli.instance_from_json
+    monkeypatch.setattr(cli, "instance_from_json", lambda text: instances.append(parse(text)) or instances[-1])
+    for module in (model, agent, linear, contracts):
+
+        def watched(values, scale=module.scale):
+            if values is instances[-1].rewards:
+                caller = sys._getframe(1)
+                handed.append((caller.f_code.co_name, caller.f_back.f_code.co_name))
+            return scale(values)
+
+        monkeypatch.setattr(module, "scale", watched)
+    for module in (agent, contracts):
+        monkeypatch.setattr(module, "_mixture", lambda *a, mixture=module._mixture: mixtures.append(1) or mixture(*a))
+    program = contracts._Compiled.program
+    monkeypatch.setattr(contracts._Compiled, "program", lambda *a: built.append(1) or program(*a))
+    commands = _commands_reading_probabilities(tmp_path, instance_file)
+    commands += [["solve", instance_file, "--contract", kind] for kind in ("standard", "linear", "pay", "terminate")]
+    programs = solved = 0
+    for command in commands:
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0, command
+        assert handed[0] == ("__init__", "cached") and set(handed[1:]) <= {("backward_induction", "_max_welfare")}
+        assert len(mixtures) == len(built), command
+        doc = json.loads(out)
+        results = [*doc.get("results", {}).values(), doc.get("result", {})]
+        solved += sum(result.get("programs_solved", 0) for result in results)
+        programs += len(built)
+        handed.clear(), mixtures.clear(), built.clear()
+    # compare's terminate search finds most of its programs in the memo.
+    assert len(instances) == len(commands) and 0 < programs < solved
 
 
 def test_compare_report_is_deterministic_and_consistent(capsys, instance_file):
@@ -1204,6 +1251,12 @@ def _check_a_mutated_run(data, command, base: Instance) -> None:
         contract = data.draw(_mutated(contract))
     else:
         instance = data.draw(_mutated(instance))
+    _check_a_run(command, instance, contract)
+
+
+def _check_a_run(command, instance, contract) -> int:
+    """Run ``command`` on the two documents; check that it exits with a
+    documented code, with no traceback, and with JSON or nothing on stdout."""
     with tempfile.TemporaryDirectory() as scratch:
         paths = {"instance": Path(scratch) / "instance.json", "contract": Path(scratch) / "contract.json"}
         paths["instance"].write_text(json.dumps(instance))
@@ -1217,6 +1270,7 @@ def _check_a_mutated_run(data, command, base: Instance) -> None:
         _strict_json(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue()
+    return code
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
@@ -1230,3 +1284,21 @@ def test_mutated_documents_exit_with_a_documented_code(data, command):
 def test_mutated_interim_review_documents_exit_with_a_documented_code(data, command):
     # FUZZ_CONTRACTS fit interim_review too: 2 outcomes and 2 states.
     _check_a_mutated_run(data, command, interim_review_instance())
+
+
+@pytest.mark.parametrize("base", [midterm_instance, interim_review_instance])
+@pytest.mark.parametrize("command", FUZZ_COMMANDS[:2], ids=["simulate", "best-response"])
+@pytest.mark.parametrize("leaf", [*FUZZ_LEAVES, _DROP], ids=[*map(repr, FUZZ_LEAVES), "deleted"])
+def test_a_mutated_terminate_set_entry_exits_with_a_documented_code(base, command, leaf):
+    # The derandomized fuzz above mutates no terminate_set entry, so each leaf,
+    # and a deletion, takes the place of the terminate-halfway contract's one
+    # entry, state 0.  With none left it is a contract, state 2 lies outside
+    # both bases (exit 1), and every other leaf, a string included, is no
+    # state index (exit 3).
+    contract = copy.deepcopy(FUZZ_CONTRACTS[3])
+    if leaf is _DROP:
+        del contract["terminate_set"][0]
+    else:
+        contract["terminate_set"][0] = leaf
+    expected = 0 if leaf is _DROP else 1 if leaf == 2 else 3
+    assert _check_a_run(command, json.loads(instance_to_json(base())), contract) == expected

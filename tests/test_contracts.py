@@ -375,6 +375,38 @@ def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, rec
     assert terminate_doc["infeasible_profiles"] == cold.infeasible_profiles
 
 
+def test_the_memo_keeps_each_searched_program_s_expected_reward():
+    # A search reads a candidate's profit as the reward the memo keeps, read
+    # off its program's objective, minus its value.  That reward must be the
+    # profile's expected reward for every program the three searches value:
+    # profile_reward's, or, where a blocked state is one the initial action
+    # reaches, the oracle's under a zero contract that blocks those states.
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    for kind in KINDS:
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    checked = blocked = 0
+    for inst in instances:
+        for solver in (optimal_standard, optimal_pay, optimal_terminate):
+            solver(inst)
+        zero = (F(0),) * inst.num_outcomes
+        for (_, initial, finals), solution in vars(inst)[contracts._COMPILED].programs.items():
+            if solution is None:
+                continue
+            profile = ActionProfile(initial, dict(finals))
+            reached = {s for s, p in enumerate(inst.initial_actions[initial].transition) if p}
+            if reached <= set(profile.finals):
+                assert solution[2] == profile_reward(inst, profile), (profile, inst)
+            else:
+                terminated = frozenset(range(inst.num_states)) - set(profile.finals)
+                assert solution[2] == profile_value(inst, TerminateHalfwayContract(zero, terminated), profile)[2]
+                blocked += 1
+            checked += 1
+    assert len(instances) == 5 + 4 * 20 * 5
+    assert checked > 1000 and blocked > 20
+
+
 def _midterm_with(initial_cost=F(0), fail_effort=(F(1, 5), F(4, 5))):
     """midterm with ``initial_cost`` added to each initial action's cost and the
     given outcome distribution for effort at the fail state."""

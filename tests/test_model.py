@@ -403,6 +403,30 @@ def test_instance_parsing_requires_arrays(midterm, path, value):
 
 
 @pytest.mark.parametrize(
+    "path,value",
+    [(("initial_actions", 0), None), (("states", 0), {"a": [1, 2]}), (("states", 1, "final_actions", 0), 5)],
+)
+def test_instance_parsing_requires_string_names(midterm, path, value):
+    # A name that is present is kept as written, so anything but a string is
+    # refused, naming its field, where str() once turned null into "None".
+    # A missing name keeps its default.
+    doc = json.loads(instance_to_json(midterm))
+    target = doc
+    for key in path:
+        target = target[key]
+    target["name"] = value
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+    message = f"{where}.name must be a JSON string, not {value!r}"
+    with pytest.raises(InstanceFormatError, match="^" + re.escape(message)):
+        instance_from_json(json.dumps(doc))
+    del target["name"]
+    parsed = model.instance_to_dict(instance_from_json(json.dumps(doc)))
+    for key in path:
+        parsed = parsed[key]
+    assert parsed["name"] == {"initial_actions": "i", "states": "s", "final_actions": "j"}[path[-2]] + str(path[-1])
+
+
+@pytest.mark.parametrize(
     "doc,field",
     [
         ({"kind": "standard", "t": "05"}, "t"),
