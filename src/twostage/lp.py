@@ -5,54 +5,42 @@ implicit bound x >= 0, exactly and deterministically: the instances this
 package cares about contain coefficients like lambda**k that destroy
 floating-point conditioning.  A ``Constraint`` and a ``LinearProgram``
 read their numbers by ``model.parse_rational``'s rule, as every constructor
-does.  There are two entries.
+does.  ``contracts._minimal_payment`` is the one caller of both entries.
 
 ``solve_lp`` is a dense two-phase primal simplex with Bland's anti-cycling
 rule; it gives any program's status, optimal basic ``x`` and duals.
-Equality rows are handled as a <= / >= pair; rows with a negative
-right-hand side are negated first, and phase 1 uses artificial variables.
+Equality rows are a <= / >= pair; rows with a negative right-hand side are
+negated, and phase 1 uses artificial variables.  It scales each row, and
+the objective, to integers with ``model.scale`` anew on every solve.
 
-``_dual_value`` is a dual simplex (Lemke 1954) for programs with c >= 0.
-With every row in <= form and its slack basic, that basis is then dual
-feasible whatever the right-hand sides, so no phase 1 is needed.  Bland's
-rule in its dual form (Bland 1977) pivots until no right-hand side is
-negative, or until a row with none of its entries negative proves the
-program infeasible.  It gives ``x`` only where that is certain to be
-``solve_lp``'s: at a unique optimum, and at x = 0, from which no step of
-``solve_lp`` can lower the objective below its bound 0, so none moves.
-It takes a program in integer form, with no ``LinearProgram``: the
-objective's integers and their scale, then every row already in <= form as
-integers (coefficients, then right-hand side), then the column count.
-``contracts._minimal_payment`` is the one caller of each: it values a
-program's integer form with ``_dual_value``, and builds the program as a
-``LinearProgram`` for ``solve_lp`` only where that gives no ``x``.  Both
-read the basic ``x`` with ``_basic_x``.
+``_dual_value`` is a dual simplex (Lemke 1954) for c >= 0, which needs no
+phase 1: the slack basis is dual feasible.  It takes the objective's
+integers and scale, the rows in <= form as integers (coefficients, then
+right-hand side) and the column count.  Its tableau is condensed, the
+dictionary form that Avis's ``lrs`` (2000) pivots in integers: the n
+nonbasic columns and the right-hand side, each row labelled with its basic
+variable and each column with its nonbasic one (x is 0..n-1, row k's slack
+n+k).  Dual Bland (Bland 1977): the least basic label with a negative
+right-hand side leaves, and of its row's negative entries the least ratio
+(reduced cost) / |entry| enters, ties going to the least label; these are
+the full tableau's pivots.  A leaving row with no negative entry proves
+infeasibility.  ``x`` is given only where it is certain to be
+``solve_lp``'s: at x = 0, from which no step of ``solve_lp`` can lower the
+objective below 0, and where no nonbasic reduced cost is 0, so the optimum
+is unique.  Elsewhere the caller asks ``solve_lp``.
 
-Both keep the tableau as Python ints over one common denominator ``D``, the
-determinant of the current basis.  ``solve_lp`` scales each row
-(coefficients and right-hand side), and the objective, by the least common
-multiple of its denominators with ``model.scale``, the package's one
-common-denominator kernel, anew on every solve (nothing keeps a scaled row).
-``_dual_value``'s caller gives each row in integers; ``contracts`` gives it
-in lowest terms, divided by the gcd of its entries, so never wider than
-``solve_lp``'s row.  The slack and artificial columns start as
-the identity, so ``D`` starts at 1.  A pivot on entry ``p`` updates every
-other row by the Bareiss (Edmonds) rule ``a' = (a*p - f*b) // D``, where
-``f`` is the row's entry in the pivot column and ``b`` the pivot row's
-entry; the division is exact.  Then ``D = p``; when ``p`` is negative, the
-pivot row is negated first so that ``D`` stays positive.  The reduced costs
-are one more row of the tableau, updated by the same rule.  Its right-hand
-side is minus ``D`` times the scaled objective value, so the optimal value
-is read from there.
-
-Positive row scales leave the structural columns of the basis-inverse
-tableau unchanged and multiply each slack, surplus and artificial variable
-by a positive factor; phase 1 weights each artificial by the reciprocal of
-its row's scale to match.  So every reduced cost keeps its sign, every ratio
-test its minimum and every tie-break its order, and Bland's rule takes
-exactly the pivots of the unscaled rational tableau: the same basis, ``x``
-and duals, whichever positive multiple of each row it is given.  The
-integers are Python ints, and the answers ``Fraction``s of them.
+Both keep the tableau as Python ints over one denominator ``D``, the
+determinant of the basis, 1 at the start.  A pivot on entry ``p`` negates
+the pivot row when ``p < 0``, updates every other entry by the Bareiss rule
+``a' = (a*p - f*b) // D`` (exactly), with ``f`` the row's entry in the pivot
+column and ``b`` the pivot row's, and sets ``D = p``.  In the condensed
+tableau the freed column, now the leaving variable's, gets the old ``-D``
+in the pivot row and the old ``f`` in every other row: the full tableau's
+leaving column.  The reduced costs are the last row; its right-hand side
+is minus ``D`` times the scaled objective value.  A positive row scale
+multiplies a slack, surplus or artificial by a positive factor (phase 1
+weights each artificial by its row's reciprocal scale), so both simplexes
+pivot as on the unscaled rational tableau, whatever the row scales.
 """
 
 from __future__ import annotations
@@ -147,8 +135,8 @@ def _pivot(tableau, basis, row, col, denom):
 
     Every row, the reduced-cost row included, carries its right-hand side as
     the last entry.  The new ``D`` is the pivot entry; when that is negative
-    (driving artificials out, and every pivot of ``_dual_value``), the pivot
-    row is negated first so that ``D`` stays positive.
+    (driving artificials out), the pivot row is negated first so that ``D``
+    stays positive.
     """
     prow = tableau[row]
     p = prow[col]
@@ -310,33 +298,43 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     return LpOptimal(_basic_x(tableau, basis, n, denom), Fraction(-reduced[-1], dual_denom), tuple(dual))
 
 
+def _exchange(tableau, basis, nonbasic, row, col, denom):
+    """Pivot the condensed tableau on its negative entry ``tableau[row][col]``,
+    swap the two labels and return the new ``D``.  Rows are replaced, never
+    written to, so the caller's rows can start the tableau."""
+    prow = [-a for a in tableau[row]]
+    p = prow[col]
+    for k, trow in enumerate(tableau):
+        if k == row:
+            continue
+        f = trow[col]
+        if f:
+            tableau[k] = new = [(a * p - f * b) // denom for a, b in zip(trow, prow)]
+            new[col] = f
+        elif p != denom:
+            tableau[k] = [a * p // denom for a in trow]
+    prow[col] = -denom
+    tableau[row] = prow
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
+    return p
+
+
 def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
     """``(value, x)`` of a program with a non-negative objective, or None when
-    infeasible (see the module docstring).  The program comes in integer form:
-    the objective is ``objective[k] / obj_scale``, and each row of ``rows``
-    holds ``n`` coefficients, then its right-hand side, of one ``<=`` row.
-    ``x`` is None where it might not be ``solve_lp``'s: where a non-basic
-    reduced cost is 0 at an optimum other than x = 0.  A negative cost raises
-    ``SolverInvariantError``."""
+    infeasible (see the module docstring).  The objective is ``objective[k] /
+    obj_scale``; each of ``rows`` holds one ``<=`` row's ``n`` coefficients,
+    then its right-hand side.  ``x`` is None where it might not be
+    ``solve_lp``'s: at an optimum other than x = 0 where a nonbasic reduced
+    cost is 0.  A negative cost raises ``SolverInvariantError``."""
     if any(c < 0 for c in objective):
         raise SolverInvariantError("the dual simplex needs a non-negative objective")
     if all(values[-1] >= 0 for values in rows):
         return _ZERO, (_ZERO,) * n  # x = 0 is feasible, so optimal, and solve_lp's
-    m = len(rows)
-    zeros = [0] * m
-    tableau = []
-    for k, values in enumerate(rows):
-        trow = [*values[:-1], *zeros, values[-1]]
-        trow[n + k] = 1  # slack
-        tableau.append(trow)
-    tableau.append([*objective, *zeros, 0])
-    basis = list(range(n, n + m))
+    tableau = [*rows, [*objective, 0]]
+    basis, nonbasic = list(range(n, n + len(rows))), list(range(n))
     denom = 1
 
     while True:
-        # Dual Bland: the least basic index with a negative right-hand side
-        # leaves; of the row's negative entries, the least ratio (reduced
-        # cost) / |entry|, then the least index, enters.
         leaving = -1
         for k, b in enumerate(basis):
             if tableau[k][-1] < 0 and (leaving < 0 or b < basis[leaving]):
@@ -345,14 +343,16 @@ def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction, tuple[Fraction
             break
         trow, costs = tableau[leaving], tableau[-1]
         entering = -1
-        for j in range(n + m):
+        for j in range(n):
             a = trow[j]
-            if a < 0 and (entering < 0 or costs[j] * best_a > best_cost * a):
+            if a < 0 and (entering < 0 or costs[j] * best_a > best_cost * a or (
+                costs[j] * best_a == best_cost * a and nonbasic[j] < nonbasic[entering]
+            )):
                 entering, best_cost, best_a = j, costs[j], a
         if entering < 0:
             return None  # the row is a sum of non-negative terms equal to a negative number
-        denom = _pivot(tableau, basis, leaving, entering, denom)
+        denom = _exchange(tableau, basis, nonbasic, leaving, entering, denom)
 
     value = Fraction(-tableau[-1][-1], denom * obj_scale)
-    unique = tableau[-1][:-1].count(0) == m  # no non-basic reduced cost is 0
+    unique = 0 not in tableau[-1][:-1]  # no nonbasic reduced cost is 0
     return value, _basic_x(tableau, basis, n, denom) if unique else None

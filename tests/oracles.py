@@ -28,7 +28,8 @@ former ``Fraction`` sums of the ``contracts`` minimal-payment program and of
 ``welfare.profile_reward``/``profile_cost``, and ``reference_bound_table``
 of ``contracts._Compiled.bound_table``.  ``dual_form`` is the former
 ``LinearProgram`` entry of ``lp._dual_value``, which tests use to hand it a
-program.
+program, and ``full_tableau_dual_value`` its former tableau with every slack
+column, the reference for its condensed tableau: both take the same pivots.
 """
 
 from __future__ import annotations
@@ -519,6 +520,61 @@ def dual_form(lp: LinearProgram, lowest: bool = False):
     if lowest:
         rows = [[v // divisor for v in row] if (divisor := math.gcd(*row)) else row for row in rows]
     return objective, obj_scale, rows, lp.num_variables
+
+
+def full_tableau_dual_value(objective, obj_scale, rows, n):
+    """``lp._dual_value``'s former full-tableau dual simplex, the reference
+    for its condensed tableau: ``(result, pivots)``, the result as
+    ``_dual_value`` gives it and the pivots as (leaving, entering) variable
+    labels, x being 0..n-1 and row k's slack n+k.  Every slack column is kept,
+    so a label is a column; ties go to the least column."""
+    if any(c < 0 for c in objective):
+        raise SolverInvariantError("the dual simplex needs a non-negative objective")
+    if all(values[-1] >= 0 for values in rows):
+        return (ZERO, (ZERO,) * n), []
+    m = len(rows)
+    tableau = []
+    for k, values in enumerate(rows):
+        trow = [*values[:-1], *[0] * m, values[-1]]
+        trow[n + k] = 1
+        tableau.append(trow)
+    tableau.append([*objective, *[0] * m, 0])
+    basis = list(range(n, n + m))
+    denom = 1
+    pivots = []
+    while True:
+        leaving = -1
+        for k, b in enumerate(basis):
+            if tableau[k][-1] < 0 and (leaving < 0 or b < basis[leaving]):
+                leaving = k
+        if leaving < 0:
+            break
+        trow, costs = tableau[leaving], tableau[-1]
+        entering = -1
+        for j in range(n + m):
+            a = trow[j]
+            if a < 0 and (entering < 0 or costs[j] * best_a > best_cost * a):
+                entering, best_cost, best_a = j, costs[j], a
+        if entering < 0:
+            return None, pivots
+        pivots.append((basis[leaving], entering))
+        # Bareiss pivot on the negative entry: negate the pivot row, then D = p.
+        prow = tableau[leaving] = [-a for a in trow]
+        p = prow[entering]
+        for k, other in enumerate(tableau):
+            if k != leaving:
+                f = other[entering]
+                tableau[k] = [(a * p - f * b) // denom for a, b in zip(other, prow)]
+        basis[leaving] = entering
+        denom = p
+    value = Fraction(-tableau[-1][-1], denom * obj_scale)
+    if tableau[-1][:-1].count(0) != m:
+        return (value, None), pivots
+    x = [ZERO] * n
+    for k, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(tableau[k][-1], denom)
+    return (value, tuple(x)), pivots
 
 
 # The size caps of the benchmark's ``evaluate`` workload (bench/inputs.py).

@@ -574,8 +574,15 @@ def test_terminate_beats_pay_when_reward_is_low():
 
 
 def test_enumeration_caps(midterm):
-    with pytest.raises(EnumerationCapExceeded):
-        optimal_standard(midterm, profiles_cap=1)
+    # The space is initial actions times, per state, its distinct finals, plus
+    # blocking for terminate: a cap equal to it runs, one less refuses.
+    for search, may_block in ((optimal_standard, False), (optimal_pay, False), (optimal_terminate, True)):
+        space = midterm.num_initial_actions * math.prod(
+            len({(a.cost, a.outcome_dist) for a in state.final_actions}) + may_block for state in midterm.states
+        )
+        assert search(midterm, profiles_cap=space) == search(midterm)
+        with pytest.raises(EnumerationCapExceeded, match=f"^{space} profiles to enumerate exceeds the cap of {space - 1}$"):
+            search(midterm, profiles_cap=space - 1)
 
 
 @pytest.mark.parametrize("cap", [True, "5", 2.5, None])

@@ -26,7 +26,7 @@ from twostage import (
 )
 from twostage.model import scale
 
-from oracles import dual_form, fraction_simplex, scipy_lp_min, tie_heavy_variants
+from oracles import dual_form, fraction_simplex, full_tableau_dual_value, scipy_lp_min, tie_heavy_variants
 
 
 def test_single_lower_bound():
@@ -393,27 +393,50 @@ def _nonnegative_cost_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram(objective, constraints)
 
 
-def test_dual_value_matches_both_simplexes_on_random_programs():
+@pytest.fixture
+def exchanges(monkeypatch):
+    """The list of (leaving, entering) variable labels of each pivot that
+    ``lp._dual_value`` takes, appended as it takes them."""
+    pivots = []
+    exchange = lp_module._exchange
+
+    def recording(tableau, basis, nonbasic, row, col, denom):
+        pivots.append((basis[row], nonbasic[col]))
+        return exchange(tableau, basis, nonbasic, row, col, denom)
+
+    monkeypatch.setattr(lp_module, "_exchange", recording)
+    return pivots
+
+
+def _assert_full_tableau_pivots(form, exchanges):
+    """``_dual_value`` on ``form`` gives the full tableau's result by the full
+    tableau's pivots, label for label; returns its result."""
+    exchanges.clear()
+    result = lp_module._dual_value(*form)
+    assert (result, exchanges) == full_tableau_dual_value(*form), form
+    return result
+
+
+def test_dual_value_matches_both_simplexes_on_random_programs(exchanges):
     rng = random.Random(16)
     seen = collections.Counter()
+    pivoted = 0
     for _ in range(1500):
         lp = _nonnegative_cost_lp(rng)
         expected = solve_lp(lp)
         assert expected == fraction_simplex(lp), lp
-        seen[_assert_dual_value_agrees(lp, lp_module._dual_value(*dual_form(lp)), expected)] += 1
-    assert min(seen.values()) > 100, seen
+        seen[_assert_dual_value_agrees(lp, _assert_full_tableau_pivots(dual_form(lp), exchanges), expected)] += 1
+        pivoted += bool(exchanges)
+    assert min(seen.values()) > 100 and pivoted > 900, (seen, pivoted)
 
 
-def test_dual_value_does_not_depend_on_the_row_scale(monkeypatch):
+def test_dual_value_does_not_depend_on_the_row_scale(exchanges):
     # The searches hand _dual_value each row in lowest integers, not as
     # model.scale gives it.  A positive row scale must not change a pivot, so
     # the value, x and infeasibility stay the same with each row as
     # model.scale gives it, divided by its gcd, or times a random factor.
-    pivots = []
-    pivot = lp_module._pivot
-    monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args[2:4]) or pivot(*args))
     rng = random.Random(16)
-    reduced = 0
+    reduced = pivoted = 0
     for _ in range(1500):
         lp = _nonnegative_cost_lp(rng)
         objective, obj_scale, rows, n = scaled = dual_form(lp)
@@ -423,13 +446,14 @@ def test_dual_value_does_not_depend_on_the_row_scale(monkeypatch):
         multiplied = (objective, obj_scale, [[v * f for v in row] for row, f in zip(rows, factors)], n)
         runs = []
         for form in (scaled, lowest, multiplied):
-            pivots.clear()
-            runs.append((lp_module._dual_value(*form), list(pivots)))
+            exchanges.clear()
+            runs.append((lp_module._dual_value(*form), list(exchanges)))
         assert runs[0] == runs[1] == runs[2], lp
-    assert reduced > 200, reduced
+        pivoted += bool(exchanges)
+    assert reduced > 200 and pivoted > 900, (reduced, pivoted)
 
 
-def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs, record_linear_programs):
+def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs, record_linear_programs, exchanges):
     handed = record_programs("_dual_value", "solve_lp")
     built = record_linear_programs()
     instances = [generate(FamilyParams(family, params)) for family, params in SEARCHED_FAMILIES[:5]]
@@ -455,11 +479,17 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
         expected = solve_lp(lp)
         assert expected == fraction_simplex(lp), lp
         seen[_assert_dual_value_agrees(lp, result, expected)] += 1
+    # Each integer form, valued again, takes the full tableau's pivots.
+    pivoted = 0
+    for name, form, result in handed:
+        if name == "_dual_value":
+            assert _assert_full_tableau_pivots(form, exchanges) == result, form
+            pivoted += bool(exchanges)
     assert len(instances) == 5 + 4 * 20 * 5
-    assert min(seen.values()) > 100 and resolved > 20, (seen, resolved)
+    assert min(seen.values()) > 100 and resolved > 20 and pivoted > 500, (seen, resolved, pivoted)
 
 
-def test_dual_value_gives_x_zero_wherever_it_is_feasible(monkeypatch):
+def test_dual_value_gives_x_zero_wherever_it_is_feasible(monkeypatch, exchanges):
     # x0 costs nothing, so the optimum x = 0 is not unique.  solve_lp's
     # phase 1 still pivots x0 into the basis of the x0 - x1 >= 0 row, but at
     # step length 0, so its x stays 0 too.
@@ -471,9 +501,9 @@ def test_dual_value_gives_x_zero_wherever_it_is_feasible(monkeypatch):
         (Constraint((F(1), F(-1)), ">=", F(0)), Constraint((F(1), F(1)), "<=", F(4)), Constraint((F(1), F(0)), ">=", F(-2))),
     )
     assert lp_module._dual_value(*dual_form(lp)) == (F(0), (F(0), F(0)))
-    assert not pivots
+    assert not exchanges and not pivots
     assert solve_lp(lp).x == (F(0), F(0))
-    assert pivots
+    assert pivots and not exchanges
 
 
 def test_dual_value_refuses_a_negative_cost():
