@@ -1032,9 +1032,9 @@ def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file,
     assert "Traceback" not in result.stderr
 
 
-# Whole stdout of every command on interim_review and on one draw at the caps
-# of the benchmark's evaluate workload, pinned byte for byte apart from the
-# wall-clock ``duration_seconds`` line.  After an intended output change,
+# Whole stdout of every command on each instance of GOLDEN_INSTANCES (among
+# them one draw at the caps of the benchmark's evaluate workload), pinned byte
+# for byte apart from the wall-clock ``duration_seconds`` line.  After an intended output change,
 # rewrite the files with
 #   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
 GOLDEN = Path(__file__).parent / "golden"
@@ -1045,6 +1045,7 @@ GOLDEN_INSTANCES = {
     "random_general_6": ("random_general", {"seed": 6, "s": 10, "n1": 5, "n2": 8, "m": 8}),
     "state_markers_5_1": ("state_markers", {"s": 5, "n2": 1}),  # 11 states: finals keys "10" < "2"
     "midterm": ("midterm", {}),
+    "cost_ladder_3_3": ("cost_ladder", {"n1": 3, "n2": 3}),  # most candidates are infeasible
 }
 GOLDEN_COMMANDS = {
     "validate": ["validate", "{instance}"],
