@@ -53,6 +53,16 @@ a report, counters included, does not depend on what ran before on the
 instance.  The memo holds at most the programs solved on that instance, and
 it goes with the instance (with each command, in the CLI).
 
+``_Compiled`` also keeps nogoods, as combinatorial Benders cuts learn them
+(Codato and Fischetti 2006).  A Farkas certificate of an infeasible program,
+from ``lp._dual_value``, that is zero on every initial-stage row proves the
+final rows of the (state, final) pairs owning its support infeasible on their
+own, in all three searches and the wrappers: a state-transfer column is zero
+in every final row.  It is checked in exact integers before the pairs are
+stored.  A program whose pairs include a stored nogood goes into the memo as
+infeasible without being built, and counts in both counters like any other,
+since which nogoods are stored depends on what ran before on the instance.
+
 A one-shot contracting problem is the instance with one free initial action
 leading to one state whose finals are the one-shot actions;
 ``reduce_deterministic`` builds it from a deterministic first stage, and
@@ -107,7 +117,8 @@ class SolveReport:
     counted whether or not the bound pruned them.
     ``termination_sets_enumerated`` is zero except for the terminate-halfway
     search, where it is 2**S.  ``programs_solved`` counts the minimal-payment
-    programs actually solved, and ``infeasible_profiles`` those of them that
+    programs the search valued, refuted ones and ones from the memo included
+    (see the module docstring), and ``infeasible_profiles`` those of them that
     were infeasible.
     """
 
@@ -136,10 +147,12 @@ class _Compiled:
     first use.  ``programs`` maps a program, named by (with state transfers,
     initial action, sorted (state, final) pairs), to ``_minimal_payment``'s
     ``(value, x, reward)``, or to None when infeasible.  Every entry is set
-    once, and whoever sets it sets an equal value.
+    once, and whoever sets it sets an equal value.  ``nogoods`` maps a pair to
+    the sets of (state, final) pairs, each least that pair, whose final rows
+    are proved infeasible together.
     """
 
-    __slots__ = ("view", "finals", "num_outcomes", "rows", "programs", "bounds")
+    __slots__ = ("view", "finals", "num_outcomes", "rows", "programs", "bounds", "nogoods")
 
     def __init__(self, instance):
         self.view = integers(instance)
@@ -148,6 +161,7 @@ class _Compiled:
         self.rows = {}
         self.programs = {}
         self.bounds = [None, None]
+        self.nogoods = {}
 
     def final_rows(self, s, j, n):
         """Rows keeping final ``j`` optimal at state ``s``, over ``n`` columns:
@@ -212,6 +226,25 @@ class _Compiled:
         divisor = gcd(objective_scale, *coeffs)
         return ([c // divisor for c in coeffs], objective_scale // divisor, rows, n), units
 
+    def refuted(self, pairs):
+        """Whether the (state, final) ``pairs`` include a stored nogood."""
+        chosen = set(pairs)
+        return any(nogood <= chosen for pair in pairs for nogood in self.nogoods.get(pair, ()))
+
+    def learn(self, pairs, rows, y):
+        """Store the nogood of ``y``, the Farkas certificate of a program whose
+        final rows are those of the sorted ``pairs`` and whose ``<=`` rows are
+        ``rows``, if it is zero past the final rows: the pairs owning its
+        support.  It must have ``y >= 0``, ``y.A >= 0`` and ``y.b < 0``."""
+        owners = [pair for pair in pairs for _ in self.view.final_costs[pair[0]][1:]]
+        if any(y[len(owners) :]):
+            return
+        combined = [sum(c * v for c, v in zip(y, column) if c) for column in zip(*rows)]
+        if any(c < 0 for c in y) or any(v < 0 for v in combined[:-1]) or combined[-1] >= 0:
+            raise SolverInvariantError("a Farkas certificate does not prove its program infeasible")
+        nogood = frozenset(pair for pair, c in zip(owners, y) if c)
+        self.nogoods.setdefault(min(nogood), []).append(nogood)
+
     def bound_table(self, instance, may_block):
         """``_search``'s ``(options, seeds, denominator)``: ``options[i][s]`` lists
         initial action ``i``'s (bound term, final or ``_BLOCKED``) at state ``s``
@@ -264,24 +297,30 @@ def _minimal_payment(instance, profile, with_state_transfers):
     every caller reports and ``reward`` the profile's expected reward, read
     off the objective, or None when it is infeasible; kept in the memo.
 
-    ``lp._dual_value`` values the program in integers.  Only where it gives no
-    ``x`` is the program built as a ``LinearProgram`` and solved by
-    ``solve_lp``, and the two values must agree.
+    A program a stored nogood refutes is not built.  ``lp._dual_value``
+    values the others in integers, and its certificate of an infeasible one
+    may store a nogood.  Only where it gives no ``x`` is the program built as
+    a ``LinearProgram`` and solved by ``solve_lp``, and the two values must
+    agree.
     """
     compiled = cached(instance, _COMPILED, _Compiled)
     programs = compiled.programs
     name = (with_state_transfers, profile.initial, tuple(sorted(profile.finals.items())))
     if name in programs:
         return programs[name]
-    form, units = compiled.program(profile, with_state_transfers)
-    solution = _dual_value(*form)
-    if solution is not None and solution[1] is None:
-        result = solve_lp(_linear_program(form, units))
-        if not isinstance(result, LpOptimal) or result.objective_value != solution[0]:
-            raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
-        solution = (solution[0], result.x)
-    if solution is not None:
-        solution = (*solution, dot((form[0][: compiled.num_outcomes], form[1]), compiled.view.rewards))
+    solution = None
+    if not compiled.refuted(name[2]):
+        form, units = compiled.program(profile, with_state_transfers)
+        value, x = _dual_value(*form)
+        if value is None:  # x holds the certificate's multipliers
+            compiled.learn(name[2], form[2], x)
+        else:
+            if x is None:
+                result = solve_lp(_linear_program(form, units))
+                if not isinstance(result, LpOptimal) or result.objective_value != value:
+                    raise SolverInvariantError("the simplex and the dual simplex disagree on a minimal payment")
+                x = result.x
+            solution = (value, x, dot((form[0][: compiled.num_outcomes], form[1]), compiled.view.rewards))
     programs[name] = solution
     return solution
 

@@ -24,10 +24,14 @@ n+k).  Dual Bland (Bland 1977): the least basic label with a negative
 right-hand side leaves, and of its row's negative entries the least ratio
 (reduced cost) / |entry| enters, ties going to the least label; these are
 the full tableau's pivots.  A leaving row with no negative entry proves
-infeasibility.  ``x`` is given only where it is certain to be
-``solve_lp``'s: at x = 0, from which no step of ``solve_lp`` can lower the
-objective below 0, and where no nonbasic reduced cost is 0, so the optimum
-is unique.  Elsewhere the caller asks ``solve_lp``.
+infeasibility.  Its multipliers ``y``, returned in place of ``x``, are the
+full tableau's slack columns of that row: its entry for each nonbasic slack,
+``D`` for its own basic slack, 0 for every other row.  So ``y >= 0``, ``y.A``
+is the row's entries, all ``>= 0``, and ``y.b`` its right-hand side, ``< 0``:
+no ``x >= 0`` has ``A x <= b`` (Farkas).  ``x`` is given only where it is
+certain to be ``solve_lp``'s: at x = 0, from which no step of ``solve_lp``
+can lower the objective below 0, and where no nonbasic reduced cost is 0, so
+the optimum is unique.  Elsewhere the caller asks ``solve_lp``.
 
 Both keep the tableau as Python ints over one denominator ``D``, the
 determinant of the basis, 1 at the start.  A pivot on entry ``p`` negates
@@ -319,13 +323,14 @@ def _exchange(tableau, basis, nonbasic, row, col, denom):
     return p
 
 
-def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
-    """``(value, x)`` of a program with a non-negative objective, or None when
-    infeasible (see the module docstring).  The objective is ``objective[k] /
-    obj_scale``; each of ``rows`` holds one ``<=`` row's ``n`` coefficients,
-    then its right-hand side.  ``x`` is None where it might not be
-    ``solve_lp``'s: at an optimum other than x = 0 where a nonbasic reduced
-    cost is 0.  A negative cost raises ``SolverInvariantError``."""
+def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction | None, tuple | None]:
+    """``(value, x)`` of a program with a non-negative objective, or ``(None,
+    y)`` when infeasible, ``y`` the integer Farkas multipliers of ``rows`` (see
+    the module docstring).  The objective is ``objective[k] / obj_scale``;
+    each of ``rows`` holds one ``<=`` row's ``n`` coefficients, then its
+    right-hand side.  ``x`` is None where it might not be ``solve_lp``'s: at
+    an optimum other than x = 0 where a nonbasic reduced cost is 0.  A
+    negative cost raises ``SolverInvariantError``."""
     if any(c < 0 for c in objective):
         raise SolverInvariantError("the dual simplex needs a non-negative objective")
     if all(values[-1] >= 0 for values in rows):
@@ -349,8 +354,9 @@ def _dual_value(objective, obj_scale, rows, n) -> tuple[Fraction, tuple[Fraction
                 costs[j] * best_a == best_cost * a and nonbasic[j] < nonbasic[entering]
             )):
                 entering, best_cost, best_a = j, costs[j], a
-        if entering < 0:
-            return None  # the row is a sum of non-negative terms equal to a negative number
+        if entering < 0:  # the row is a sum of non-negative terms equal to a negative number
+            entries = {**dict(zip(nonbasic, trow)), basis[leaving]: denom}  # by variable label
+            return None, tuple(entries.get(label, 0) for label in range(n, n + len(rows)))
         denom = _exchange(tableau, basis, nonbasic, leaving, entering, denom)
 
     value = Fraction(-tableau[-1][-1], denom * obj_scale)

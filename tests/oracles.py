@@ -30,6 +30,7 @@ of ``contracts._Compiled.bound_table``.  ``dual_form`` is the former
 ``LinearProgram`` entry of ``lp._dual_value``, which tests use to hand it a
 program, and ``full_tableau_dual_value`` its former tableau with every slack
 column, the reference for its condensed tableau: both take the same pivots.
+``proves_infeasible`` checks a Farkas certificate of an integer program.
 """
 
 from __future__ import annotations
@@ -525,7 +526,8 @@ def dual_form(lp: LinearProgram, lowest: bool = False):
 def full_tableau_dual_value(objective, obj_scale, rows, n):
     """``lp._dual_value``'s former full-tableau dual simplex, the reference
     for its condensed tableau: ``(result, pivots)``, the result as
-    ``_dual_value`` gives it and the pivots as (leaving, entering) variable
+    ``_dual_value`` gives it, an infeasible program's ``y`` read from the
+    leaving row's slack columns, and the pivots as (leaving, entering) variable
     labels, x being 0..n-1 and row k's slack n+k.  Every slack column is kept,
     so a label is a column; ties go to the least column."""
     if any(c < 0 for c in objective):
@@ -555,8 +557,8 @@ def full_tableau_dual_value(objective, obj_scale, rows, n):
             a = trow[j]
             if a < 0 and (entering < 0 or costs[j] * best_a > best_cost * a):
                 entering, best_cost, best_a = j, costs[j], a
-        if entering < 0:
-            return None, pivots
+        if entering < 0:  # the row's slack columns are its Farkas multipliers
+            return (None, tuple(trow[n : n + m])), pivots
         pivots.append((basis[leaving], entering))
         # Bareiss pivot on the negative entry: negate the pivot row, then D = p.
         prow = tableau[leaving] = [-a for a in trow]
@@ -575,6 +577,16 @@ def full_tableau_dual_value(objective, obj_scale, rows, n):
         if b < n:
             x[b] = Fraction(tableau[k][-1], denom)
     return (value, tuple(x)), pivots
+
+
+def proves_infeasible(rows, y) -> bool:
+    """Whether ``y`` is a Farkas certificate for ``rows``, each a ``<=`` row's
+    coefficients then its right-hand side: ``y >= 0``, ``y.A >= 0`` in every
+    column and ``y.b < 0``, so that no ``x >= 0`` has ``A x <= b``."""
+    if not rows or len(y) != len(rows) or any(c < 0 for c in y):
+        return False
+    *columns, rhs = (sum(Fraction(c) * row[j] for c, row in zip(y, rows)) for j in range(len(rows[0])))
+    return all(v >= 0 for v in columns) and rhs < 0
 
 
 # The size caps of the benchmark's ``evaluate`` workload (bench/inputs.py).

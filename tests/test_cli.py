@@ -976,8 +976,14 @@ FORCED_FAILURES = {
     "the winner's re-solve equals its searched value": (
         ["compare", "{instance}"],
         "twostage.contracts", "_dual_value",
-        "lambda *program: None if real(*program) is None else (real(*program)[0] + 1, None)",
+        "lambda *program: (lambda value, x: (value, x) if value is None else (value + 1, None))(*real(*program))",
         "disagree on a minimal payment",
+    ),
+    "a stored Farkas certificate proves its program infeasible": (
+        ["compare", "{instance}"],
+        "twostage.contracts", "_dual_value",
+        "lambda *program: (lambda value, y: (value, y) if value is not None else (None, (-1, *y[1:])))(*real(*program))",
+        "Farkas certificate does not prove",
     ),
     "breakpoints are at most S*N1*N2": (
         ["breakpoints", "{instance}"],
@@ -1034,8 +1040,8 @@ def test_forced_self_check_failure_exits_four_under_optimize_flag(instance_file,
 
 # Whole stdout of every command on each instance of GOLDEN_INSTANCES (among
 # them one draw at the caps of the benchmark's evaluate workload), pinned byte
-# for byte apart from the wall-clock ``duration_seconds`` line.  After an intended output change,
-# rewrite the files with
+# for byte apart from the wall-clock ``duration_seconds`` line.  After an
+# intended output change, rewrite the files with
 #   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
 GOLDEN = Path(__file__).parent / "golden"
 # Subdirectory of GOLDEN -> the generator family and parameters of its instance.

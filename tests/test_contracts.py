@@ -6,6 +6,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +21,10 @@ from twostage import (
     Instance,
     LinearContract,
     LinearProgram,
+    LpInfeasible,
     LpOptimal,
     PayHalfwayContract,
+    SolverInvariantError,
     StandardContract,
     TerminateHalfwayContract,
     best_response,
@@ -43,6 +47,7 @@ from twostage import (
     State,
     generate,
     instance_to_json,
+    interim_review_instance,
     validate,
 )
 from twostage import contracts
@@ -64,6 +69,7 @@ from oracles import (
     iter_profiles,
     lattice_min_payment_standard,
     profile_value,
+    proves_infeasible,
     reference_bound_table,
     reference_min_payment_program,
     scipy_lp_min,
@@ -284,13 +290,154 @@ def test_min_payment_programs_match_the_reference_row_for_row(monkeypatch, recor
     expected = []
     for (program, result), (_, lp) in zip(duals, built):
         expected.append(("_dual_value", program))
-        if result is not None and result[1] is None:
+        if result[0] is not None and result[1] is None:
             expected.append(("solve_lp", lp))
     assert [(name, program) for name, program, _ in handed] == expected
     assert len(expected) > len(built)
     assert (False, 0) in checked  # every state blocked: m zero coefficients per row
     assert any(with_state_transfers for with_state_transfers, _ in checked)
     assert wrapped > 1000
+
+
+def _stored(compiled):
+    """The set of every nogood ``compiled`` keeps."""
+    return {nogood for group in compiled.nogoods.values() for nogood in group}
+
+
+def test_a_program_is_skipped_only_when_a_checked_certificate_refutes_it(monkeypatch):
+    # A Farkas certificate zero on every initial row stores the (state,
+    # final) pairs owning its support as a nogood, and a later program with
+    # those pairs is not built but taken as infeasible, by any search or
+    # wrapper.  Each stored certificate must prove its program infeasible, by
+    # the oracle's own check, and name exactly the pairs owning its support,
+    # whose final rows alone must be infeasible under the reference simplex;
+    # and each skipped program, built by the reference builder, must be
+    # infeasible under that simplex.
+    learnt, skipped, refutations = [], [], []
+    learn, refuted, minimal_payment = contracts._Compiled.learn, contracts._Compiled.refuted, contracts._minimal_payment
+    current = None  # the instance being solved
+
+    def recording_learn(compiled, pairs, rows, y):
+        stored = _stored(compiled)
+        learn(compiled, pairs, rows, y)
+        learnt.extend((current, pairs, rows, y, nogood) for nogood in _stored(compiled) - stored)
+
+    def recording_refuted(compiled, pairs):
+        refutes = refuted(compiled, pairs)
+        if refutes:
+            refutations.append(pairs)
+        return refutes
+
+    def recording_minimal_payment(instance, profile, with_state_transfers):
+        seen = len(refutations)
+        solution = minimal_payment(instance, profile, with_state_transfers)
+        if len(refutations) > seen:
+            assert solution is None
+            skipped.append((instance, profile, with_state_transfers))
+        return solution
+
+    monkeypatch.setattr(contracts._Compiled, "learn", recording_learn)
+    monkeypatch.setattr(contracts._Compiled, "refuted", recording_refuted)
+    monkeypatch.setattr(contracts, "_minimal_payment", recording_minimal_payment)
+    instances = [generate(FamilyParams(family, params)) for family, params in SEPARATION_FAMILIES]
+    instances.append(cost_ladder_instance(4, 4))
+    for kind in KINDS:
+        for seed in range(20):
+            inst = random_instance(kind, seed=seed)
+            instances += [inst, *tie_heavy_variants(inst)]
+    rng = random.Random("nogood-skips")
+    wrapped = 0
+    for inst in instances:
+        current = inst
+        for solver in (optimal_standard, optimal_pay, optimal_terminate):
+            solver(inst)
+        searched = len(skipped)
+        every_state = range(inst.num_states)
+        for _ in range(4):
+            min_payment_standard(inst, _random_profile(rng, inst, every_state))
+            min_payment_pay(inst, _random_profile(rng, inst, every_state))
+            blocked = [s for s in every_state if rng.random() < 0.5]
+            surviving = [s for s in every_state if s not in blocked]
+            min_payment_terminate(inst, blocked, _random_profile(rng, inst, surviving))
+        wrapped += len(skipped) - searched
+    for inst, pairs, rows, y, nogood in learnt:
+        assert proves_infeasible(rows, y)
+        owners = [(s, j) for s, j in pairs for _ in inst.states[s].final_actions[1:]]
+        assert not any(y[len(owners) :])
+        assert nogood == {pair for pair, c in zip(owners, y) if c}
+        states = sorted(s for s, _ in nogood)
+        reference = reference_min_payment_program(inst, ActionProfile(0, dict(nogood)), states, False)
+        final_rows = reference.constraints[: sum(len(inst.states[s].final_actions) - 1 for s in states)]
+        assert isinstance(fraction_simplex(LinearProgram([F(0)] * inst.num_outcomes, final_rows)), LpInfeasible)
+    for inst, profile, with_state_transfers in skipped:
+        program = reference_min_payment_program(inst, profile, sorted(profile.finals), with_state_transfers)
+        assert isinstance(fraction_simplex(program), LpInfeasible), (inst, profile)
+    assert len(learnt) > 300 and len(skipped) > 2000, (len(learnt), len(skipped))
+    assert any(with_state_transfers for _, _, with_state_transfers in skipped)
+    assert wrapped > 20
+
+
+# (multipliers, <= rows over two columns then the right-hand side): the final
+# rows of the pairs (0, 0) and (1, 1) of midterm, then one initial row.  Each
+# certificate breaks exactly one of y >= 0, y.A >= 0 and y.b < 0, or all-zero
+# multipliers prove nothing.
+_BAD_CERTIFICATES = {
+    "negative multiplier": ((1, -1, 0), [[1, 0, -1], [0, 0, 1], [0, 0, 0]]),
+    "negative column": ((1, 1, 0), [[1, 0, -1], [0, -1, 0], [0, 0, 0]]),
+    "right-hand side not negative": ((1, 0, 0), [[1, 0, 0], [0, 1, -1], [0, 0, 0]]),
+    "all zero": ((0, 0, 0), [[1, 0, -1], [0, 1, -1], [0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CERTIFICATES))
+def test_a_certificate_that_proves_nothing_is_refused(midterm, name):
+    y, rows = _BAD_CERTIFICATES[name]
+    compiled = contracts._Compiled(midterm)
+    with pytest.raises(SolverInvariantError, match="^a Farkas certificate does not prove its program infeasible$"):
+        compiled.learn(((0, 0), (1, 1)), rows, y)
+    assert compiled.nogoods == {}
+
+
+def test_a_certificate_stores_the_pairs_owning_its_final_support(midterm):
+    compiled = contracts._Compiled(midterm)
+    rows = [[1, 0, -1], [0, 1, 1], [5, -7, 2]]
+    compiled.learn(((0, 0), (1, 1)), rows, (0, 0, 3))  # an initial row: not stored, not checked
+    compiled.learn(((0, 0), (1, 1)), rows, (2, 1, 0))
+    compiled.learn(((0, 0), (1, 1)), rows, (1, 0, 0))
+    assert compiled.nogoods == {(0, 0): [{(0, 0), (1, 1)}, {(0, 0)}]}
+    assert compiled.refuted(((0, 0), (1, 0))) and not compiled.refuted(((0, 1), (1, 1)))
+
+
+# Replaces contracts._dual_value: the first multiplier of every infeasible
+# program's certificate becomes -1.
+_CORRUPTED_CERTIFICATE = (
+    "lambda *program: (lambda value, y: (value, y) if value is not None else (None, (-1, *y[1:])))(*real(*program))"
+)
+
+
+def test_a_corrupted_certificate_raises(monkeypatch):
+    # interim_review stores a nogood from a certificate on final rows alone,
+    # so the check sees the corrupted multiplier before anything is skipped.
+    real = contracts._dual_value
+    monkeypatch.setattr(contracts, "_dual_value", eval(_CORRUPTED_CERTIFICATE, {"real": real}))
+    with pytest.raises(SolverInvariantError, match="^a Farkas certificate does not prove its program infeasible$"):
+        optimal_standard(interim_review_instance())
+
+
+def test_a_corrupted_certificate_raises_under_optimize_flag(child_env):
+    script = (
+        "from twostage import contracts, interim_review_instance, optimal_standard\n"
+        f"contracts._dual_value = eval({_CORRUPTED_CERTIFICATE!r}, {{'real': contracts._dual_value}})\n"
+        "try:\n"
+        "    optimal_standard(interim_review_instance())\n"
+        "except contracts.SolverInvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "a Farkas certificate does not prove its program infeasible\n"
 
 
 def test_searches_build_a_linear_program_only_to_re_solve(monkeypatch, record_programs, tmp_path):
@@ -349,28 +496,47 @@ def test_searches_report_the_same_after_other_searches_on_the_instance():
 
 
 def test_compare_reuses_the_programs_its_standard_search_solved(monkeypatch, record_programs, tmp_path):
+    # A search counts every program it asks for: each is valued by
+    # _dual_value, refuted by a stored nogood or, after another search on the
+    # instance, taken from the memo.  Cold, and for compare's standard and pay
+    # searches, whose programs no earlier search asked for, the first two
+    # make up the count exactly; compare's terminate search also reuses the
+    # standard search's programs, and reports what it reports cold.
     handed = record_programs("_dual_value")
+    skipped = []
+    refuted = contracts._Compiled.refuted
+
+    def counted_refuted(compiled, pairs):
+        skip = refuted(compiled, pairs)
+        if skip:
+            skipped.append(pairs)
+        return skip
+
+    monkeypatch.setattr(contracts._Compiled, "refuted", counted_refuted)
     cold = optimal_terminate(cost_ladder_instance(3, 3))
-    assert len(handed) == cold.programs_solved
+    assert skipped and len(handed) + len(skipped) == cold.programs_solved
 
-    calls = []
-    terminate = contracts.optimal_terminate
+    asked = {}
+    for kind in ("standard", "pay", "terminate"):
 
-    def counted(instance, **caps):
-        start = len(handed)
-        report = terminate(instance, **caps)
-        calls.append(len(handed) - start)
-        return report
+        def counted(instance, search=getattr(contracts, f"optimal_{kind}"), kind=kind, **caps):
+            start = len(handed), len(skipped)
+            report = search(instance, **caps)
+            asked[kind] = (len(handed) - start[0], len(skipped) - start[1], report.programs_solved)
+            return report
 
-    monkeypatch.setattr(contracts, "optimal_terminate", counted)
+        monkeypatch.setattr(contracts, f"optimal_{kind}", counted)
     path = tmp_path / "ladder.json"
     path.write_text(instance_to_json(cost_ladder_instance(3, 3)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["compare", str(path)]) == 0
     terminate_doc = json.loads(out.getvalue())["results"]["terminate"]
-    (warm_calls,) = calls
-    assert 0 < warm_calls < cold.programs_solved
+    for kind in ("standard", "pay"):
+        calls, skips, solved = asked[kind]
+        assert calls + skips == solved, kind
+    calls, skips, solved = asked["terminate"]
+    assert 0 < calls + skips < solved == cold.programs_solved
     assert terminate_doc["programs_solved"] == cold.programs_solved
     assert terminate_doc["infeasible_profiles"] == cold.infeasible_profiles
 
@@ -783,6 +949,32 @@ def test_search_matches_exhaustive_oracle_on_random_instances(kind):
         if seed % 5 == 0:
             for variant in tie_heavy_variants(inst):
                 assert_matches_exhaustive_search(variant)
+
+
+def test_pay_search_keeps_the_earlier_of_two_tied_candidates():
+    # From the grid of every instance with two outcomes, two states, two
+    # initial actions and two finals per state, probabilities in {0, 1/2, 1}.
+    # Initial action a reaches s0 alone, b each state half the time.  With w
+    # at both states, a earns 3/2 under a state transfer of 1/2 at s0, and b
+    # earns 3/2 with no state transfer.  The tie goes to a, first in the
+    # order; a search that let a later candidate of equal profit replace the
+    # incumbent would return b's contract.
+    def final(name, cost, dist):
+        return FinalAction(name, F(cost), tuple(map(F, dist)))
+
+    inst = Instance(
+        (F(0), F(3)),
+        (InitialAction("a", F(0), (F(1), F(0))), InitialAction("b", F(0), (F(1, 2), F(1, 2)))),
+        (
+            State("s0", (final("n", 0, (1, 0)), final("w", 1, (0, 1)))),
+            State("s1", (final("n", 0, (1, 0)), final("w", 0, ("1/2", "1/2")))),
+        ),
+    )
+    report = optimal_pay(inst)
+    assert report.best_contract == PayHalfwayContract((F(1, 2), F(0)), (F(0), F(1)))
+    assert report.best_response.profile == ActionProfile(0, {0: 1, 1: 1}) and report.profit == F(3, 2)
+    assert exhaustive_optimum(inst, "pay") == (report.best_contract, report.profit)
+    assert_matches_exhaustive_search(inst)
 
 
 def _scaled_instance(inst, factor):

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -26,7 +27,14 @@ from twostage import (
 )
 from twostage.model import scale
 
-from oracles import dual_form, fraction_simplex, full_tableau_dual_value, scipy_lp_min, tie_heavy_variants
+from oracles import (
+    dual_form,
+    fraction_simplex,
+    full_tableau_dual_value,
+    proves_infeasible,
+    scipy_lp_min,
+    tie_heavy_variants,
+)
 
 
 def test_single_lower_bound():
@@ -323,10 +331,10 @@ SEARCHED_FAMILIES = [
 def _assert_dual_value_agrees(lp, result, expected):
     """``lp._dual_value``'s ``result`` against the two-phase simplex's: the
     same feasibility and value, and the same x wherever it gives one."""
-    if result is None:
+    value, x = result
+    if value is None:
         assert isinstance(expected, LpInfeasible), lp
         return "infeasible"
-    value, x = result
     assert isinstance(expected, LpOptimal) and value == expected.objective_value, lp
     if x is None:
         return "no x"
@@ -410,10 +418,12 @@ def exchanges(monkeypatch):
 
 def _assert_full_tableau_pivots(form, exchanges):
     """``_dual_value`` on ``form`` gives the full tableau's result by the full
-    tableau's pivots, label for label; returns its result."""
+    tableau's pivots, label for label, and an infeasible program's
+    multipliers prove it infeasible; returns its result."""
     exchanges.clear()
     result = lp_module._dual_value(*form)
     assert (result, exchanges) == full_tableau_dual_value(*form), form
+    assert result[0] is not None or proves_infeasible(form[2], result[1]), form
     return result
 
 
@@ -434,9 +444,11 @@ def test_dual_value_does_not_depend_on_the_row_scale(exchanges):
     # The searches hand _dual_value each row in lowest integers, not as
     # model.scale gives it.  A positive row scale must not change a pivot, so
     # the value, x and infeasibility stay the same with each row as
-    # model.scale gives it, divided by its gcd, or times a random factor.
+    # model.scale gives it, divided by its gcd, or times a random factor.  An
+    # infeasible program's multipliers, each times its row's factor, combine
+    # the rows into the same row up to a positive factor.
     rng = random.Random(16)
-    reduced = pivoted = 0
+    reduced = pivoted = infeasible = 0
     for _ in range(1500):
         lp = _nonnegative_cost_lp(rng)
         objective, obj_scale, rows, n = scaled = dual_form(lp)
@@ -444,13 +456,20 @@ def test_dual_value_does_not_depend_on_the_row_scale(exchanges):
         reduced += lowest != scaled
         factors = [rng.randint(1, 6) for _ in rows]
         multiplied = (objective, obj_scale, [[v * f for v in row] for row, f in zip(rows, factors)], n)
+        inverse_gcds = [F(1, math.gcd(*row) or 1) for row in rows]
         runs = []
-        for form in (scaled, lowest, multiplied):
+        for form, row_factors in ((scaled, [1] * len(rows)), (lowest, inverse_gcds), (multiplied, factors)):
             exchanges.clear()
-            runs.append((lp_module._dual_value(*form), list(exchanges)))
+            value, x = lp_module._dual_value(*form)
+            if value is None:
+                weighted = [F(c) * f for c, f in zip(x, row_factors)]
+                lead = next(w for w in weighted if w)
+                x = [w / lead for w in weighted]
+            runs.append((value, x, list(exchanges)))
         assert runs[0] == runs[1] == runs[2], lp
         pivoted += bool(exchanges)
-    assert reduced > 200 and pivoted > 900, (reduced, pivoted)
+        infeasible += value is None
+    assert reduced > 200 and pivoted > 900 and infeasible > 100, (reduced, pivoted, infeasible)
 
 
 def test_dual_value_matches_both_simplexes_on_every_searched_program(record_programs, record_linear_programs, exchanges):
@@ -469,8 +488,10 @@ def test_dual_value_matches_both_simplexes_on_every_searched_program(record_prog
     # row for row up to a positive scale per row.
     valued = _valued_programs(handed, built)
     resolves = [lp for name, lp, _ in handed if name == "solve_lp"]
-    assert resolves == [lp for lp, result in valued if result and result[1] is None]
-    without_x = [program for name, program, result in handed if name == "_dual_value" and result and result[1] is None]
+    assert resolves == [lp for lp, result in valued if result[0] is not None and result[1] is None]
+    without_x = [
+        program for name, program, result in handed if name == "_dual_value" and result[0] is not None and result[1] is None
+    ]
     for lp, (objective, obj_scale, rows, n) in zip(resolves, without_x):
         assert dual_form(lp, lowest=True) == (objective, obj_scale, [list(row) for row in rows], n)
     resolved = len(resolves)
